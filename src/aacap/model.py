@@ -5,24 +5,43 @@ input matrix is (T, F_e), encoder output E is (T, d_e) with d_e twice the
 per-direction hidden size, and all per-step vectors are 1-D. There is no
 batch axis; batching is a loop over items in the training pipeline.
 
+Each LSTM cell holds one fused weight (input_dim + hidden_dim, 4 * hidden)
+and one bias (4 * hidden), gate column blocks in LstmCell.GATES order
+(forget, input, output, cell candidate); see Appleyard et al. 2016,
+arXiv:1604.01946. A Bi-LSTM layer takes each direction's input projection
+X W_x + b as one product before its time loop, so a step costs one
+(hidden, 4 * hidden) product plus elementwise gates.
+
 Backpropagation is reverse-time over decoder steps (through the attention
 read and the output projection), then reverse-time through both encoder
-layers. Every learnable array is a numerics.ParameterGroup so the finite
+layers. The reverse loops carry only the recurrence and stack the per-step
+deltas into rows, such as (T, 4 * hidden) gate deltas; each gradient that
+does not feed the recurrence (cell weights and biases, the output
+projection, the attention's encoder projection) is then one product over
+the stacked rows.
+Every learnable array is a numerics.ParameterGroup so the finite
 difference checker can sweep the whole model.
+
+Checkpoints are "AACM" plus version byte 2: a length-prefixed JSON config
+block, then each parameter by name, shape and float64 data. Version 1
+files, which stored each gate as its own array, still load.
 """
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import CorruptionError, FormatError, ShapeError
+from .errors import ConfigError, CorruptionError, FormatError, ShapeError
 from .numerics import PROB_FLOOR, ParameterGroup, sigmoid, softmax
 from .text import PAD
 
-CHECKPOINT_MAGIC = b"AACM\x01"
+CHECKPOINT_MAGIC = b"AACM\x02"
+_CHECKPOINT_MAGIC_V1 = b"AACM\x01"  # per-gate LSTM arrays; read, never written
 
 
 @dataclass(frozen=True)
@@ -33,6 +52,11 @@ class ModelConfig:
     attn_dim: int = 256  # d_a
     dec_hidden: int = 256  # d_h
     word_dim: int = 128  # d_w
+
+    def __post_init__(self):
+        for name, value in self.to_dict().items():
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ConfigError(f"model {name} must be a positive integer, got {value!r}")
 
     @property
     def enc_out_dim(self) -> int:
@@ -68,6 +92,7 @@ class ForwardResult:
 class _SequenceCache:
     matrix_shape: tuple[int, int]
     encoder_cache: object
+    enc_values: np.ndarray
     steps: list  # per decoder step: (token_in, token_out, att_cache, lstm_cache, h, probs)
     n_steps: int
 
@@ -78,7 +103,13 @@ def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 
 
 class LstmCell:
-    """Single LSTM cell; four gate blocks of shape (input_dim + hidden_dim, hidden_dim)."""
+    """Single LSTM cell with one fused weight (input_dim + hidden_dim, 4 * hidden_dim)
+    and one bias (4 * hidden_dim); gate column blocks follow GATES order.
+
+    The decoder steps the cell one vector at a time; BiLstmLayer runs it over
+    a whole sequence, taking the input projection before the time loop and
+    the weight gradients after it.
+    """
 
     GATES = ("forget", "input", "output", "cell")
 
@@ -86,50 +117,84 @@ class LstmCell:
         self.name = name
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
-        self.weights: dict[str, ParameterGroup] = {}
-        self.biases: dict[str, ParameterGroup] = {}
-        for gate in self.GATES:
-            self.weights[gate] = ParameterGroup(
-                f"{name}.w_{gate}", _glorot(rng, input_dim + hidden_dim, hidden_dim))
-            bias = np.zeros(hidden_dim)
-            if gate == "forget":
-                bias += 1.0  # standard trick: remember by default
-            self.biases[gate] = ParameterGroup(f"{name}.b_{gate}", bias)
+        # one (in+h, h) Glorot draw per gate, in GATES order, keeps seeded inits unchanged
+        blocks = [_glorot(rng, input_dim + hidden_dim, hidden_dim) for _ in self.GATES]
+        self.w = ParameterGroup(f"{name}.w", np.concatenate(blocks, axis=1))
+        bias = np.zeros(4 * hidden_dim)
+        bias[:hidden_dim] = 1.0  # forget gate: remember by default
+        self.b = ParameterGroup(f"{name}.b", bias)
 
     def params(self) -> list[ParameterGroup]:
-        return [self.weights[g] for g in self.GATES] + [self.biases[g] for g in self.GATES]
+        return [self.w, self.b]
+
+    def _activate(self, pre: np.ndarray, c_prev: np.ndarray):
+        """Gate activations, new cell state, its tanh and h from pre-activations (4h,)."""
+        hidden = self.hidden_dim
+        gates = np.empty_like(pre)
+        gates[:3 * hidden] = sigmoid(pre[:3 * hidden])
+        gates[3 * hidden:] = np.tanh(pre[3 * hidden:])
+        f, i, o, g = (gates[k * hidden:(k + 1) * hidden] for k in range(4))
+        c = f * c_prev + i * g
+        tanh_c = np.tanh(c)
+        return gates, c, tanh_c, o * tanh_c
+
+    def gate_deltas(self, gates: np.ndarray, c_prev: np.ndarray, tanh_c: np.ndarray,
+                    dh: np.ndarray, dc: np.ndarray, d_pre: np.ndarray) -> np.ndarray:
+        """Writes d(loss)/d(gate pre-activations) of one step into d_pre (4h,);
+        returns the gradient reaching c_prev."""
+        hidden = self.hidden_dim
+        f, i, o, g = (gates[k * hidden:(k + 1) * hidden] for k in range(4))
+        dc_total = dc + dh * o * (1.0 - tanh_c * tanh_c)
+        d_pre[:hidden] = dc_total * c_prev * f * (1.0 - f)
+        d_pre[hidden:2 * hidden] = dc_total * g * i * (1.0 - i)
+        d_pre[2 * hidden:3 * hidden] = dh * tanh_c * o * (1.0 - o)
+        d_pre[3 * hidden:] = dc_total * i * (1.0 - g * g)
+        return dc_total * f
 
     def step(self, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
         """Returns (h, c, cache). h = o * tanh(f * c_prev + i * g_candidate)."""
         if x.shape != (self.input_dim,):
             raise ShapeError(f"{self.name}: input shape {x.shape}, expected ({self.input_dim},)")
         z = np.concatenate([x, h_prev])
-        f = sigmoid(z @ self.weights["forget"].value + self.biases["forget"].value)
-        i = sigmoid(z @ self.weights["input"].value + self.biases["input"].value)
-        o = sigmoid(z @ self.weights["output"].value + self.biases["output"].value)
-        g = np.tanh(z @ self.weights["cell"].value + self.biases["cell"].value)
-        c = f * c_prev + i * g
-        tanh_c = np.tanh(c)
-        h = o * tanh_c
-        return h, c, (z, f, i, o, g, c_prev, tanh_c)
+        gates, c, tanh_c, h = self._activate(z @ self.w.value + self.b.value, c_prev)
+        return h, c, (z, gates, c_prev, tanh_c)
 
-    def backward_step(self, cache, dh: np.ndarray, dc: np.ndarray):
-        """Accumulates parameter grads; returns (dx, dh_prev, dc_prev)."""
-        z, f, i, o, g, c_prev, tanh_c = cache
-        dc_total = dc + dh * o * (1.0 - tanh_c * tanh_c)
-        d_pre = {
-            "output": dh * tanh_c * o * (1.0 - o),
-            "forget": dc_total * c_prev * f * (1.0 - f),
-            "input": dc_total * g * i * (1.0 - i),
-            "cell": dc_total * i * (1.0 - g * g),
-        }
-        dz = np.zeros_like(z)
-        for gate in self.GATES:
-            grad = d_pre[gate]
-            self.weights[gate].gradient += np.outer(z, grad)
-            self.biases[gate].gradient += grad
-            dz += self.weights[gate].value @ grad
-        return dz[:self.input_dim], dz[self.input_dim:], dc_total * f
+    def forward_sequence(self, x_seq: np.ndarray):
+        """Runs the cell over x_seq (n, input_dim) from zero state, in row order.
+
+        Returns (h_seq (n, hidden_dim), cache for backward_sequence).
+        """
+        n, hidden = x_seq.shape[0], self.hidden_dim
+        w_h = self.w.value[self.input_dim:]
+        pre_x = x_seq @ self.w.value[:self.input_dim] + self.b.value  # (n, 4h)
+        gates = np.empty((n, 4 * hidden))
+        h_seq = np.zeros((n + 1, hidden))  # row s is the state before step s
+        c_seq = np.zeros((n + 1, hidden))
+        tanh_c = np.empty((n, hidden))
+        for s in range(n):
+            gates[s], c_seq[s + 1], tanh_c[s], h_seq[s + 1] = self._activate(
+                pre_x[s] + h_seq[s] @ w_h, c_seq[s])
+        return h_seq[1:], (x_seq, gates, h_seq, c_seq, tanh_c)
+
+    def backward_sequence(self, cache, dh_seq: np.ndarray) -> np.ndarray:
+        """Backprop of forward_sequence given d(loss)/d(h_seq) (n, hidden_dim).
+
+        Accumulates the parameter gradients with one product each after the
+        reverse-time loop; returns d(loss)/d(x_seq).
+        """
+        x_seq, gates, h_seq, c_seq, tanh_c = cache
+        n, hidden = x_seq.shape[0], self.hidden_dim
+        w_x, w_h = self.w.value[:self.input_dim], self.w.value[self.input_dim:]
+        d_pre = np.empty((n, 4 * hidden))
+        dh_carry = dc_carry = np.zeros(hidden)
+        for s in range(n - 1, -1, -1):
+            dc_carry = self.gate_deltas(gates[s], c_seq[s], tanh_c[s],
+                                        dh_seq[s] + dh_carry, dc_carry, d_pre[s])
+            dh_carry = w_h @ d_pre[s]
+        self.w.gradient[:self.input_dim] += x_seq.T @ d_pre
+        self.w.gradient[self.input_dim:] += h_seq[:-1].T @ d_pre
+        self.b.gradient += d_pre.sum(axis=0)
+        return d_pre @ w_x.T
 
 
 class BiLstmLayer:
@@ -144,36 +209,21 @@ class BiLstmLayer:
         return self.fwd.params() + self.bwd.params()
 
     def forward(self, x_seq: np.ndarray, valid: int):
-        t_total = x_seq.shape[0]
         hidden = self.hidden_dim
-        out = np.zeros((t_total, 2 * hidden))
-        fwd_caches, bwd_caches = [], []
-        h = c = np.zeros(hidden)
-        for t in range(valid):
-            h, c, cache = self.fwd.step(x_seq[t], h, c)
-            fwd_caches.append(cache)
-            out[t, :hidden] = h
-        h = c = np.zeros(hidden)
-        for t in range(valid - 1, -1, -1):
-            h, c, cache = self.bwd.step(x_seq[t], h, c)
-            bwd_caches.append(cache)  # processing order: t = valid-1, ..., 0
-            out[t, hidden:] = h
-        return out, (fwd_caches, bwd_caches, x_seq.shape, valid)
+        out = np.zeros((x_seq.shape[0], 2 * hidden))
+        h_fwd, fwd_cache = self.fwd.forward_sequence(x_seq[:valid])
+        # the bwd cell reads frames valid-1, ..., 0
+        h_bwd, bwd_cache = self.bwd.forward_sequence(x_seq[valid - 1::-1])
+        out[:valid, :hidden] = h_fwd
+        out[:valid, hidden:] = h_bwd[::-1]
+        return out, (fwd_cache, bwd_cache, x_seq.shape, valid)
 
     def backward(self, cache, dout: np.ndarray) -> np.ndarray:
-        fwd_caches, bwd_caches, x_shape, valid = cache
+        fwd_cache, bwd_cache, x_shape, valid = cache
         hidden = self.hidden_dim
         dx = np.zeros(x_shape)
-        dh_carry = dc_carry = np.zeros(hidden)
-        for t in range(valid - 1, -1, -1):
-            dx_t, dh_carry, dc_carry = self.fwd.backward_step(
-                fwd_caches[t], dout[t, :hidden] + dh_carry, dc_carry)
-            dx[t] += dx_t
-        dh_carry = dc_carry = np.zeros(hidden)
-        for t in range(valid):  # reverse of the bwd cell's processing order
-            dx_t, dh_carry, dc_carry = self.bwd.backward_step(
-                bwd_caches[valid - 1 - t], dout[t, hidden:] + dh_carry, dc_carry)
-            dx[t] += dx_t
+        dx[:valid] = self.fwd.backward_sequence(fwd_cache, dout[:valid, :hidden])
+        dx[:valid] += self.bwd.backward_sequence(bwd_cache, dout[valid - 1::-1, hidden:])[::-1]
         return dx
 
 
@@ -227,8 +277,14 @@ class Attention:
         step = AttentionStep(alpha=alpha, weights=weights, context=context)
         return step, (enc_values, h_prev, pre, alpha, weights)
 
-    def backward(self, cache, d_context: np.ndarray):
-        """Returns (dE, dh_prev); parameter grads accumulate in place."""
+    def backward(self, cache, d_context: np.ndarray, d_pre_sum: np.ndarray):
+        """One decoder step's backward. Returns (dE of the context read, dh_prev);
+        parameter grads accumulate in place.
+
+        The step's pre-activation gradient (T, d_a) is added into d_pre_sum:
+        every step reads the same E and W_enc, so their products with it are
+        taken once per sequence, by backward_encoder.
+        """
         enc_values, h_prev, pre, alpha, weights = cache
         d_weights = enc_values @ d_context
         d_enc = np.outer(weights, d_context)
@@ -238,12 +294,16 @@ class Attention:
         self.w_score.gradient += (alpha.T @ d_logits)[:, None]
         d_alpha = np.outer(d_logits, self.w_score.value.ravel())
         d_pre = d_alpha * (pre > 0)
-        d_enc += d_pre @ self.w_enc.value.T
-        self.w_enc.gradient += enc_values.T @ d_pre
-        d_pre_sum = d_pre.sum(axis=0)
-        self.w_hidden.gradient += np.outer(h_prev, d_pre_sum)
-        dh_prev = self.w_hidden.value @ d_pre_sum
+        d_pre_sum += d_pre
+        d_pre_rows = d_pre.sum(axis=0)
+        self.w_hidden.gradient += np.outer(h_prev, d_pre_rows)
+        dh_prev = self.w_hidden.value @ d_pre_rows
         return d_enc, dh_prev
+
+    def backward_encoder(self, enc_values: np.ndarray, d_pre_sum: np.ndarray) -> np.ndarray:
+        """The E / W_enc part of every step's backward at once; returns its dE."""
+        self.w_enc.gradient += enc_values.T @ d_pre_sum
+        return d_pre_sum @ self.w_enc.value.T
 
 
 class Decoder:
@@ -326,33 +386,49 @@ class CaptionModel:
             h, c = h_new, c_new
         n = len(steps)
         loss = total / n if n else 0.0
-        cache = _SequenceCache(matrix.shape, enc_cache, steps, n)
+        cache = _SequenceCache(matrix.shape, enc_cache, enc_values, steps, n)
         return ForwardResult(loss, att_steps, cache)
 
     def backward(self, cache: _SequenceCache) -> np.ndarray:
-        """Accumulate gradients of the mean loss; returns dLoss/dInputMatrix."""
+        """Accumulate gradients of the mean loss; returns dLoss/dInputMatrix.
+
+        The reverse-time loop carries only what the recurrence needs; the
+        output projection's and the decoder cell's weight gradients are one
+        product each over the stacked per-step rows.
+        """
         if not isinstance(cache, _SequenceCache):
             raise ValueError("backward needs the cache from forward_teacher_forced")
         dec = self.decoder
-        if cache.n_steps == 0:
+        cell = dec.cell
+        n = cache.n_steps
+        if n == 0:
             return np.zeros(cache.matrix_shape)
-        scale = 1.0 / cache.n_steps
+        scale = 1.0 / n
+        word_dim, cell_in = self.cfg.word_dim, cell.input_dim
+        tokens_in, tokens_out, att_caches, lstm_caches, hs, probs = zip(*cache.steps)
+        d_logits = np.array(probs) * scale
+        d_logits[np.arange(n), tokens_out] -= scale
+        dec.w_out.gradient += np.array(hs).T @ d_logits
+        dec.b_out.gradient += d_logits.sum(axis=0)
+        dh_out = d_logits @ dec.w_out.value.T  # (n, d_h)
+        d_pre = np.empty((n, cell.w.value.shape[1]))
+        d_att_pre = np.zeros((cache.matrix_shape[0], self.cfg.attn_dim))
         d_enc_total = np.zeros((cache.matrix_shape[0], self.cfg.enc_out_dim))
         dh_next = np.zeros(self.cfg.dec_hidden)
         dc_next = np.zeros(self.cfg.dec_hidden)
-        for token_in, token_out, att_cache, lstm_cache, h, probs in reversed(cache.steps):
-            d_logits = probs * scale
-            d_logits[token_out] -= scale
-            dec.w_out.gradient += np.outer(h, d_logits)
-            dec.b_out.gradient += d_logits
-            dh = dec.w_out.value @ d_logits + dh_next
-            dx, dh_prev, dc_prev = dec.cell.backward_step(lstm_cache, dh, dc_next)
-            dec.embedding.gradient[token_in] += dx[:self.cfg.word_dim]
-            d_context = dx[self.cfg.word_dim:]
-            d_enc_step, dh_prev_att = dec.attention.backward(att_cache, d_context)
+        for s in range(n - 1, -1, -1):
+            _, gates, c_prev, tanh_c = lstm_caches[s]
+            dc_next = cell.gate_deltas(gates, c_prev, tanh_c, dh_out[s] + dh_next,
+                                       dc_next, d_pre[s])
+            dz = cell.w.value @ d_pre[s]
+            dec.embedding.gradient[tokens_in[s]] += dz[:word_dim]
+            d_enc_step, dh_prev_att = dec.attention.backward(
+                att_caches[s], dz[word_dim:cell_in], d_att_pre)
             d_enc_total += d_enc_step
-            dh_next = dh_prev + dh_prev_att
-            dc_next = dc_prev
+            dh_next = dz[cell_in:] + dh_prev_att
+        cell.w.gradient += np.array([z for z, _, _, _ in lstm_caches]).T @ d_pre
+        cell.b.gradient += d_pre.sum(axis=0)
+        d_enc_total += dec.attention.backward_encoder(cache.enc_values, d_att_pre)
         return self.encoder.backward(cache.encoder_cache, d_enc_total)
 
     # ------------------------------------------------------------------
@@ -377,46 +453,76 @@ class CaptionModel:
                 fh.write(name)
                 fh.write(struct.pack("<I", group.value.ndim))
                 fh.write(struct.pack(f"<{group.value.ndim}I", *group.value.shape))
-                fh.write(group.value.astype("<f8").tobytes())
+                fh.write(group.value.astype("<f8", copy=False).data)
 
     @classmethod
     def load(cls, path) -> tuple["CaptionModel", dict]:
-        """Rebuild a model from a checkpoint; returns (model, full config dict)."""
+        """Rebuild a model from a checkpoint; returns (model, full config dict).
+
+        Reads the current format and v1. Each array is read on its own
+        straight into the model, so the file is never held in memory whole.
+        """
         with open(path, "rb") as fh:
-            data = fh.read()
-        if data[:5] != CHECKPOINT_MAGIC:
-            raise FormatError(f"{path}: not a model checkpoint (bad magic/version)")
-        offset = 5
+            size = os.fstat(fh.fileno()).st_size
+            magic = fh.read(5)
+            if magic not in (CHECKPOINT_MAGIC, _CHECKPOINT_MAGIC_V1):
+                raise FormatError(f"{path}: not a model checkpoint (bad magic/version)")
 
-        def take(n: int) -> bytes:
-            nonlocal offset
-            if offset + n > len(data):
-                raise CorruptionError(f"{path}: truncated at byte {offset} + {n}")
-            chunk = data[offset:offset + n]
-            offset += n
-            return chunk
+            def take(n: int) -> bytes:
+                offset = fh.tell()
+                if offset + n > size:
+                    raise CorruptionError(f"{path}: truncated at byte {offset} + {n}")
+                return fh.read(n)
 
-        (blob_len,) = struct.unpack("<I", take(4))
-        config = json.loads(take(blob_len).decode("utf-8"))
-        model = cls(ModelConfig(**config["model"]))
-        by_name = {group.name: group for group in model.parameters()}
-        (count,) = struct.unpack("<I", take(4))
-        if count != len(by_name):
-            raise CorruptionError(
-                f"{path}: checkpoint has {count} arrays, model expects {len(by_name)}")
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", take(4))
-            name = take(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", take(4))
-            shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-            values = np.frombuffer(take(8 * int(np.prod(shape))), dtype="<f8").reshape(shape)
-            if name not in by_name:
-                raise CorruptionError(f"{path}: unknown parameter {name!r}")
-            if by_name[name].value.shape != values.shape:
+            (blob_len,) = struct.unpack("<I", take(4))
+            try:
+                config = json.loads(take(blob_len).decode("utf-8"))
+                model_cfg = ModelConfig(**config["model"])
+            except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError,
+                    ConfigError) as exc:
+                raise CorruptionError(f"{path}: bad config block ({exc!r})") from exc
+            model = cls(model_cfg)
+            targets = model._load_targets(v1=magic == _CHECKPOINT_MAGIC_V1)
+            (count,) = struct.unpack("<I", take(4))
+            if count != len(targets):
                 raise CorruptionError(
-                    f"{path}: {name} has shape {values.shape}, expected "
-                    f"{by_name[name].value.shape}")
-            by_name[name].value[...] = values
-        if offset != len(data):
-            raise CorruptionError(f"{path}: {len(data) - offset} trailing bytes")
+                    f"{path}: checkpoint has {count} arrays, model expects {len(targets)}")
+            for _ in range(count):
+                (name_len,) = struct.unpack("<I", take(4))
+                try:
+                    name = take(name_len).decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise CorruptionError(f"{path}: bad parameter name ({exc})") from exc
+                (ndim,) = struct.unpack("<I", take(4))
+                shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+                values = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
+                target = targets.pop(name, None)
+                if target is None:
+                    raise CorruptionError(f"{path}: unknown or repeated parameter {name!r}")
+                if target.shape != values.shape:
+                    raise CorruptionError(
+                        f"{path}: {name} has shape {values.shape}, expected {target.shape}")
+                if not np.all(np.isfinite(values)):
+                    raise CorruptionError(f"{path}: {name} has non-finite values")
+                target[...] = values
+            if fh.tell() != size:
+                raise CorruptionError(f"{path}: {size - fh.tell()} trailing bytes")
         return model, config
+
+    def _load_targets(self, v1: bool) -> dict[str, np.ndarray]:
+        """Stored array name -> the array a checkpoint load writes it into.
+
+        v1 stored each LSTM gate apart, as {cell}.w_{gate} and {cell}.b_{gate};
+        those land in the gate's column block of the fused {cell}.w and {cell}.b.
+        """
+        targets = {group.name: group.value for group in self.parameters()}
+        if v1:
+            enc = self.encoder
+            for cell in (enc.layer1.fwd, enc.layer1.bwd, enc.layer2.fwd, enc.layer2.bwd,
+                         self.decoder.cell):
+                for kind, group in (("w", cell.w), ("b", cell.b)):
+                    del targets[group.name]
+                    blocks = np.split(group.value, len(LstmCell.GATES), axis=-1)
+                    targets.update((f"{cell.name}.{kind}_{gate}", block)
+                                   for gate, block in zip(LstmCell.GATES, blocks))
+        return targets

@@ -33,12 +33,14 @@ class ParameterGroup:
 
     def __post_init__(self):
         self.value = np.asarray(self.value, dtype=np.float64)
+        # np.zeros leaves the pages untouched until first written, so a model
+        # used only for inference holds no memory for these three
         if self.gradient is None:
-            self.gradient = np.zeros_like(self.value)
+            self.gradient = np.zeros(self.value.shape)
         if self.adam_m is None:
-            self.adam_m = np.zeros_like(self.value)
+            self.adam_m = np.zeros(self.value.shape)
         if self.adam_v is None:
-            self.adam_v = np.zeros_like(self.value)
+            self.adam_v = np.zeros(self.value.shape)
         for label, arr in (("gradient", self.gradient), ("adam_m", self.adam_m),
                            ("adam_v", self.adam_v)):
             if arr.shape != self.value.shape:
@@ -111,19 +113,31 @@ def cross_entropy(predicted: np.ndarray, target_index: int) -> float:
 
 
 def adam_step(group: ParameterGroup, learning_rate: float) -> ParameterGroup:
-    """Standard Adam update in place; increments step_count, clears the gradient."""
+    """Standard Adam update in place; increments step_count, clears the gradient.
+
+    Works in one scratch array plus the gradient's own buffer, with the
+    operation order of the textbook formula, so the result is bit-identical
+    to value -= lr * m_hat / (sqrt(v_hat) + eps).
+    """
     g = group.gradient
     if not np.all(np.isfinite(g)):
         raise FloatingPointError(f"{group.name}: non-finite gradient entries")
     group.step_count += 1
     t = group.step_count
+    scratch = np.multiply(g, 1.0 - ADAM_BETA1)
     group.adam_m *= ADAM_BETA1
-    group.adam_m += (1.0 - ADAM_BETA1) * g
+    group.adam_m += scratch
+    np.multiply(g, 1.0 - ADAM_BETA2, out=scratch)
+    scratch *= g
     group.adam_v *= ADAM_BETA2
-    group.adam_v += (1.0 - ADAM_BETA2) * g * g
-    m_hat = group.adam_m / (1.0 - ADAM_BETA1 ** t)
-    v_hat = group.adam_v / (1.0 - ADAM_BETA2 ** t)
-    group.value -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    group.adam_v += scratch
+    np.divide(group.adam_v, 1.0 - ADAM_BETA2 ** t, out=scratch)  # v_hat
+    np.sqrt(scratch, out=scratch)
+    scratch += ADAM_EPS
+    np.divide(group.adam_m, 1.0 - ADAM_BETA1 ** t, out=g)  # m_hat, over the gradient
+    g *= learning_rate
+    g /= scratch
+    group.value -= g
     group.zero_grad()
     return group
 

@@ -15,12 +15,19 @@ def ref_sigmoid(x):
     return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
 
 
+def ref_gate(cell, k):
+    """(weight, bias) of gate k, a column block of the cell's fused arrays."""
+    cols = slice(k * cell.hidden_dim, (k + 1) * cell.hidden_dim)
+    return cell.w.value[:, cols], cell.b.value[cols]
+
+
 def ref_cell_step(cell, x, h, c):
     z = np.concatenate([x, h])
-    f = ref_sigmoid(z @ cell.weights["forget"].value + cell.biases["forget"].value)
-    i = ref_sigmoid(z @ cell.weights["input"].value + cell.biases["input"].value)
-    o = ref_sigmoid(z @ cell.weights["output"].value + cell.biases["output"].value)
-    g = np.tanh(z @ cell.weights["cell"].value + cell.biases["cell"].value)
+    (w_f, b_f), (w_i, b_i), (w_o, b_o), (w_g, b_g) = (ref_gate(cell, k) for k in range(4))
+    f = ref_sigmoid(z @ w_f + b_f)
+    i = ref_sigmoid(z @ w_i + b_i)
+    o = ref_sigmoid(z @ w_o + b_o)
+    g = np.tanh(z @ w_g + b_g)
     c_new = f * c + i * g
     return o * np.tanh(c_new), c_new
 

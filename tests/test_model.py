@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -38,12 +40,9 @@ def test_lstm_cell_all_zero_parameters():
 def test_lstm_cell_scalar_oracle():
     # 1-unit cell with hand-set weights, reproduced with plain scalar algebra
     cell = _zeroed_cell(input_dim=1, hidden_dim=1)
-    cell.weights["forget"].value[...] = 0.0
-    cell.biases["forget"].value[...] = 0.4
-    cell.weights["input"].value[...] = [[0.3], [0.0]]
-    cell.weights["output"].value[...] = [[-0.2], [0.0]]
-    cell.weights["cell"].value[...] = [[0.5], [0.0]]
-    cell.biases["cell"].value[...] = 0.1
+    # gate columns in GATES order: forget, input, output, cell
+    cell.w.value[...] = [[0.0, 0.3, -0.2, 0.5], [0.0, 0.0, 0.0, 0.0]]
+    cell.b.value[...] = [0.4, 0.0, 0.0, 0.1]
     x = 0.8
     f = 1 / (1 + math.exp(-0.4))
     i = 1 / (1 + math.exp(-0.3 * x))
@@ -73,6 +72,18 @@ def test_lstm_cell_shape_error():
         cell.step(np.zeros(4), np.zeros(2), np.zeros(2))
 
 
+def test_lstm_cell_fused_init_matches_per_gate_glorot_draws():
+    from aacap.model import LstmCell
+
+    cell = LstmCell("t", 5, 3, np.random.default_rng(42))
+    rng = np.random.default_rng(42)
+    limit = math.sqrt(6.0 / (8 + 3))
+    blocks = [rng.uniform(-limit, limit, size=(8, 3)) for _ in LstmCell.GATES]
+    assert [group.name for group in cell.params()] == ["t.w", "t.b"]
+    assert np.array_equal(cell.w.value, np.concatenate(blocks, axis=1))
+    assert np.array_equal(cell.b.value, [1.0, 1.0, 1.0] + [0.0] * 9)
+
+
 # ---------------------------------------------------------------------------
 # encoder
 # ---------------------------------------------------------------------------
@@ -89,6 +100,14 @@ def test_encoder_matches_reference():
     m = np.random.default_rng(5).normal(size=(4, 8))
     enc = model.encode(m)
     assert np.allclose(enc.values, ref_encode(model, m, 4), atol=1e-12)
+
+
+@pytest.mark.parametrize("valid", [3, 1])
+def test_encoder_matches_reference_with_padded_frames(valid):
+    model = CaptionModel(TINY, seed=1)
+    m = np.random.default_rng(5).normal(size=(4, 8))
+    enc = model.encode(m, valid_length=valid)
+    assert np.allclose(enc.values, ref_encode(model, m, valid), atol=1e-12)
 
 
 def test_encoder_padded_rows_zero():
@@ -117,14 +136,12 @@ def _mirror_encoder(model):
     construction, reversing the input sequence must reverse E and swap its
     direction halves."""
     for layer in (model.encoder.layer1, model.encoder.layer2):
-        for gate in layer.fwd.GATES:
-            layer.bwd.weights[gate].value[...] = layer.fwd.weights[gate].value
-            layer.bwd.biases[gate].value[...] = layer.fwd.biases[gate].value
+        layer.bwd.w.value[...] = layer.fwd.w.value
+        layer.bwd.b.value[...] = layer.fwd.b.value
     hidden = model.encoder.layer2.hidden_dim
     for cell in (model.encoder.layer2.fwd, model.encoder.layer2.bwd):
-        for gate in cell.GATES:
-            w = cell.weights[gate].value
-            w[hidden:2 * hidden] = w[:hidden]
+        w = cell.w.value
+        w[hidden:2 * hidden] = w[:hidden]
 
 
 def test_encoder_reversal_swaps_direction_roles():
@@ -308,6 +325,38 @@ def test_backward_passes_gradient_check():
         assert finite_diff_check(loss_fn, group, epsilon=1e-4) < 1e-4, group.name
 
 
+def test_backward_matches_reference_loss_differences_with_padding():
+    # the analytic gradients of the fused cells against central differences
+    # of the independent straight-line loss, on a sequence with padded frames
+    model = CaptionModel(TINY, seed=4)
+    rng = np.random.default_rng(44)
+    m = rng.normal(size=(5, 8))
+    target = [START, 4, 5, 5, END] + [PAD] * 15
+    valid = 3
+    model.zero_grads()
+    d_matrix = model.backward(model.forward_teacher_forced(m, target, valid).cache)
+    eps = 1e-5
+    for group in model.parameters():
+        flat_value, flat_grad = group.value.ravel(), group.gradient.ravel()
+        for idx in rng.choice(flat_value.size, size=min(8, flat_value.size), replace=False):
+            saved = flat_value[idx]
+            flat_value[idx] = saved + eps
+            up = ref_teacher_forced_loss(model, m, target, valid)
+            flat_value[idx] = saved - eps
+            down = ref_teacher_forced_loss(model, m, target, valid)
+            flat_value[idx] = saved
+            numeric = (up - down) / (2 * eps)
+            assert flat_grad[idx] == pytest.approx(numeric, rel=1e-5, abs=1e-9), group.name
+    for t, f in [(0, 0), (1, 5), (2, 7)]:
+        saved = m[t, f]
+        m[t, f] = saved + eps
+        up = ref_teacher_forced_loss(model, m, target, valid)
+        m[t, f] = saved - eps
+        down = ref_teacher_forced_loss(model, m, target, valid)
+        m[t, f] = saved
+        assert d_matrix[t, f] == pytest.approx((up - down) / (2 * eps), rel=1e-5, abs=1e-9)
+
+
 def test_backward_padded_frames_get_zero_input_gradient():
     model = CaptionModel(TINY, seed=1)
     m = np.random.default_rng(21).normal(size=(4, 8))
@@ -389,4 +438,102 @@ def test_checkpoint_truncation_detected(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[:-16])
     with pytest.raises(CorruptionError):
+        CaptionModel.load(path)
+
+
+def _write_v1_checkpoint(model, path, extra_config=None):
+    """The AACM\x01 layout: each LSTM gate as its own {cell}.w_{gate} and
+    {cell}.b_{gate} array, weights of a cell before its biases."""
+    from aacap.model import LstmCell
+
+    config = {"model": model.cfg.to_dict(), **(extra_config or {})}
+    arrays = []
+    for group in model.parameters():
+        prefix, _, kind = group.name.rpartition(".")
+        if prefix.endswith(("fwd", "bwd", "lstm")) and kind in ("w", "b"):
+            blocks = np.split(group.value, len(LstmCell.GATES), axis=-1)
+            arrays += [(f"{prefix}.{kind}_{gate}", block)
+                       for gate, block in zip(LstmCell.GATES, blocks)]
+        else:
+            arrays.append((group.name, group.value))
+    blob = json.dumps(config, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(b"AACM\x01" + struct.pack("<I", len(blob)) + blob)
+        fh.write(struct.pack("<I", len(arrays)))
+        for name, value in arrays:
+            fh.write(struct.pack("<I", len(name)) + name.encode("utf-8"))
+            fh.write(struct.pack("<I", value.ndim) + struct.pack(f"<{value.ndim}I", *value.shape))
+            fh.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
+    return len(arrays)
+
+
+def test_checkpoint_v1_loads_to_same_decoder_logits(tmp_path):
+    model = CaptionModel(TINY, seed=12)
+    path = tmp_path / "v1.ckpt"
+    assert _write_v1_checkpoint(model, path, {"vocab": ["x"]}) == 5 * 8 + 6
+    loaded, config = CaptionModel.load(path)
+    assert config["vocab"] == ["x"]
+    for orig, new in zip(model.parameters(), loaded.parameters()):
+        assert np.array_equal(orig.value, new.value), orig.name
+    m = np.random.default_rng(13).normal(size=(4, 8))
+    enc, enc_loaded = model.encode(m, 3), loaded.encode(m, 3)
+    h, c = model.initial_state()
+    for token in (START, 4, 5):
+        logits_loaded, _, _, _ = loaded.decoder_step(token, h, c, enc_loaded)
+        logits, h, c, _ = model.decoder_step(token, h, c, enc)
+        assert np.array_equal(logits, logits_loaded)
+
+
+def test_checkpoint_v1_missing_gate_rejected(tmp_path):
+    model = CaptionModel(TINY, seed=12)
+    path = tmp_path / "v1.ckpt"
+    _write_v1_checkpoint(model, path)
+    data = path.read_bytes()
+    name = b"enc.l1.fwd.w_cell"
+    path.write_bytes(data.replace(name, b"enc.l1.fwd.w_cel_"))
+    with pytest.raises(CorruptionError):
+        CaptionModel.load(path)
+
+
+def test_checkpoint_writes_fused_v2(tmp_path):
+    model = CaptionModel(TINY, seed=12)
+    path = tmp_path / "model.ckpt"
+    model.save(path)
+    data = path.read_bytes()
+    assert data[:5] == b"AACM\x02"
+    assert b"enc.l1.fwd.w\x02" in data  # a fused name, then its ndim
+    assert b"w_forget" not in data
+
+
+def _rewrite_config(path, config_bytes):
+    data = path.read_bytes()
+    (old_len,) = struct.unpack("<I", data[5:9])
+    path.write_bytes(data[:5] + struct.pack("<I", len(config_bytes)) + config_bytes
+                     + data[9 + old_len:])
+
+
+@pytest.mark.parametrize("config_bytes", [
+    b"\xff\xfe not utf-8",
+    b"{not json",
+    b'{"vocab": []}',
+    b'[1, 2]',
+    b'{"model": {"embed_dim": 8}}',
+    b'{"model": {"embed_dim": 8, "vocab_size": 6, "colour": 1}}',
+    b'{"model": {"embed_dim": -8, "vocab_size": 6}}',
+    b'{"model": {"embed_dim": "8", "vocab_size": 6}}',
+])
+def test_checkpoint_bad_config_block_is_corruption(tmp_path, config_bytes):
+    path = tmp_path / "model.ckpt"
+    CaptionModel(TINY, seed=12).save(path)
+    _rewrite_config(path, config_bytes)
+    with pytest.raises(CorruptionError):
+        CaptionModel.load(path)
+
+
+def test_checkpoint_non_finite_values_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    CaptionModel(TINY, seed=12).save(path)
+    data = path.read_bytes()
+    path.write_bytes(data[:-8] + struct.pack("<d", math.inf))
+    with pytest.raises(CorruptionError, match="non-finite"):
         CaptionModel.load(path)

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from aacap.errors import ShapeError
 from aacap.numerics import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     ParameterGroup,
     adam_step,
     cross_entropy,
@@ -152,6 +155,30 @@ def test_adam_step_sizes_non_increasing_for_constant_gradient():
     adam_step(group, 1e-3)
     delta2 = abs(group.value[0] - prev)
     assert delta2 <= delta1 * (1 + 1e-6)
+
+
+def _textbook_adam(value, m, v, g, t, lr):
+    """Straight-line Adam as the package wrote it with full-size temporaries."""
+    m = m * ADAM_BETA1 + (1.0 - ADAM_BETA1) * g
+    v = v * ADAM_BETA2 + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    return value - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v
+
+
+def test_adam_in_place_is_bit_identical_to_textbook_formula():
+    rng = np.random.default_rng(4)
+    group = ParameterGroup("w", rng.normal(size=(7, 5)))
+    value, m, v = group.value.copy(), np.zeros((7, 5)), np.zeros((7, 5))
+    for t in range(1, 51):
+        g = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=(7, 5))
+        group.gradient[...] = g
+        adam_step(group, 3e-3)
+        value, m, v = _textbook_adam(value, m, v, g, t, 3e-3)
+        assert np.array_equal(group.value, value)
+        assert np.array_equal(group.adam_m, m)
+        assert np.array_equal(group.adam_v, v)
+        assert np.array_equal(group.gradient, np.zeros((7, 5)))
 
 
 def test_adam_rejects_non_finite_gradient():

@@ -236,7 +236,7 @@ def test_train_aborts_on_non_finite_loss(tmp_path, monkeypatch):
 
     def poisoned(self, matrix, target, valid_length=None):
         return ForwardResult(float("nan"), [],
-                             _SequenceCache(matrix.shape, None, [], 0))
+                             _SequenceCache(matrix.shape, None, None, [], 0))
 
     monkeypatch.setattr(CaptionModel, "forward_teacher_forced", poisoned)
     with pytest.raises(FloatingPointError) as exc:
@@ -436,3 +436,32 @@ def test_cli_data_error_exit_code(tmp_path):
 def test_cli_make_toy_config_error(tmp_path):
     code = cli.main(["make-toy", "--out-dir", str(tmp_path), "--n-items", "1"])
     assert code == 2
+
+
+def _cli_checkpoint(tmp_path):
+    model = CaptionModel(ModelConfig(embed_dim=16, vocab_size=6, enc_hidden=4, attn_dim=4,
+                                     dec_hidden=4, word_dim=4), seed=0)
+    checkpoint = tmp_path / "model.ckpt"
+    model.save(checkpoint, extra_config={"vocab": ["<PAD>", "<START>", "<END>", "<UNK>",
+                                                   "a", "b"]})
+    manifest = make_toy_dataset(tmp_path / "toy", seed=0, n_items=2)
+    return checkpoint, load_manifest(manifest)[0].path
+
+
+def test_cli_corrupt_checkpoint_config_exits_3(tmp_path, capsys):
+    checkpoint, input_path = _cli_checkpoint(tmp_path)
+    data = bytearray(checkpoint.read_bytes())
+    data[10] ^= 0xFF  # inside the JSON config block: no longer valid UTF-8
+    checkpoint.write_bytes(bytes(data))
+    code = cli.main(["caption", "--checkpoint", str(checkpoint), "--input", input_path])
+    assert code == 3
+    assert "bad config block" in capsys.readouterr().err
+
+
+def test_cli_non_finite_checkpoint_exits_3(tmp_path, capsys):
+    checkpoint, input_path = _cli_checkpoint(tmp_path)
+    data = checkpoint.read_bytes()
+    checkpoint.write_bytes(data[:-8] + np.array([np.nan], dtype="<f8").tobytes())
+    code = cli.main(["caption", "--checkpoint", str(checkpoint), "--input", input_path])
+    assert code == 3
+    assert "non-finite" in capsys.readouterr().err
