@@ -1,15 +1,23 @@
 """Greedy and beam-search caption generation from a trained model.
 
-Sequences include the leading <START> token and are capped at max_tokens
-entries total, matching the training-time caption length. A hypothesis is
-finished once it emits <END> or hits the cap.
+Both run one search loop: greedy decoding is beam search at width 1 without
+length normalisation. Sequences include the leading <START> token and are
+capped at max_tokens entries total, matching the training-time caption
+length. A hypothesis is finished once it emits <END> or hits the cap.
+
+Each step runs model.decoder_step and log_softmax once per live hypothesis
+and stacks prefix score + log-probabilities into one (live, V) array. The
+next beam is read off that array with np.partition; only the entries at or
+above the beam-th best score are sorted, by (-score, prefix tokens, token),
+which is the order a full sort of every candidate gives. The attention keys
+E W_enc come with the EncoderOutput, taken once per encode.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .model import AttentionStep, CaptionModel, EncoderOutput
 from .numerics import log_softmax
 from .text import END, MAX_TOKENS, START
@@ -44,17 +52,9 @@ def greedy_decode(model: CaptionModel, matrix: np.ndarray,
 
 def greedy_decode_encoded(model: CaptionModel, enc: EncoderOutput,
                           max_tokens: int = MAX_TOKENS) -> tuple[list[int], list[AttentionStep]]:
-    h, c = model.initial_state()
-    ids = [START]
-    trace: list[AttentionStep] = []
-    while len(ids) < max_tokens:
-        logits, h, c, att = model.decoder_step(ids[-1], h, c, enc)
-        token = int(np.argmax(logits))
-        ids.append(token)
-        trace.append(att)
-        if token == END:
-            break
-    return ids, trace
+    """Beam search of width 1 without length normalisation; returns (ids, trace)."""
+    hyp = _search(model, enc, 1, max_tokens, length_normalize=False)
+    return hyp.tokens, hyp.attention
 
 
 def beam_search(model: CaptionModel, matrix: np.ndarray, beam: int = 3,
@@ -66,23 +66,28 @@ def beam_search(model: CaptionModel, matrix: np.ndarray, beam: int = 3,
     the pool winner maximizes the (optionally length-normalized) score, with
     ties broken by shorter length, then lexicographic token order.
     """
+    return _search(model, model.encode(matrix, valid_length), beam, max_tokens,
+                   length_normalize)
+
+
+def _search(model: CaptionModel, enc: EncoderOutput, beam: int, max_tokens: int,
+            length_normalize: bool) -> Hypothesis:
     if beam < 1:
         raise ConfigError(f"beam width must be >= 1, got {beam}")
-    enc = model.encode(matrix, valid_length)
+    if max_tokens < 2:
+        raise ConfigError(f"max_tokens must be >= 2 (<START> plus one token), got {max_tokens}")
     h0, c0 = model.initial_state()
     live = [Hypothesis([START], 0.0, h0, c0)]
     completed: list[Hypothesis] = []
     while live:
-        candidates = []
-        for hyp in live:
-            logits, h, c, att = model.decoder_step(hyp.tokens[-1], hyp.h, hyp.c, enc)
-            log_probs = log_softmax(logits)
-            for token in range(log_probs.size):
-                candidates.append((hyp.log_prob + log_probs[token], hyp, token, h, c, att))
-        candidates.sort(key=lambda item: (-item[0], item[1].tokens, item[2]))
+        steps = [model.decoder_step(hyp.tokens[-1], hyp.h, hyp.c, enc) for hyp in live]
+        scores = np.stack([hyp.log_prob + log_softmax(logits)
+                           for hyp, (logits, _, _, _) in zip(live, steps)])
         next_live = []
-        for score, hyp, token, h, c, att in candidates[:beam]:
-            extended = Hypothesis(hyp.tokens + [token], score, h, c,
+        for row, token in top_candidates(scores, [hyp.tokens for hyp in live], beam):
+            hyp = live[row]
+            _, h, c, att = steps[row]
+            extended = Hypothesis(hyp.tokens + [token], scores[row, token], h, c,
                                   attention=hyp.attention + [att])
             if token == END or len(extended.tokens) >= max_tokens:
                 extended.finished = True
@@ -90,6 +95,29 @@ def beam_search(model: CaptionModel, matrix: np.ndarray, beam: int = 3,
             else:
                 next_live.append(extended)
         live = next_live
-    best = min(completed,
+    return min(completed,
                key=lambda hyp: (-hyp.score(length_normalize), hyp.emitted, hyp.tokens))
-    return best
+
+
+def top_candidates(scores: np.ndarray, prefixes: list[list[int]],
+                   beam: int) -> list[tuple[int, int]]:
+    """(row, token) of the `beam` best finite entries of scores (live, V), best first.
+
+    The order is (-score, prefixes[row], token). Only the entries at or above
+    the beam-th best score, ties at the cut included, are sorted. NaN and
+    -inf scores never enter the beam (np.partition puts NaN last); if no
+    score is finite the search cannot go on.
+    """
+    vocab = scores.shape[1]
+    flat = scores.ravel()
+    count = int(np.count_nonzero(np.isfinite(flat)))
+    if count == 0:
+        raise DataError("beam search: no candidate has a finite score; "
+                        "the decoder's logits hold NaN or inf")
+    n = min(beam, count)
+    cut = -np.partition(-flat, n - 1)[n - 1]
+    picks = np.flatnonzero(flat >= cut)
+    rows, tokens = np.divmod(picks, vocab)
+    ordered = sorted(zip((-flat[picks]).tolist(), rows.tolist(), tokens.tolist()),
+                     key=lambda cand: (cand[0], prefixes[cand[1]], cand[2]))
+    return [(row, token) for _, row, token in ordered[:n]]

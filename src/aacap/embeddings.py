@@ -62,7 +62,7 @@ def save_embedding_file(path, matrix: np.ndarray):
 
 
 def load_embedding_file(path) -> np.ndarray:
-    """Read an AACE file back as a float64 (T, F) matrix."""
+    """Read an AACE file back as a float64 (T, F) matrix; NaN or inf is corrupt."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 16 or data[:4] != MAGIC:
@@ -74,8 +74,10 @@ def load_embedding_file(path) -> np.ndarray:
     if len(data) != expected:
         raise CorruptionError(
             f"{path}: expected {expected} bytes for a {t}x{f} matrix, found {len(data)}")
-    values = np.frombuffer(data, dtype="<f4", offset=16)
-    return values.astype(np.float64).reshape(t, f)
+    values = np.frombuffer(data, dtype="<f4", offset=16).astype(np.float64)
+    if not np.isfinite(values).all():
+        raise CorruptionError(f"{path}: {t}x{f} matrix has non-finite values")
+    return values.reshape(t, f)
 
 
 def mock_extract(s: Spectrogram, plan: SegmentPlan, dim: int, seed: int) -> np.ndarray:

@@ -12,6 +12,10 @@ arXiv:1604.01946. A Bi-LSTM layer takes each direction's input projection
 X W_x + b as one product before its time loop, so a step costs one
 (hidden, 4 * hidden) product plus elementwise gates.
 
+The attention keys E W_enc do not depend on the decoder state, so encode
+(and the teacher-forced forward) takes them once and carries them on
+EncoderOutput; each decoder step adds only h_prev W_h to them.
+
 Backpropagation is reverse-time over decoder steps (through the attention
 read and the output projection), then reverse-time through both encoder
 layers. The reverse loops carry only the recurrence and stack the per-step
@@ -24,7 +28,9 @@ difference checker can sweep the whole model.
 
 Checkpoints are "AACM" plus version byte 2: a length-prefixed JSON config
 block, then each parameter by name, shape and float64 data. Version 1
-files, which stored each gate as its own array, still load.
+files, which stored each gate as its own array, still load. A load checks
+the config's weight bytes against the file size before it builds the
+model, and builds it without random init, since every array is overwritten.
 """
 
 import json
@@ -62,6 +68,18 @@ class ModelConfig:
     def enc_out_dim(self) -> int:
         return 2 * self.enc_hidden
 
+    @property
+    def parameter_count(self) -> int:
+        """Float64 values in a model of this config, which is what a checkpoint stores."""
+        def cell(input_dim, hidden):
+            return (input_dim + hidden + 1) * 4 * hidden
+        hidden, enc_out = self.enc_hidden, self.enc_out_dim
+        return (2 * cell(self.embed_dim, hidden) + 2 * cell(enc_out, hidden)
+                + self.vocab_size * self.word_dim
+                + cell(self.word_dim + enc_out, self.dec_hidden)
+                + (self.dec_hidden + 1) * self.vocab_size
+                + (enc_out + self.dec_hidden + 1) * self.attn_dim)
+
     def to_dict(self) -> dict:
         return {"embed_dim": self.embed_dim, "vocab_size": self.vocab_size,
                 "enc_hidden": self.enc_hidden, "attn_dim": self.attn_dim,
@@ -72,6 +90,7 @@ class ModelConfig:
 class EncoderOutput:
     values: np.ndarray  # (T, d_e); rows at or beyond valid_length are zero
     valid_length: int
+    keys: np.ndarray  # (T, d_a) attention keys E W_enc, the same for every decoder step
 
 
 @dataclass
@@ -97,9 +116,16 @@ class _SequenceCache:
     n_steps: int
 
 
-def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+def _glorot(rng: Optional[np.random.Generator], rows: int, cols: int,
+            blocks: int = 1) -> np.ndarray:
+    """(rows, blocks * cols): `blocks` Glorot-uniform (rows, cols) draws side by
+    side, drawn in order. Without an rng the array is left uninitialised, for a
+    checkpoint load to fill."""
+    if rng is None:
+        return np.empty((rows, blocks * cols))
     limit = np.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-limit, limit, size=(rows, cols))
+    draws = [rng.uniform(-limit, limit, size=(rows, cols)) for _ in range(blocks)]
+    return draws[0] if blocks == 1 else np.concatenate(draws, axis=1)
 
 
 class LstmCell:
@@ -113,13 +139,14 @@ class LstmCell:
 
     GATES = ("forget", "input", "output", "cell")
 
-    def __init__(self, name: str, input_dim: int, hidden_dim: int, rng: np.random.Generator):
+    def __init__(self, name: str, input_dim: int, hidden_dim: int,
+                 rng: Optional[np.random.Generator]):
         self.name = name
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         # one (in+h, h) Glorot draw per gate, in GATES order, keeps seeded inits unchanged
-        blocks = [_glorot(rng, input_dim + hidden_dim, hidden_dim) for _ in self.GATES]
-        self.w = ParameterGroup(f"{name}.w", np.concatenate(blocks, axis=1))
+        self.w = ParameterGroup(f"{name}.w", _glorot(rng, input_dim + hidden_dim, hidden_dim,
+                                                     blocks=len(self.GATES)))
         bias = np.zeros(4 * hidden_dim)
         bias[:hidden_dim] = 1.0  # forget gate: remember by default
         self.b = ParameterGroup(f"{name}.b", bias)
@@ -200,7 +227,8 @@ class LstmCell:
 class BiLstmLayer:
     """Forward and backward LSTM passes over a sequence, states concatenated per step."""
 
-    def __init__(self, name: str, input_dim: int, hidden_dim: int, rng: np.random.Generator):
+    def __init__(self, name: str, input_dim: int, hidden_dim: int,
+                 rng: Optional[np.random.Generator]):
         self.hidden_dim = hidden_dim
         self.fwd = LstmCell(f"{name}.fwd", input_dim, hidden_dim, rng)
         self.bwd = LstmCell(f"{name}.bwd", input_dim, hidden_dim, rng)
@@ -230,7 +258,7 @@ class BiLstmLayer:
 class Encoder:
     """Two stacked Bi-LSTM layers; per-step outputs of the second layer feed attention."""
 
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
+    def __init__(self, cfg: ModelConfig, rng: Optional[np.random.Generator]):
         self.cfg = cfg
         self.layer1 = BiLstmLayer("enc.l1", cfg.embed_dim, cfg.enc_hidden, rng)
         self.layer2 = BiLstmLayer("enc.l2", cfg.enc_out_dim, cfg.enc_hidden, rng)
@@ -258,7 +286,7 @@ class Encoder:
 class Attention:
     """Additive temporal attention: scores = ReLU(E We + h_prev Wh) Wa, then softmax."""
 
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
+    def __init__(self, cfg: ModelConfig, rng: Optional[np.random.Generator]):
         self.w_enc = ParameterGroup("attn.w_enc", _glorot(rng, cfg.enc_out_dim, cfg.attn_dim))
         self.w_hidden = ParameterGroup("attn.w_hidden", _glorot(rng, cfg.dec_hidden, cfg.attn_dim))
         self.w_score = ParameterGroup("attn.w_score", _glorot(rng, cfg.attn_dim, 1))
@@ -266,8 +294,15 @@ class Attention:
     def params(self) -> list[ParameterGroup]:
         return [self.w_enc, self.w_hidden, self.w_score]
 
-    def forward(self, enc_values: np.ndarray, valid: int, h_prev: np.ndarray):
-        pre = enc_values @ self.w_enc.value + h_prev @ self.w_hidden.value  # (T, d_a)
+    def keys(self, enc_values: np.ndarray) -> np.ndarray:
+        """E W_enc (T, d_a): the part of every step's pre-activation that h_prev leaves alone."""
+        return enc_values @ self.w_enc.value
+
+    def forward(self, enc_values: np.ndarray, valid: int, h_prev: np.ndarray,
+                keys: np.ndarray):
+        """One attention read from h_prev; keys is self.keys(enc_values), as
+        EncoderOutput carries it."""
+        pre = keys + h_prev @ self.w_hidden.value  # (T, d_a)
         alpha = np.maximum(pre, 0.0)
         logits = (alpha @ self.w_score.value).ravel()
         logits[valid:] = -np.inf  # padded frames never receive weight
@@ -309,7 +344,7 @@ class Attention:
 class Decoder:
     """Word embedding + single LSTM cell + output projection, fed by attention."""
 
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
+    def __init__(self, cfg: ModelConfig, rng: Optional[np.random.Generator]):
         self.cfg = cfg
         self.embedding = ParameterGroup("dec.embedding",
                                         _glorot(rng, cfg.vocab_size, cfg.word_dim))
@@ -326,7 +361,8 @@ class Decoder:
              enc: EncoderOutput):
         if not 0 <= token < self.cfg.vocab_size:
             raise ValueError(f"token id {token} outside vocabulary of {self.cfg.vocab_size}")
-        att_step, att_cache = self.attention.forward(enc.values, enc.valid_length, h_prev)
+        att_step, att_cache = self.attention.forward(enc.values, enc.valid_length, h_prev,
+                                                     enc.keys)
         x = np.concatenate([self.embedding.value[token], att_step.context])
         h, c, lstm_cache = self.cell.step(x, h_prev, c_prev)
         logits = h @ self.w_out.value + self.b_out.value
@@ -336,8 +372,10 @@ class Decoder:
 class CaptionModel:
     """Encoder, attention decoder, and training-time backprop in one bundle."""
 
-    def __init__(self, cfg: ModelConfig, seed: int = 0):
-        rng = np.random.default_rng(seed)
+    def __init__(self, cfg: ModelConfig, seed: int = 0, random_init: bool = True):
+        """Seeded Glorot init; with random_init=False the weight matrices are
+        left uninitialised, for a checkpoint load to overwrite."""
+        rng = np.random.default_rng(seed) if random_init else None
         self.cfg = cfg
         self.encoder = Encoder(cfg, rng)
         self.decoder = Decoder(cfg, rng)
@@ -352,7 +390,10 @@ class CaptionModel:
     def encode(self, matrix: np.ndarray, valid_length: Optional[int] = None) -> EncoderOutput:
         valid = matrix.shape[0] if valid_length is None else valid_length
         values, _ = self.encoder.forward(np.asarray(matrix, dtype=np.float64), valid)
-        return EncoderOutput(values, valid)
+        return self._encoder_output(values, valid)
+
+    def _encoder_output(self, values: np.ndarray, valid: int) -> EncoderOutput:
+        return EncoderOutput(values, valid, self.decoder.attention.keys(values))
 
     def decoder_step(self, prev_token: int, h_prev: np.ndarray, c_prev: np.ndarray,
                      enc: EncoderOutput):
@@ -369,7 +410,7 @@ class CaptionModel:
         matrix = np.asarray(matrix, dtype=np.float64)
         valid = matrix.shape[0] if valid_length is None else valid_length
         enc_values, enc_cache = self.encoder.forward(matrix, valid)
-        enc = EncoderOutput(enc_values, valid)
+        enc = self._encoder_output(enc_values, valid)
         h, c = self.initial_state()
         steps = []
         att_steps = []
@@ -459,8 +500,10 @@ class CaptionModel:
     def load(cls, path) -> tuple["CaptionModel", dict]:
         """Rebuild a model from a checkpoint; returns (model, full config dict).
 
-        Reads the current format and v1. Each array is read on its own
-        straight into the model, so the file is never held in memory whole.
+        Reads the current format and v1. The config is checked against the
+        file size before the model is built, and the model is built without
+        random init: every array is then read on its own straight into it, so
+        the file is never held in memory whole.
         """
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
@@ -481,7 +524,11 @@ class CaptionModel:
             except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError,
                     ConfigError) as exc:
                 raise CorruptionError(f"{path}: bad config block ({exc!r})") from exc
-            model = cls(model_cfg)
+            if 8 * model_cfg.parameter_count > size:
+                raise CorruptionError(
+                    f"{path}: config needs {8 * model_cfg.parameter_count} bytes of weights, "
+                    f"the file has {size}")
+            model = cls(model_cfg, random_init=False)
             targets = model._load_targets(v1=magic == _CHECKPOINT_MAGIC_V1)
             (count,) = struct.unpack("<I", take(4))
             if count != len(targets):

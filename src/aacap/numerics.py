@@ -6,7 +6,6 @@ are floored at PROB_FLOOR before any log so a pathological output can never
 produce an infinite loss.
 """
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -20,35 +19,53 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-@dataclass
+class _ZerosOnFirstRead:
+    """A ParameterGroup array of value's shape, created as zeros when first read.
+
+    Assignment replaces it, after a shape check; that is also what lets the
+    in-place `group.gradient += x` work, since Python stores the result back.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+        self.slot = "_" + name
+
+    def __get__(self, group, owner=None):
+        if group is None:
+            return self
+        arr = getattr(group, self.slot)
+        if arr is None:
+            arr = np.zeros(group.value.shape)
+            setattr(group, self.slot, arr)
+        return arr
+
+    def __set__(self, group, arr):
+        if arr.shape != group.value.shape:
+            raise ShapeError(
+                f"{group.name}: {self.name} shape {arr.shape} != value shape {group.value.shape}")
+        setattr(group, self.slot, arr)
+
+
 class ParameterGroup:
-    """One learnable array plus its gradient and Adam state."""
+    """One learnable array plus its gradient and Adam state.
 
-    name: str
-    value: np.ndarray
-    gradient: np.ndarray = field(default=None)  # type: ignore[assignment]
-    adam_m: np.ndarray = field(default=None)  # type: ignore[assignment]
-    adam_v: np.ndarray = field(default=None)  # type: ignore[assignment]
-    step_count: int = 0
+    The gradient and the two Adam moments are made on first use, so a model
+    used only for inference holds its values and nothing else.
+    """
 
-    def __post_init__(self):
-        self.value = np.asarray(self.value, dtype=np.float64)
-        # np.zeros leaves the pages untouched until first written, so a model
-        # used only for inference holds no memory for these three
-        if self.gradient is None:
-            self.gradient = np.zeros(self.value.shape)
-        if self.adam_m is None:
-            self.adam_m = np.zeros(self.value.shape)
-        if self.adam_v is None:
-            self.adam_v = np.zeros(self.value.shape)
-        for label, arr in (("gradient", self.gradient), ("adam_m", self.adam_m),
-                           ("adam_v", self.adam_v)):
-            if arr.shape != self.value.shape:
-                raise ShapeError(
-                    f"{self.name}: {label} shape {arr.shape} != value shape {self.value.shape}")
+    gradient = _ZerosOnFirstRead()
+    adam_m = _ZerosOnFirstRead()
+    adam_v = _ZerosOnFirstRead()
+
+    def __init__(self, name: str, value: np.ndarray):
+        self.name = name
+        self.value = np.asarray(value, dtype=np.float64)
+        self.step_count = 0
+        self._gradient = self._adam_m = self._adam_v = None
 
     def zero_grad(self):
-        self.gradient.fill(0.0)
+        if self._gradient is not None:
+            self._gradient.fill(0.0)
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .decoding import beam_search, greedy_decode_encoded
 from .embeddings import load_embedding_file, save_embedding_file
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError
 from .features import AugmentConfig, Spectrogram, spec_augment, wav_to_log_mel
 from .metrics import EvalInstance, MetricReport, bleu, evaluate_corpus
 from .model import CaptionModel, ModelConfig
@@ -166,7 +166,7 @@ def load_features(entry: ManifestEntry) -> np.ndarray:
 def load_input_file(path, expected_dim: Optional[int] = None) -> np.ndarray:
     matrix = load_features(ManifestEntry("input", str(path), [], "eval"))
     if expected_dim is not None and matrix.shape[1] != expected_dim:
-        raise ShapeError(
+        raise DataError(
             f"{path}: feature dim {matrix.shape[1]} does not match the "
             f"checkpoint's expected {expected_dim}")
     return matrix

@@ -1,4 +1,10 @@
-"""Porter stemmer (the classic 1980 algorithm), used for METEOR stem matches."""
+"""Porter stemmer (the classic 1980 algorithm), used for METEOR stem matches.
+
+porter_stem is memoized: METEOR stems every candidate and reference word
+of every pair, and a corpus repeats the same few thousand words.
+"""
+
+from functools import lru_cache
 
 _VOWELS = "aeiou"
 
@@ -126,6 +132,7 @@ def _step5(word: str) -> str:
     return word
 
 
+@lru_cache(maxsize=1 << 16)
 def porter_stem(word: str) -> str:
     """Stem of a lowercase word; words of two letters or fewer pass through."""
     if len(word) <= 2:

@@ -5,8 +5,14 @@ import pytest
 
 from refimpl import ref_decoder_logits, ref_encode, ref_log_prob_of_sequence
 
-from aacap.decoding import Hypothesis, beam_search, greedy_decode
-from aacap.errors import ConfigError
+from aacap.decoding import (
+    Hypothesis,
+    beam_search,
+    greedy_decode,
+    greedy_decode_encoded,
+    top_candidates,
+)
+from aacap.errors import ConfigError, DataError
 from aacap.model import CaptionModel, ModelConfig
 from aacap.text import END, START
 
@@ -175,3 +181,114 @@ def test_beam_rejects_zero_width():
 def test_hypothesis_emitted_counts_tokens_after_start():
     hyp = Hypothesis([START, 4, END], -1.0, np.zeros(1), np.zeros(1))
     assert hyp.emitted == 2
+
+
+def test_search_rejects_token_cap_below_two():
+    model, m = rigged_model(seed=0)
+    with pytest.raises(ConfigError):
+        beam_search(model, m, beam=3, max_tokens=1)
+    with pytest.raises(ConfigError):
+        greedy_decode(model, m, max_tokens=1)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 13, 24])
+def test_greedy_is_beam_one_over_the_argmax_trace(seed):
+    model, m = rigged_model(seed)
+    ids, trace = greedy_decode_encoded(model, model.encode(m), max_tokens=6)
+
+    enc_values = ref_encode(model, m, 3)
+    h = c = np.zeros(model.cfg.dec_hidden)
+    expect, expect_weights = [START], []
+    while len(expect) < 6:
+        logits, h, c, weights = ref_decoder_logits(model, expect[-1], h, c, enc_values, 3)
+        expect.append(int(np.argmax(logits)))
+        expect_weights.append(weights)
+        if expect[-1] == END:
+            break
+    assert ids == expect
+    assert len(trace) == len(expect_weights)
+    for step, weights in zip(trace, expect_weights):
+        assert np.allclose(step.weights, weights, atol=1e-12)
+
+
+@pytest.mark.parametrize("decode", ["beam", "greedy"])
+def test_search_with_nan_logits_is_a_data_error(decode):
+    model, m = rigged_model(seed=0)
+    model.decoder.b_out.value[:] = np.nan
+    with pytest.raises(DataError, match="finite"):
+        if decode == "beam":
+            beam_search(model, m, beam=3, max_tokens=5)
+        else:
+            greedy_decode(model, m, max_tokens=5)
+
+
+# ---------------------------------------------------------------------------
+# candidate selection against a full sort of every candidate
+# ---------------------------------------------------------------------------
+
+def tuple_sort_selection(scores, prefixes, beam):
+    """The selection as one tuple per candidate and a full list.sort."""
+    candidates = []
+    for row, prefix in enumerate(prefixes):
+        for token in range(scores.shape[1]):
+            candidates.append((scores[row, token], prefix, row, token))
+    candidates.sort(key=lambda item: (-item[0], item[1], item[3]))
+    return [(row, token) for _, _, row, token in candidates[:beam]]
+
+
+def random_prefixes(rng, live):
+    """Distinct START-led token lists of mixed lengths, some prefixes of others."""
+    prefixes = []
+    while len(prefixes) < live:
+        length = int(rng.integers(1, 4))
+        prefix = [START] + rng.integers(0, 3, size=length - 1).tolist()
+        if prefix not in prefixes:
+            prefixes.append(prefix)
+    return prefixes
+
+
+def test_selection_matches_full_sort_on_random_grids():
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        live, vocab = int(rng.integers(1, 6)), int(rng.integers(1, 30))
+        scores = rng.normal(size=(live, vocab)) - rng.exponential(size=(live, 1))
+        prefixes = random_prefixes(rng, live)
+        beam = int(rng.integers(1, 8))
+        assert top_candidates(scores, prefixes, beam) == \
+            tuple_sort_selection(scores, prefixes, beam)
+
+
+def test_selection_matches_full_sort_with_exact_ties():
+    rng = np.random.default_rng(1)
+    cut_ties = 0
+    for _ in range(300):
+        live, vocab = int(rng.integers(1, 5)), int(rng.integers(2, 12))
+        scores = -rng.integers(0, 3, size=(live, vocab)).astype(float) / 4.0
+        prefixes = random_prefixes(rng, live)
+        beam = int(rng.integers(1, 6))
+        want = tuple_sort_selection(scores, prefixes, beam)
+        assert top_candidates(scores, prefixes, beam) == want
+        cut = scores[want[-1]]
+        cut_ties += sum(scores[w] == cut for w in want) < np.count_nonzero(scores == cut)
+    assert cut_ties > 50  # many grids really had a tie straddling the cut
+
+
+def test_selection_wider_than_grid_returns_every_candidate_in_order():
+    rng = np.random.default_rng(2)
+    scores = -rng.integers(0, 2, size=(3, 4)).astype(float)
+    prefixes = [[START, 1], [START], [START, 0, 2]]
+    got = top_candidates(scores, prefixes, 50)
+    assert len(got) == 12
+    assert got == tuple_sort_selection(scores, prefixes, 50)
+
+
+def test_selection_skips_non_finite_scores():
+    scores = np.array([[-1.0, np.nan, -np.inf, -0.5],
+                       [np.nan, -2.0, -0.5, -np.inf]])
+    prefixes = [[START, 3], [START, 4]]
+    finite_only = np.where(np.isfinite(scores), scores, -1e300)
+    assert top_candidates(scores, prefixes, 3) == tuple_sort_selection(finite_only, prefixes, 3)
+    assert top_candidates(scores, prefixes, 10) == \
+        tuple_sort_selection(finite_only, prefixes, 10)[:4]
+    with pytest.raises(DataError):
+        top_candidates(np.full((2, 3), np.nan), prefixes, 2)

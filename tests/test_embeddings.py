@@ -140,3 +140,13 @@ def test_mock_extract_rejects_overlong_plan():
     plan = plan_segments(1.0, 0.2)
     with pytest.raises(DataError):
         mock_extract(spec, plan, dim=3, seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_embedding_file_non_finite_values_are_corrupt(tmp_path, bad):
+    path = tmp_path / "bad.aace"
+    matrix = np.zeros((2, 3))
+    matrix[1, 2] = bad
+    save_embedding_file(path, matrix)
+    with pytest.raises(CorruptionError, match="non-finite"):
+        load_embedding_file(path)

@@ -161,7 +161,8 @@ def test_encoder_reversal_swaps_direction_roles():
 def test_attention_singleton_weight_is_one():
     model = CaptionModel(TINY, seed=4)
     enc = model.encode(np.random.default_rng(1).normal(size=(1, 8)))
-    step, _ = model.decoder.attention.forward(enc.values, 1, np.zeros(8))
+    step, _ = model.decoder.attention.forward(enc.values, 1, np.zeros(8),
+                                              enc.keys)
     assert step.weights == pytest.approx([1.0])
 
 
@@ -169,7 +170,8 @@ def test_attention_zero_score_weights_uniform():
     model = CaptionModel(TINY, seed=4)
     model.decoder.attention.w_score.value[...] = 0.0
     enc = model.encode(np.random.default_rng(2).normal(size=(5, 8)), valid_length=3)
-    step, _ = model.decoder.attention.forward(enc.values, 3, np.zeros(8))
+    step, _ = model.decoder.attention.forward(enc.values, 3, np.zeros(8),
+                                              enc.keys)
     assert step.weights[:3] == pytest.approx([1 / 3] * 3)
     assert np.array_equal(step.weights[3:], [0.0, 0.0])
 
@@ -185,7 +187,7 @@ def test_attention_hand_oracle_two_by_two():
     att.w_score.value[...] = [[1.0], [-1.0]]
     enc_values = np.array([[0.2, -0.4], [0.6, 0.1]])
     h_prev = np.array([0.3, -0.2])
-    step, _ = att.forward(enc_values, 2, h_prev)
+    step, _ = att.forward(enc_values, 2, h_prev, att.keys(enc_values))
 
     # scalar evaluation: h_prev @ W_h = [0.1, -0.175]
     assert np.allclose(step.alpha, [[0.3, 0.0], [0.7, 0.0]], atol=1e-12)
@@ -201,7 +203,8 @@ def test_attention_matches_reference_with_padding():
     rng = np.random.default_rng(3)
     enc = model.encode(rng.normal(size=(6, 8)), valid_length=4)
     h_prev = rng.normal(size=8)
-    step, _ = model.decoder.attention.forward(enc.values, 4, h_prev)
+    step, _ = model.decoder.attention.forward(enc.values, 4, h_prev,
+                                              enc.keys)
     ref_w, ref_ctx = ref_attention(model.decoder.attention, enc.values, 4, h_prev)
     assert np.allclose(step.weights, ref_w, atol=1e-12)
     assert np.allclose(step.context, ref_ctx, atol=1e-12)
@@ -211,7 +214,8 @@ def test_attention_argmax_shift_invariant():
     model = CaptionModel(TINY, seed=10)
     rng = np.random.default_rng(6)
     enc = model.encode(rng.normal(size=(5, 8)), valid_length=4)
-    step, _ = model.decoder.attention.forward(enc.values, 4, rng.normal(size=8))
+    step, _ = model.decoder.attention.forward(enc.values, 4, rng.normal(size=8),
+                                              enc.keys)
     logits = (step.alpha @ model.decoder.attention.w_score.value).ravel()
     logits[4:] = -np.inf
     for shift in (-100.0, 0.0, 7.5, 1e6):
@@ -226,7 +230,8 @@ def test_attention_invariants_random_steps():
         t_total = int(rng.integers(1, 7))
         valid = int(rng.integers(1, t_total + 1))
         enc = model.encode(rng.normal(size=(t_total, 8)), valid_length=valid)
-        step, _ = model.decoder.attention.forward(enc.values, valid, rng.normal(size=8))
+        step, _ = model.decoder.attention.forward(enc.values, valid, rng.normal(size=8),
+                                                  enc.keys)
         assert np.all(step.weights >= 0)
         assert abs(step.weights.sum() - 1.0) < 1e-9
         assert np.array_equal(step.weights[valid:], np.zeros(t_total - valid))
@@ -537,3 +542,84 @@ def test_checkpoint_non_finite_values_rejected(tmp_path):
     path.write_bytes(data[:-8] + struct.pack("<d", math.inf))
     with pytest.raises(CorruptionError, match="non-finite"):
         CaptionModel.load(path)
+
+
+def test_checkpoint_huge_config_dim_rejected_before_allocating(tmp_path):
+    # 10^12 vocabulary rows would need terabytes; the file holds a few kB
+    path = tmp_path / "model.ckpt"
+    CaptionModel(TINY, seed=12).save(path)
+    huge = dict(TINY.to_dict(), vocab_size=10 ** 12)
+    _rewrite_config(path, json.dumps({"model": huge}).encode("utf-8"))
+    with pytest.raises(CorruptionError, match="bytes of weights"):
+        CaptionModel.load(path)
+
+
+@pytest.mark.parametrize("cfg", [
+    TINY,
+    ModelConfig(embed_dim=3, vocab_size=11, enc_hidden=2, attn_dim=5, dec_hidden=7, word_dim=1),
+    ModelConfig(embed_dim=128, vocab_size=40),
+])
+def test_parameter_count_matches_the_built_model(cfg):
+    model = CaptionModel(cfg, seed=0, random_init=False)
+    assert cfg.parameter_count == sum(group.value.size for group in model.parameters())
+
+
+def test_checkpoint_load_draws_no_random_init(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    model = CaptionModel(TINY, seed=12)
+    model.save(path)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load made a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    loaded, _ = CaptionModel.load(path)
+    for orig, new in zip(model.parameters(), loaded.parameters()):
+        assert np.array_equal(orig.value, new.value), orig.name
+
+
+def test_loaded_model_holds_no_training_buffers(tmp_path):
+    from aacap.decoding import beam_search
+
+    path = tmp_path / "model.ckpt"
+    CaptionModel(TINY, seed=12).save(path)
+    loaded, _ = CaptionModel.load(path)
+    loaded.zero_grads()
+    beam_search(loaded, np.random.default_rng(1).normal(size=(3, 8)), beam=2, max_tokens=4)
+    for group in loaded.parameters():
+        assert group._gradient is None and group._adam_m is None and group._adam_v is None
+
+
+def test_encode_carries_attention_keys():
+    model = CaptionModel(TINY, seed=3)
+    enc = model.encode(np.random.default_rng(4).normal(size=(5, 8)), valid_length=4)
+    assert np.array_equal(enc.keys, enc.values @ model.decoder.attention.w_enc.value)
+
+
+def _unhoisted_attention_forward(att, enc_values, valid, h_prev):
+    """Attention.forward as it was before the keys were hoisted."""
+    pre = enc_values @ att.w_enc.value + h_prev @ att.w_hidden.value
+    alpha = np.maximum(pre, 0.0)
+    logits = (alpha @ att.w_score.value).ravel()
+    logits[valid:] = -np.inf
+    weights = softmax(logits)
+    weights[valid:] = 0.0
+    return pre, alpha, weights, weights @ enc_values
+
+
+def test_attention_with_hoisted_keys_is_bit_identical_to_unhoisted_formula():
+    rng = np.random.default_rng(21)
+    for trial in range(20):
+        model = CaptionModel(TINY, seed=trial)
+        att = model.decoder.attention
+        t_total = int(rng.integers(1, 8))
+        valid = int(rng.integers(1, t_total + 1))
+        enc = model.encode(rng.normal(size=(t_total, 8)), valid_length=valid)
+        h_prev = rng.normal(size=8)
+        step, (_, _, pre, _, _) = att.forward(enc.values, valid, h_prev, enc.keys)
+        want_pre, want_alpha, want_weights, want_context = _unhoisted_attention_forward(
+            att, enc.values, valid, h_prev)
+        assert np.array_equal(pre, want_pre)
+        assert np.array_equal(step.alpha, want_alpha)
+        assert np.array_equal(step.weights, want_weights)
+        assert np.array_equal(step.context, want_context)

@@ -224,3 +224,24 @@ def test_finite_diff_rejects_bad_epsilon():
     group = ParameterGroup("x", np.array([1.0]))
     with pytest.raises(ValueError):
         finite_diff_check(lambda: 0.0, group, epsilon=1e-2)
+
+
+def test_parameter_group_makes_training_buffers_on_first_use():
+    group = ParameterGroup("w", np.ones((2, 3)))
+    group.zero_grad()
+    assert group._gradient is None and group._adam_m is None and group._adam_v is None
+    grad = group.gradient
+    assert np.array_equal(grad, np.zeros((2, 3)))
+    group.gradient += 2.0  # in place: the same buffer is stored back
+    assert group.gradient is grad
+    assert np.array_equal(grad, np.full((2, 3), 2.0))
+    group.zero_grad()
+    assert np.array_equal(grad, np.zeros((2, 3)))
+    assert group._adam_m is None
+    assert np.array_equal(group.adam_v, np.zeros((2, 3)))
+
+
+def test_parameter_group_rejects_buffer_of_wrong_shape():
+    group = ParameterGroup("w", np.ones((2, 3)))
+    with pytest.raises(ShapeError):
+        group.adam_m = np.zeros(6)

@@ -307,12 +307,12 @@ def test_caption_rejects_bad_mode(trained):
 
 def test_caption_rejects_wrong_feature_dim(trained, tmp_path):
     from aacap.embeddings import save_embedding_file
-    from aacap.errors import ShapeError
+    from aacap.errors import DataError
 
     manifest, result = trained
     bad = tmp_path / "wrong.aace"
     save_embedding_file(bad, np.zeros((3, 7)))
-    with pytest.raises(ShapeError):
+    with pytest.raises(DataError, match="feature dim 7"):
         caption_file(result.checkpoint_path, bad)
 
 
@@ -465,3 +465,43 @@ def test_cli_non_finite_checkpoint_exits_3(tmp_path, capsys):
     code = cli.main(["caption", "--checkpoint", str(checkpoint), "--input", input_path])
     assert code == 3
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_cli_all_nan_input_exits_3(tmp_path, capsys):
+    from aacap.embeddings import save_embedding_file
+
+    checkpoint, _ = _cli_checkpoint(tmp_path)
+    bad = tmp_path / "nan.aace"
+    save_embedding_file(bad, np.full((3, 16), np.nan))
+    code = cli.main(["caption", "--checkpoint", str(checkpoint), "--input", str(bad)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "non-finite" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_wrong_feature_dim_input_exits_3(tmp_path, capsys):
+    from aacap.embeddings import save_embedding_file
+
+    checkpoint, _ = _cli_checkpoint(tmp_path)
+    bad = tmp_path / "wrong.aace"
+    save_embedding_file(bad, np.zeros((3, 7)))
+    code = cli.main(["caption", "--checkpoint", str(checkpoint), "--input", str(bad)])
+    assert code == 3
+    assert "feature dim 7" in capsys.readouterr().err
+
+
+def test_cli_huge_config_dim_checkpoint_exits_3(tmp_path, capsys):
+    import struct
+
+    checkpoint, input_path = _cli_checkpoint(tmp_path)
+    data = checkpoint.read_bytes()
+    (old_len,) = struct.unpack("<I", data[5:9])
+    config = json.loads(data[9:9 + old_len])
+    config["model"]["vocab_size"] = 10 ** 12
+    blob = json.dumps(config).encode("utf-8")
+    checkpoint.write_bytes(data[:5] + struct.pack("<I", len(blob)) + blob
+                           + data[9 + old_len:])
+    code = cli.main(["caption", "--checkpoint", str(checkpoint), "--input", input_path])
+    assert code == 3
+    assert "bytes of weights" in capsys.readouterr().err
