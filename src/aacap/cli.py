@@ -40,7 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-count", type=int, default=10)
     p.add_argument("--all-splits", action="store_true",
                    help="count words over every split instead of dev only")
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("train", help="train a captioning model")
     p.add_argument("--manifest", required=True)
@@ -69,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beam", type=int, default=3)
     p.add_argument("--no-length-norm", action="store_true")
     p.add_argument("--out", help="write the raw scores as JSON")
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("caption", help="caption one embedding file or wav")
     p.add_argument("--checkpoint", required=True)
@@ -77,14 +75,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="beam", choices=["greedy", "beam"])
     p.add_argument("--beam", type=int, default=3)
     p.add_argument("--no-length-norm", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("attn-export", help="export greedy-decoding attention weights")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--id", dest="item_id")
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("make-toy", help="generate the synthetic toy dataset")
     p.add_argument("--out-dir", required=True)
@@ -116,8 +112,7 @@ def _run(args) -> int:
         if args.augment:
             augment = AugmentConfig(max_time_mask=args.max_time_mask,
                                     max_freq_mask=args.max_freq_mask,
-                                    apply_probability=args.augment_prob,
-                                    rng_seed=args.seed)
+                                    apply_probability=args.augment_prob)
         config = TrainConfig(batch_size=args.batch_size, initial_lr=args.lr,
                              plateau_patience=args.patience, lr_factor=args.lr_factor,
                              max_epochs=args.epochs, seed=args.seed, augment=augment,
@@ -160,7 +155,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
 

@@ -29,7 +29,6 @@ class Hypothesis:
     log_prob: float  # sum of per-step log softmax probabilities
     h: np.ndarray
     c: np.ndarray
-    finished: bool = False
     attention: list[AttentionStep] = field(default_factory=list)
 
     @property
@@ -42,17 +41,10 @@ class Hypothesis:
         return self.log_prob / max(1, self.emitted)
 
 
-def greedy_decode(model: CaptionModel, matrix: np.ndarray,
-                  valid_length: int | None = None,
-                  max_tokens: int = MAX_TOKENS) -> tuple[list[int], list[AttentionStep]]:
-    """Argmax decoding; ties go to the lowest token id. Returns (ids, trace)."""
-    enc = model.encode(matrix, valid_length)
-    return greedy_decode_encoded(model, enc, max_tokens)
-
-
 def greedy_decode_encoded(model: CaptionModel, enc: EncoderOutput,
                           max_tokens: int = MAX_TOKENS) -> tuple[list[int], list[AttentionStep]]:
-    """Beam search of width 1 without length normalisation; returns (ids, trace)."""
+    """Beam search of width 1 without length normalisation, so argmax decoding
+    with ties to the lowest token id; returns (ids, trace)."""
     hyp = _search(model, enc, 1, max_tokens, length_normalize=False)
     return hyp.tokens, hyp.attention
 
@@ -90,7 +82,6 @@ def _search(model: CaptionModel, enc: EncoderOutput, beam: int, max_tokens: int,
             extended = Hypothesis(hyp.tokens + [token], scores[row, token], h, c,
                                   attention=hyp.attention + [att])
             if token == END or len(extended.tokens) >= max_tokens:
-                extended.finished = True
                 completed.append(extended)
             else:
                 next_live.append(extended)

@@ -28,10 +28,6 @@ class SegmentPlan:
     starts: list[float]  # strictly increasing, spaced window/2 apart
 
     @property
-    def hop(self) -> float:
-        return self.window / 2.0
-
-    @property
     def count(self) -> int:
         return len(self.starts)
 

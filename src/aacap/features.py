@@ -162,12 +162,14 @@ def mel_filterbank(mel_bins: int, fft_bins: int, sample_rate: int,
 
 
 def log_mel(power: np.ndarray, mel_bins: int = DEFAULT_MEL_BINS,
-            f_min: float = DEFAULT_FMIN, f_max: float = DEFAULT_FMAX,
-            sample_rate: int = TARGET_SAMPLE_RATE,
-            frame_hop: float = DEFAULT_HOP / TARGET_SAMPLE_RATE) -> Spectrogram:
-    """Apply a mel filterbank to an STFT power grid and take ln(x + 1e-6)."""
-    bank = mel_filterbank(mel_bins, power.shape[1], sample_rate, f_min, f_max)
-    return Spectrogram(np.log(power @ bank.T + LOG_OFFSET), frame_hop)
+            f_min: float = DEFAULT_FMIN, f_max: float = DEFAULT_FMAX) -> Spectrogram:
+    """Apply a mel filterbank to an STFT power grid and take ln(x + 1e-6).
+
+    The grid is taken to come from 16 kHz audio at the default hop.
+    """
+    bank = mel_filterbank(mel_bins, power.shape[1], TARGET_SAMPLE_RATE, f_min, f_max)
+    return Spectrogram(np.log(power @ bank.T + LOG_OFFSET),
+                       DEFAULT_HOP / TARGET_SAMPLE_RATE)
 
 
 def wav_to_log_mel(path, mel_bins: int = DEFAULT_MEL_BINS) -> Spectrogram:

@@ -21,6 +21,7 @@ Tokens = Sequence[str]
 ROUGE_BETA = 1.2
 METEOR_CHUNK_PENALTY = 0.5
 CIDER_SIGMA = 6.0  # length penalty width, CIDEr-D variant only
+CIDER_N_MAX = 4  # n-gram orders 1..CIDER_N_MAX
 
 
 @dataclass
@@ -149,19 +150,18 @@ def _tfidf_vector(tokens: Tokens, n: int, idf: dict) -> tuple[dict, float]:
     return vec, norm
 
 
-def cider(instances: Sequence[EvalInstance], n_max: int = 4,
-          cider_d: bool = False) -> float:
+def cider(instances: Sequence[EvalInstance], cider_d: bool = False) -> float:
     """tf-idf weighted n-gram cosine against each reference, averaged over
-    references and over n = 1..n_max; idf treats one item's reference set as
-    one document. The cider_d flag adds count clipping and the gaussian
-    length penalty of the -D variant."""
+    references and over n = 1..CIDER_N_MAX; idf treats one item's reference
+    set as one document. The cider_d flag adds count clipping and the
+    gaussian length penalty of the -D variant."""
     if not instances:
         raise DataError("CIDEr of an empty candidate set")
     if len(instances) < 2:
         warnings.warn("CIDEr idf is degenerate with a single instance", stacklevel=2)
     log_n = log(len(instances))
     idf_by_n: list[dict] = []
-    for n in range(1, n_max + 1):
+    for n in range(1, CIDER_N_MAX + 1):
         doc_freq: Counter = Counter()
         for inst in instances:
             grams = set()
@@ -173,7 +173,7 @@ def cider(instances: Sequence[EvalInstance], n_max: int = 4,
     total = 0.0
     for inst in instances:
         per_n = []
-        for n in range(1, n_max + 1):
+        for n in range(1, CIDER_N_MAX + 1):
             idf = idf_by_n[n - 1]
             cand_vec, cand_norm = _tfidf_vector(inst.candidate, n, idf)
             score = 0.0
@@ -192,7 +192,7 @@ def cider(instances: Sequence[EvalInstance], n_max: int = 4,
                     sim *= exp(-delta * delta / (2.0 * CIDER_SIGMA ** 2))
                 score += sim
             per_n.append(score / len(inst.references))
-        total += sum(per_n) / n_max
+        total += sum(per_n) / CIDER_N_MAX
     return total / len(instances)
 
 

@@ -95,7 +95,6 @@ class EncoderOutput:
 
 @dataclass
 class AttentionStep:
-    alpha: np.ndarray  # (T, d_a) pre-activation grid after ReLU
     weights: np.ndarray  # (T,) probabilities, exactly 0 on padded frames
     context: np.ndarray  # (d_e,) attention-weighted encoder read
 
@@ -103,7 +102,6 @@ class AttentionStep:
 @dataclass
 class ForwardResult:
     loss: float
-    attention_steps: list[AttentionStep]
     cache: "_SequenceCache"
 
 
@@ -309,7 +307,7 @@ class Attention:
         weights = softmax(logits)
         weights[valid:] = 0.0
         context = weights @ enc_values
-        step = AttentionStep(alpha=alpha, weights=weights, context=context)
+        step = AttentionStep(weights=weights, context=context)
         return step, (enc_values, h_prev, pre, alpha, weights)
 
     def backward(self, cache, d_context: np.ndarray, d_pre_sum: np.ndarray):
@@ -413,22 +411,20 @@ class CaptionModel:
         enc = self._encoder_output(enc_values, valid)
         h, c = self.initial_state()
         steps = []
-        att_steps = []
         total = 0.0
         for s in range(len(target) - 1):
             token_in, token_out = target[s], target[s + 1]
             if token_out == PAD:
                 break
-            logits, h_new, c_new, att_step, caches = self.decoder.step(token_in, h, c, enc)
+            logits, h_new, c_new, _, caches = self.decoder.step(token_in, h, c, enc)
             probs = softmax(logits)
             total += -np.log(max(probs[token_out], PROB_FLOOR))
             steps.append((token_in, token_out, caches[0], caches[1], h_new, probs))
-            att_steps.append(att_step)
             h, c = h_new, c_new
         n = len(steps)
         loss = total / n if n else 0.0
         cache = _SequenceCache(matrix.shape, enc_cache, enc_values, steps, n)
-        return ForwardResult(loss, att_steps, cache)
+        return ForwardResult(loss, cache)
 
     def backward(self, cache: _SequenceCache) -> np.ndarray:
         """Accumulate gradients of the mean loss; returns dLoss/dInputMatrix.

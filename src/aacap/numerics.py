@@ -1,9 +1,9 @@
-"""Dense linear algebra, activations, loss, Adam, and a gradient checker.
+"""Parameter arrays, activations, Adam, and a gradient checker.
 
 Everything runs in float64 on plain numpy arrays: the models here are tiny,
-so determinism and checkable gradients matter more than speed. Probabilities
-are floored at PROB_FLOOR before any log so a pathological output can never
-produce an infinite loss.
+so determinism and checkable gradients matter more than speed. The model
+floors probabilities at PROB_FLOOR before any log so a pathological output
+can never produce an infinite loss.
 """
 
 from typing import Callable
@@ -68,22 +68,6 @@ class ParameterGroup:
             self._gradient.fill(0.0)
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check naming both operands."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
-    return a @ b
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    """Elementwise max(x, 0)."""
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function."""
     x = np.asarray(x, dtype=np.float64)
@@ -112,21 +96,6 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
         raise ValueError("log_softmax of an empty vector")
     shifted = x - np.max(x)
     return shifted - np.log(np.exp(shifted).sum())
-
-
-def cross_entropy(predicted: np.ndarray, target_index: int) -> float:
-    """-ln(predicted[target_index]) with the probability floored at PROB_FLOOR.
-
-    `predicted` must be a probability vector (sums to 1 within 1e-6).
-    """
-    predicted = np.asarray(predicted, dtype=np.float64).ravel()
-    if not 0 <= target_index < predicted.size:
-        raise ValueError(
-            f"target index {target_index} out of range for {predicted.size} classes")
-    total = predicted.sum()
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError(f"predicted probabilities sum to {total!r}, not 1")
-    return float(-np.log(max(predicted[target_index], PROB_FLOOR)))
 
 
 def adam_step(group: ParameterGroup, learning_rate: float) -> ParameterGroup:

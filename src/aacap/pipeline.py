@@ -26,6 +26,7 @@ from .text import END, PAD, START, Vocabulary, build_vocab, decode, encode, norm
 
 SPLITS = ("dev", "val", "eval")
 EXPECTED_CAPTIONS = 5
+PLATEAU_MIN_IMPROVEMENT = 1e-6  # a validation gain at or below this is no gain
 
 TOY_EVENTS = ["beep", "chime", "drum", "hiss", "knock", "ring", "thud", "whir"]
 
@@ -58,6 +59,8 @@ class TrainConfig:
     word_dim: int = 128
 
     def __post_init__(self):
+        if not (math.isfinite(self.initial_lr) and self.initial_lr > 0.0):
+            raise ConfigError(f"initial_lr must be finite and > 0, got {self.initial_lr}")
         if not 0.0 < self.lr_factor < 1.0:
             raise ConfigError(f"lr_factor must be in (0, 1), got {self.lr_factor}")
         if self.plateau_patience < 1:
@@ -82,22 +85,20 @@ class TrainResult:
 class PlateauScheduler:
     """Halve the rate after `patience` consecutive epochs without improvement.
 
-    Improvement means beating the best seen value by more than min_improvement;
-    the stale counter resets when the rate drops.
+    Improvement means beating the best seen value by more than
+    PLATEAU_MIN_IMPROVEMENT; the stale counter resets when the rate drops.
     """
 
-    def __init__(self, initial_lr: float, factor: float = 0.5, patience: int = 3,
-                 min_improvement: float = 1e-6):
+    def __init__(self, initial_lr: float, factor: float = 0.5, patience: int = 3):
         self.lr = initial_lr
         self.factor = factor
         self.patience = patience
-        self.min_improvement = min_improvement
         self.best = -math.inf
         self.stale = 0
 
     def observe(self, metric: float) -> float:
         """Record one epoch's validation metric; returns the next epoch's lr."""
-        if metric > self.best + self.min_improvement:
+        if metric > self.best + PLATEAU_MIN_IMPROVEMENT:
             self.best = metric
             self.stale = 0
         else:
@@ -115,17 +116,24 @@ class PlateauScheduler:
 def load_manifest(path) -> list[ManifestEntry]:
     entries = []
     base = Path(path).parent
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}:{line_no}: not UTF-8 text ({exc})") from exc
             if not line:
                 continue
             try:
                 record = json.loads(line)
                 entry = ManifestEntry(str(record["id"]), str(record["path"]),
-                                      list(record["captions"]), str(record["split"]))
+                                      record["captions"], str(record["split"]))
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise DataError(f"{path}:{line_no}: bad manifest record ({exc})") from exc
+            if not (isinstance(entry.captions, list)
+                    and all(isinstance(c, str) for c in entry.captions)):
+                raise DataError(f"{path}:{line_no}: captions must be a list of strings, "
+                                f"got {entry.captions!r}")
             if entry.split not in SPLITS:
                 raise DataError(f"{path}:{line_no}: split {entry.split!r} not in {SPLITS}")
             if not Path(entry.path).is_absolute():
@@ -200,10 +208,12 @@ def validation_bleu4(model: CaptionModel, vocab: Vocabulary,
 
 
 def train(config: TrainConfig, manifest_path, out_dir) -> TrainResult:
-    """Teacher-forced training with Adam, bucket padding, and the plateau rule.
+    """Teacher-forced training with Adam and the plateau rule.
 
-    Writes <out_dir>/model.ckpt (best validation BLEU-4) and a machine
-    parseable <out_dir>/train.log with one epoch per line.
+    Each batch runs its samples one at a time, each at its own length, and
+    averages their gradients before the Adam step. Writes <out_dir>/model.ckpt
+    (best validation BLEU-4) and a machine parseable <out_dir>/train.log with
+    one epoch per line.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -251,12 +261,10 @@ def train(config: TrainConfig, manifest_path, out_dir) -> TrainResult:
                             config.seed, epoch, item_idx, caption_idx))
                         matrix = spec_augment(Spectrogram(matrix, 0.0), aug).values
                     matrices.append(matrix)
-                lengths = [m.shape[0] for m in matrices]
                 model.zero_grads()
                 batch_loss = 0.0
-                for (item_idx, caption_idx), matrix, valid in zip(batch, matrices, lengths):
-                    result = model.forward_teacher_forced(
-                        matrix, targets[item_idx][caption_idx], valid)
+                for (item_idx, caption_idx), matrix in zip(batch, matrices):
+                    result = model.forward_teacher_forced(matrix, targets[item_idx][caption_idx])
                     model.backward(result.cache)
                     batch_loss += result.loss
                 batch_loss /= len(batch)
@@ -367,7 +375,6 @@ def export_attention(checkpoint_path, input_path, out_path,
 
 def make_toy_dataset(out_dir, seed: int = 0, n_items: int = 8,
                      segments_per_item: int | tuple[int, int] = 4, dim: int = 16,
-                     n_captions: int = EXPECTED_CAPTIONS,
                      n_events: int = len(TOY_EVENTS)) -> Path:
     """Synthetic audio-captioning data where segment k carries event k.
 
@@ -406,7 +413,7 @@ def make_toy_dataset(out_dir, seed: int = 0, n_items: int = 8,
         save_embedding_file(out_dir / rel_path, matrix)
         caption = " ".join(TOY_EVENTS[e] for e in events)
         entries.append(ManifestEntry(f"toy_{i:03d}", rel_path,
-                                     [caption] * n_captions, "dev"))
+                                     [caption] * EXPECTED_CAPTIONS, "dev"))
     for k in range(min(2, n_items)):
         entries.append(replace(entries[k], id=f"toy_val_{k}", split="val"))
     entries.append(replace(entries[n_items - 1], id="toy_eval_0", split="eval"))

@@ -32,7 +32,6 @@ def normalize(caption: str) -> list[str]:
 class Vocabulary:
     words: list[str]  # index -> token, reserved tokens first
     index: dict[str, int] = field(init=False)
-    min_count: int = DEFAULT_MIN_COUNT
 
     def __post_init__(self):
         if self.words[:4] != RESERVED:
@@ -57,10 +56,10 @@ class Vocabulary:
             fh.write("\n".join(self.words) + "\n")
 
     @classmethod
-    def load(cls, path, min_count: int = DEFAULT_MIN_COUNT) -> "Vocabulary":
+    def load(cls, path) -> "Vocabulary":
         with open(path, encoding="utf-8") as fh:
             words = [line.rstrip("\n") for line in fh if line.strip()]
-        return cls(words, min_count=min_count)
+        return cls(words)
 
 
 def build_vocab(captions: Iterable[str], min_count: int = DEFAULT_MIN_COUNT) -> Vocabulary:
@@ -78,7 +77,7 @@ def build_vocab(captions: Iterable[str], min_count: int = DEFAULT_MIN_COUNT) -> 
         raise DataError("cannot build a vocabulary from an empty corpus")
     kept = sorted((w for w, c in counts.items() if c >= min_count),
                   key=lambda w: (-counts[w], w))
-    return Vocabulary(RESERVED + kept, min_count=min_count)
+    return Vocabulary(RESERVED + kept)
 
 
 def encode(caption: str, vocab: Vocabulary, max_tokens: int = MAX_TOKENS) -> list[int]:

@@ -16,7 +16,7 @@ from refimpl import ref_log_prob_of_sequence
 from test_decoding import brute_force_best, rigged_model
 from test_metrics import brute_force_lcs
 
-from aacap.decoding import beam_search, greedy_decode
+from aacap.decoding import beam_search, greedy_decode_encoded
 from aacap.features import AugmentConfig, Spectrogram, spec_augment, spec_augment_with_info
 from aacap.metrics import EvalInstance, bleu, lcs_length, rouge_l
 from aacap.model import CaptionModel, ModelConfig
@@ -125,7 +125,7 @@ def test_criterion_3_beam_search_oracle():
     model, matrix = rigged_model(seed=13)  # greedy provably suboptimal here
     best_tokens, best_score = brute_force_best(model, matrix, max_emitted=4)
     hyp = beam_search(model, matrix, beam=5, max_tokens=5, length_normalize=False)
-    greedy_ids, _ = greedy_decode(model, matrix, max_tokens=5)
+    greedy_ids, _ = greedy_decode_encoded(model, model.encode(matrix), max_tokens=5)
     beam_one = beam_search(model, matrix, beam=1, max_tokens=5,
                            length_normalize=False)
     elapsed = time.monotonic() - started

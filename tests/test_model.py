@@ -187,10 +187,10 @@ def test_attention_hand_oracle_two_by_two():
     att.w_score.value[...] = [[1.0], [-1.0]]
     enc_values = np.array([[0.2, -0.4], [0.6, 0.1]])
     h_prev = np.array([0.3, -0.2])
-    step, _ = att.forward(enc_values, 2, h_prev, att.keys(enc_values))
+    step, (_, _, _, alpha, _) = att.forward(enc_values, 2, h_prev, att.keys(enc_values))
 
     # scalar evaluation: h_prev @ W_h = [0.1, -0.175]
-    assert np.allclose(step.alpha, [[0.3, 0.0], [0.7, 0.0]], atol=1e-12)
+    assert np.allclose(alpha, [[0.3, 0.0], [0.7, 0.0]], atol=1e-12)
     w1 = math.exp(0.7 - 0.7) / (math.exp(0.3 - 0.7) + math.exp(0.7 - 0.7))
     w0 = 1.0 - w1
     assert step.weights == pytest.approx([w0, w1], abs=1e-12)
@@ -214,9 +214,9 @@ def test_attention_argmax_shift_invariant():
     model = CaptionModel(TINY, seed=10)
     rng = np.random.default_rng(6)
     enc = model.encode(rng.normal(size=(5, 8)), valid_length=4)
-    step, _ = model.decoder.attention.forward(enc.values, 4, rng.normal(size=8),
-                                              enc.keys)
-    logits = (step.alpha @ model.decoder.attention.w_score.value).ravel()
+    step, (_, _, _, alpha, _) = model.decoder.attention.forward(
+        enc.values, 4, rng.normal(size=8), enc.keys)
+    logits = (alpha @ model.decoder.attention.w_score.value).ravel()
     logits[4:] = -np.inf
     for shift in (-100.0, 0.0, 7.5, 1e6):
         shifted = softmax(np.where(np.isinf(logits), logits, logits + shift))
@@ -272,7 +272,7 @@ def test_teacher_forced_counts_steps_for_start_end():
     target = [START, END] + [PAD] * 18
     result = model.forward_teacher_forced(m, target)
     assert result.cache.n_steps == 1
-    assert len(result.attention_steps) == 1
+    assert len(result.cache.steps) == 1
     assert result.loss >= 0.0
 
 
@@ -616,10 +616,10 @@ def test_attention_with_hoisted_keys_is_bit_identical_to_unhoisted_formula():
         valid = int(rng.integers(1, t_total + 1))
         enc = model.encode(rng.normal(size=(t_total, 8)), valid_length=valid)
         h_prev = rng.normal(size=8)
-        step, (_, _, pre, _, _) = att.forward(enc.values, valid, h_prev, enc.keys)
+        step, (_, _, pre, alpha, _) = att.forward(enc.values, valid, h_prev, enc.keys)
         want_pre, want_alpha, want_weights, want_context = _unhoisted_attention_forward(
             att, enc.values, valid, h_prev)
         assert np.array_equal(pre, want_pre)
-        assert np.array_equal(step.alpha, want_alpha)
+        assert np.array_equal(alpha, want_alpha)
         assert np.array_equal(step.weights, want_weights)
         assert np.array_equal(step.context, want_context)

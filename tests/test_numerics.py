@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,47 +10,13 @@ from aacap.numerics import (
     ADAM_EPS,
     ParameterGroup,
     adam_step,
-    cross_entropy,
     finite_diff_check,
     log_softmax,
-    matmul,
-    relu,
     sigmoid,
     softmax,
 )
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
-
-
-def test_matmul_identity():
-    x = np.arange(9.0).reshape(3, 3) + 1
-    assert np.array_equal(matmul(np.eye(3), x), x)
-
-
-def test_matmul_hand_case():
-    # [[1,2],[3,4]] @ [[5],[6]] worked by hand: [1*5+2*6, 3*5+4*6]
-    out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0], [6.0]]))
-    assert np.array_equal(out, np.array([[17.0], [39.0]]))
-
-
-def test_matmul_shape_mismatch_names_both_shapes():
-    with pytest.raises(ShapeError) as exc:
-        matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-    assert "(2, 3)" in str(exc.value)
-
-
-def test_relu_sign_cases():
-    assert np.array_equal(relu(np.array([[-1.0, 0.0, 2.0]])), np.array([[0.0, 0.0, 2.0]]))
-    assert np.array_equal(relu(np.zeros((2, 2))), np.zeros((2, 2)))
-    pos = np.array([[0.5, 3.0]])
-    assert np.array_equal(relu(pos), pos)
-
-
-@given(st.lists(finite_floats, min_size=1, max_size=30))
-def test_relu_idempotent(values):
-    x = np.array(values)
-    once = relu(x)
-    assert np.array_equal(relu(once), once)
 
 
 def test_softmax_symmetry_and_singleton():
@@ -91,40 +55,6 @@ def test_sigmoid_extremes_stay_finite():
     out = sigmoid(np.array([-1000.0, 0.0, 1000.0]))
     assert np.all(np.isfinite(out))
     assert out[1] == 0.5
-
-
-def test_cross_entropy_one_hot_is_zero():
-    assert cross_entropy(np.array([0.0, 1.0, 0.0]), 1) == 0.0
-
-
-def test_cross_entropy_half_probability():
-    assert cross_entropy(np.array([0.5, 0.5]), 0) == pytest.approx(math.log(2), abs=1e-12)
-
-
-def test_cross_entropy_zero_probability_floored():
-    loss = cross_entropy(np.array([1.0, 0.0]), 1)
-    assert math.isfinite(loss)
-    assert loss == pytest.approx(-math.log(1e-12))
-
-
-def test_cross_entropy_index_out_of_range():
-    with pytest.raises(ValueError):
-        cross_entropy(np.array([0.5, 0.5]), 2)
-
-
-def test_cross_entropy_rejects_non_probability():
-    with pytest.raises(ValueError):
-        cross_entropy(np.array([0.9, 0.9]), 0)
-
-
-@given(st.lists(finite_floats, min_size=1, max_size=12), st.integers(0, 11))
-def test_cross_entropy_nonnegative(logits, raw_idx):
-    probs = softmax(np.array(logits))
-    idx = raw_idx % probs.size
-    loss = cross_entropy(probs, idx)
-    assert loss >= 0.0
-    if loss == 0.0:
-        assert probs[idx] == pytest.approx(1.0)
 
 
 def test_adam_zero_gradient_keeps_value():

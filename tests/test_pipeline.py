@@ -235,8 +235,7 @@ def test_train_aborts_on_non_finite_loss(tmp_path, monkeypatch):
     manifest = make_toy_dataset(tmp_path / "toy", seed=0, n_items=2)
 
     def poisoned(self, matrix, target, valid_length=None):
-        return ForwardResult(float("nan"), [],
-                             _SequenceCache(matrix.shape, None, None, [], 0))
+        return ForwardResult(float("nan"), _SequenceCache(matrix.shape, None, None, [], 0))
 
     monkeypatch.setattr(CaptionModel, "forward_teacher_forced", poisoned)
     with pytest.raises(FloatingPointError) as exc:
@@ -251,6 +250,9 @@ def test_train_config_validation():
         TrainConfig(plateau_patience=0)
     with pytest.raises(ConfigError):
         TrainConfig(batch_size=0)
+    for lr in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="initial_lr"):
+            TrainConfig(initial_lr=lr)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +433,64 @@ def test_cli_data_error_exit_code(tmp_path):
     code = cli.main(["vocab-build", "--manifest", str(tmp_path / "absent.jsonl"),
                      "--out", str(tmp_path / "vocab.txt")])
     assert code == 3
+
+
+@pytest.mark.parametrize("lr", ["-1", "nan"])
+def test_cli_train_bad_learning_rate_exits_2(tmp_path, capsys, lr):
+    manifest = make_toy_dataset(tmp_path / "toy", seed=0, n_items=4)
+    code = cli.main(["train", "--manifest", str(manifest), "--out-dir",
+                     str(tmp_path / "run"), "--lr", lr])
+    assert code == 2
+    assert "initial_lr" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["vocab-build", "evaluate", "caption", "attn-export"])
+def test_cli_seed_flag_removed_where_nothing_reads_it(command):
+    required = {"vocab-build": ["--manifest", "m", "--out", "o"],
+                "evaluate": ["--checkpoint", "c", "--manifest", "m"],
+                "caption": ["--checkpoint", "c", "--input", "i"],
+                "attn-export": ["--checkpoint", "c", "--input", "i", "--out", "o"]}
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *required[command], "--seed", "0"])
+    assert exc.value.code == 2
+
+
+def _manifest_line(tmp_path, captions, encoding="utf-8") -> bytes:
+    from aacap.embeddings import save_embedding_file
+
+    save_embedding_file(tmp_path / "clip.aace", np.ones((2, 3)))
+    return json.dumps({"id": "a", "path": "clip.aace", "captions": captions,
+                       "split": "dev"}, ensure_ascii=False).encode(encoding) + b"\n"
+
+
+@pytest.mark.parametrize("captions", ["a dog barks", [5, "a dog barks", "b", "c", "d"]],
+                         ids=["string", "non-string-caption"])
+def test_cli_manifest_with_bad_captions_exits_3(tmp_path, capsys, captions):
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_bytes(_manifest_line(tmp_path, ["fine"] * 5)
+                         + _manifest_line(tmp_path, captions))
+    code = cli.main(["vocab-build", "--manifest", str(manifest), "--out",
+                     str(tmp_path / "vocab.txt"), "--min-count", "1"])
+    assert code == 3
+    assert f"{manifest}:2: captions must be a list of strings" in capsys.readouterr().err
+    assert not (tmp_path / "vocab.txt").exists()
+
+
+def test_cli_manifest_not_utf8_exits_3(tmp_path, capsys):
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_bytes(_manifest_line(tmp_path, ["fine"] * 5)
+                         + _manifest_line(tmp_path, ["caf\u00e9"] * 5, encoding="latin-1"))
+    code = cli.main(["vocab-build", "--manifest", str(manifest), "--out",
+                     str(tmp_path / "vocab.txt")])
+    assert code == 3
+    assert f"{manifest}:2: not UTF-8" in capsys.readouterr().err
+
+
+def test_cli_checkpoint_that_is_a_directory_exits_3(tmp_path, capsys):
+    _, input_path = _cli_checkpoint(tmp_path)
+    code = cli.main(["caption", "--checkpoint", str(tmp_path), "--input", input_path])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("data error: ")
 
 
 def test_cli_make_toy_config_error(tmp_path):

@@ -117,7 +117,7 @@ def test_vocab_file_round_trip(tmp_path):
     vocab = build_vocab(["dogs bark", "dogs run", "water"], min_count=1)
     path = tmp_path / "vocab.txt"
     vocab.save(path)
-    loaded = Vocabulary.load(path, min_count=vocab.min_count)
+    loaded = Vocabulary.load(path)
     assert loaded.words == vocab.words
     lines = path.read_text().splitlines()
     assert lines[:4] == RESERVED
