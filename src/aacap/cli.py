@@ -1,12 +1,13 @@
 """Command line front end: vocab-build, train, evaluate, caption, attn-export, make-toy.
 
-Exit codes: 0 success, 2 configuration error, 3 data error.
+Exit codes: 0 success, 2 configuration error, 3 data error, including a
+non-finite loss or gradient in training.
 """
 
 import argparse
 import sys
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, ShapeError
 from .features import AugmentConfig
 from .metrics import MetricReport
 from .pipeline import (
@@ -152,8 +153,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
+    except (DataError, ShapeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 3
+    except FloatingPointError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)

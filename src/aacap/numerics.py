@@ -80,13 +80,14 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
-    """Stable softmax of a vector (max-subtracted). -inf entries get weight 0."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.size == 0:
+    """Stable softmax along the last axis (max-subtracted), so of a vector or
+    of each row of a stack. -inf entries get weight 0."""
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if x.shape[-1] == 0:
         raise ValueError("softmax of an empty vector")
-    shifted = x - np.max(x)
+    shifted = x - np.max(x, axis=-1, keepdims=True)
     exps = np.exp(shifted)
-    return exps / exps.sum()
+    return exps / exps.sum(axis=-1, keepdims=True)
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:

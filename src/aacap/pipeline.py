@@ -18,7 +18,7 @@ import numpy as np
 from .decoding import beam_search, greedy_decode_encoded
 from .embeddings import load_embedding_file, save_embedding_file
 from .errors import ConfigError, DataError
-from .features import AugmentConfig, Spectrogram, spec_augment, wav_to_log_mel
+from .features import AugmentConfig, Spectrogram, bucket_pad, spec_augment, wav_to_log_mel
 from .metrics import EvalInstance, MetricReport, bleu, evaluate_corpus
 from .model import CaptionModel, ModelConfig
 from .numerics import adam_step
@@ -163,6 +163,15 @@ def split_entries(entries: list[ManifestEntry], split: str) -> list[ManifestEntr
     return [entry for entry in entries if entry.split == split]
 
 
+def _require_references(entries: list[ManifestEntry], manifest_path):
+    """Raises DataError naming the first entry without captions: scoring an
+    item needs at least one reference."""
+    for entry in entries:
+        if not entry.captions:
+            raise DataError(f"{manifest_path}: {entry.split} item {entry.id!r} has no "
+                            f"captions; scoring it needs at least one reference")
+
+
 def load_features(entry: ManifestEntry) -> np.ndarray:
     """Input matrix for one item: log-mel frames for wav, rows from an
     embedding file otherwise."""
@@ -183,6 +192,12 @@ def load_input_file(path, expected_dim: Optional[int] = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
+
+# Rows times padded frames of one training forward/backward call. A call holds
+# about 75 kB per frame at the default dims, so this bounds its memory to
+# ~155 MB whatever the clip length.
+TRAIN_FRAME_BUDGET = 2048
+
 
 def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
@@ -210,8 +225,12 @@ def validation_bleu4(model: CaptionModel, vocab: Vocabulary,
 def train(config: TrainConfig, manifest_path, out_dir) -> TrainResult:
     """Teacher-forced training with Adam and the plateau rule.
 
-    Each batch runs its samples one at a time, each at its own length, and
-    averages their gradients before the Adam step. Writes <out_dir>/model.ckpt
+    Each batch runs as padded forward and backward calls, one encoder row per
+    sample laid out by features.bucket_pad, with the decoder stepping every
+    sample of a call at once. A batch whose rows times padded frames exceed
+    TRAIN_FRAME_BUDGET is split into calls of near-equal size within it;
+    their gradients add up before the Adam step. The batch loss and gradients
+    are the means over its samples. Writes <out_dir>/model.ckpt
     (best validation BLEU-4) and a machine parseable <out_dir>/train.log with
     one epoch per line.
     """
@@ -222,6 +241,7 @@ def train(config: TrainConfig, manifest_path, out_dir) -> TrainResult:
     val = split_entries(entries, "val")
     if not dev or not val:
         raise DataError("training needs non-empty dev and val splits")
+    _require_references(val, manifest_path)
 
     vocab = build_vocab((c for entry in dev for c in entry.captions),
                         min_count=config.vocab_min_count)
@@ -261,17 +281,21 @@ def train(config: TrainConfig, manifest_path, out_dir) -> TrainResult:
                             config.seed, epoch, item_idx, caption_idx))
                         matrix = spec_augment(Spectrogram(matrix, 0.0), aug).values
                     matrices.append(matrix)
+                per_call = max(1, TRAIN_FRAME_BUDGET // max(len(m) for m in matrices))
+                calls = math.ceil(len(batch) / per_call)
                 model.zero_grads()
                 batch_loss = 0.0
-                for (item_idx, caption_idx), matrix in zip(batch, matrices):
-                    result = model.forward_teacher_forced(matrix, targets[item_idx][caption_idx])
+                for part in np.array_split(np.arange(len(batch)), calls):
+                    padded, lengths = bucket_pad([matrices[k] for k in part])
+                    result = model.forward_teacher_forced(
+                        padded, lengths, [targets[i][j] for i, j in (batch[k] for k in part)])
+                    if not math.isfinite(result.loss):
+                        raise FloatingPointError(
+                            f"non-finite loss in epoch {epoch} batch {batch_no} "
+                            f"(items {[dev[i].id for i, _ in batch]})")
                     model.backward(result.cache)
                     batch_loss += result.loss
                 batch_loss /= len(batch)
-                if not math.isfinite(batch_loss):
-                    raise FloatingPointError(
-                        f"non-finite loss in epoch {epoch} batch {batch_no} "
-                        f"(items {[dev[i].id for i, _ in batch]})")
                 for group in model.parameters():
                     group.gradient /= len(batch)
                     adam_step(group, lr)
@@ -322,6 +346,7 @@ def evaluate(checkpoint_path, manifest_path, split: str = "eval",
     entries = split_entries(load_manifest(manifest_path), split)
     if not entries:
         raise DataError(f"{manifest_path}: no entries in split {split!r}")
+    _require_references(entries, manifest_path)
     candidates = []
     references = []
     for entry in entries:

@@ -17,7 +17,13 @@ from test_decoding import brute_force_best, rigged_model
 from test_metrics import brute_force_lcs
 
 from aacap.decoding import beam_search, greedy_decode_encoded
-from aacap.features import AugmentConfig, Spectrogram, spec_augment, spec_augment_with_info
+from aacap.features import (
+    AugmentConfig,
+    Spectrogram,
+    bucket_pad,
+    spec_augment,
+    spec_augment_with_info,
+)
 from aacap.metrics import EvalInstance, bleu, lcs_length, rouge_l
 from aacap.model import CaptionModel, ModelConfig
 from aacap.numerics import finite_diff_check
@@ -62,15 +68,15 @@ def test_criterion_1_gradient_correctness():
     for seed in (0, 1, 2):
         model = CaptionModel(tiny, seed=seed)
         rng = np.random.default_rng(1000 + seed)
-        data = [(rng.normal(size=(t, 8)), target, valid)
-                for target, t, valid in probe_items]
+        # one padded batch of the three items, one encoder row each
+        inputs, _ = bucket_pad([rng.normal(size=(t, 8)) for _, t, _ in probe_items])
+        lengths = [valid for _, _, valid in probe_items]
+        targets = [target for target, _, _ in probe_items]
         model.zero_grads()
-        for matrix, target, valid in data:
-            model.backward(model.forward_teacher_forced(matrix, target, valid).cache)
+        model.backward(model.forward_teacher_forced(inputs, lengths, targets).cache)
 
         def loss_fn():
-            return sum(model.forward_teacher_forced(m, tgt, v).loss
-                       for m, tgt, v in data)
+            return model.forward_teacher_forced(inputs, lengths, targets).loss
 
         for group in model.parameters():
             worst = max(worst, finite_diff_check(loss_fn, group, epsilon=1e-4))

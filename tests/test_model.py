@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from aacap.errors import CorruptionError, FormatError, ShapeError
+from aacap.features import bucket_pad
 from aacap.model import AttentionStep, CaptionModel, EncoderOutput, ModelConfig
 from aacap.numerics import finite_diff_check, softmax
 from aacap.text import END, PAD, START
@@ -32,7 +33,7 @@ def _zeroed_cell(input_dim=3, hidden_dim=2):
 def test_lstm_cell_all_zero_parameters():
     # gates sit at 0.5, the candidate at 0, so the state never moves
     cell = _zeroed_cell()
-    h, c, _ = cell.step(np.zeros(3), np.zeros(2), np.zeros(2))
+    h, c = cell.step(np.zeros(3), np.zeros(2), np.zeros(2))
     assert np.array_equal(h, np.zeros(2))
     assert np.array_equal(c, np.zeros(2))
 
@@ -50,7 +51,7 @@ def test_lstm_cell_scalar_oracle():
     g = math.tanh(0.5 * x + 0.1)
     c_expect = i * g  # c_prev = 0
     h_expect = o * math.tanh(c_expect)
-    h, c, _ = cell.step(np.array([x]), np.zeros(1), np.zeros(1))
+    h, c = cell.step(np.array([x]), np.zeros(1), np.zeros(1))
     assert c[0] == pytest.approx(c_expect, abs=1e-12)
     assert h[0] == pytest.approx(h_expect, abs=1e-12)
 
@@ -62,7 +63,7 @@ def test_lstm_cell_outputs_bounded():
     cell = LstmCell("t", 5, 7, rng)
     h = c = np.zeros(7)
     for _ in range(50):
-        h, c, _ = cell.step(rng.uniform(-3, 3, 5), h, c)
+        h, c = cell.step(rng.uniform(-3, 3, 5), h, c)
         assert np.all(np.abs(h) < 1.0)
 
 
@@ -161,8 +162,7 @@ def test_encoder_reversal_swaps_direction_roles():
 def test_attention_singleton_weight_is_one():
     model = CaptionModel(TINY, seed=4)
     enc = model.encode(np.random.default_rng(1).normal(size=(1, 8)))
-    step, _ = model.decoder.attention.forward(enc.values, 1, np.zeros(8),
-                                              enc.keys)
+    step = model.decoder.attention.forward(enc.values, 1, np.zeros(8), enc.keys)
     assert step.weights == pytest.approx([1.0])
 
 
@@ -170,8 +170,7 @@ def test_attention_zero_score_weights_uniform():
     model = CaptionModel(TINY, seed=4)
     model.decoder.attention.w_score.value[...] = 0.0
     enc = model.encode(np.random.default_rng(2).normal(size=(5, 8)), valid_length=3)
-    step, _ = model.decoder.attention.forward(enc.values, 3, np.zeros(8),
-                                              enc.keys)
+    step = model.decoder.attention.forward(enc.values, 3, np.zeros(8), enc.keys)
     assert step.weights[:3] == pytest.approx([1 / 3] * 3)
     assert np.array_equal(step.weights[3:], [0.0, 0.0])
 
@@ -187,7 +186,8 @@ def test_attention_hand_oracle_two_by_two():
     att.w_score.value[...] = [[1.0], [-1.0]]
     enc_values = np.array([[0.2, -0.4], [0.6, 0.1]])
     h_prev = np.array([0.3, -0.2])
-    step, (_, _, _, alpha, _) = att.forward(enc_values, 2, h_prev, att.keys(enc_values))
+    step = att.forward(enc_values, 2, h_prev, att.keys(enc_values))
+    alpha = np.maximum(att._pre(att.keys(enc_values), h_prev), 0.0)
 
     # scalar evaluation: h_prev @ W_h = [0.1, -0.175]
     assert np.allclose(alpha, [[0.3, 0.0], [0.7, 0.0]], atol=1e-12)
@@ -203,8 +203,7 @@ def test_attention_matches_reference_with_padding():
     rng = np.random.default_rng(3)
     enc = model.encode(rng.normal(size=(6, 8)), valid_length=4)
     h_prev = rng.normal(size=8)
-    step, _ = model.decoder.attention.forward(enc.values, 4, h_prev,
-                                              enc.keys)
+    step = model.decoder.attention.forward(enc.values, 4, h_prev, enc.keys)
     ref_w, ref_ctx = ref_attention(model.decoder.attention, enc.values, 4, h_prev)
     assert np.allclose(step.weights, ref_w, atol=1e-12)
     assert np.allclose(step.context, ref_ctx, atol=1e-12)
@@ -214,8 +213,9 @@ def test_attention_argmax_shift_invariant():
     model = CaptionModel(TINY, seed=10)
     rng = np.random.default_rng(6)
     enc = model.encode(rng.normal(size=(5, 8)), valid_length=4)
-    step, (_, _, _, alpha, _) = model.decoder.attention.forward(
-        enc.values, 4, rng.normal(size=8), enc.keys)
+    h_prev = rng.normal(size=8)
+    step = model.decoder.attention.forward(enc.values, 4, h_prev, enc.keys)
+    alpha = np.maximum(enc.keys + h_prev @ model.decoder.attention.w_hidden.value, 0.0)
     logits = (alpha @ model.decoder.attention.w_score.value).ravel()
     logits[4:] = -np.inf
     for shift in (-100.0, 0.0, 7.5, 1e6):
@@ -230,8 +230,8 @@ def test_attention_invariants_random_steps():
         t_total = int(rng.integers(1, 7))
         valid = int(rng.integers(1, t_total + 1))
         enc = model.encode(rng.normal(size=(t_total, 8)), valid_length=valid)
-        step, _ = model.decoder.attention.forward(enc.values, valid, rng.normal(size=8),
-                                                  enc.keys)
+        step = model.decoder.attention.forward(enc.values, valid, rng.normal(size=8),
+                                               enc.keys)
         assert np.all(step.weights >= 0)
         assert abs(step.weights.sum() - 1.0) < 1e-9
         assert np.array_equal(step.weights[valid:], np.zeros(t_total - valid))
@@ -266,13 +266,19 @@ def test_decoder_step_rejects_bad_token():
         model.decoder_step(17, h, c, enc)
 
 
+def forward_one(model, m, target, valid=None):
+    """The teacher-forced forward of one sample: a batch of one encoder row."""
+    return model.forward_teacher_forced(m[None], [m.shape[0] if valid is None else valid],
+                                        [target])
+
+
 def test_teacher_forced_counts_steps_for_start_end():
     model = CaptionModel(TINY, seed=6)
     m = np.random.default_rng(5).normal(size=(3, 8))
     target = [START, END] + [PAD] * 18
-    result = model.forward_teacher_forced(m, target)
-    assert result.cache.n_steps == 1
-    assert len(result.cache.steps) == 1
+    result = forward_one(model, m, target)
+    assert result.cache.decoder.n_steps.tolist() == [1]
+    assert len(result.cache.decoder.gates) == 1  # decoder steps run
     assert result.loss >= 0.0
 
 
@@ -281,16 +287,16 @@ def test_teacher_forced_loss_matches_reference():
     rng = np.random.default_rng(8)
     m = rng.normal(size=(4, 8))
     target = [START, 4, 5, 4, END] + [PAD] * 15
-    result = model.forward_teacher_forced(m, target)
+    result = forward_one(model, m, target)
     assert result.loss == pytest.approx(ref_teacher_forced_loss(model, m, target, 4),
                                         abs=1e-10)
 
 
 def test_teacher_forced_empty_target_zero_loss():
     model = CaptionModel(TINY, seed=7)
-    result = model.forward_teacher_forced(np.zeros((2, 8)), [START] + [PAD] * 19)
+    result = forward_one(model, np.zeros((2, 8)), [START] + [PAD] * 19)
     assert result.loss == 0.0
-    assert result.cache.n_steps == 0
+    assert result.cache.decoder.n_steps.tolist() == [0]
 
 
 # ---------------------------------------------------------------------------
@@ -309,22 +315,24 @@ GRADCHECK_ITEMS = [
 
 
 def gradcheck_fixture(seed):
+    """A model and one padded batch of GRADCHECK_ITEMS:
+    (model, inputs, lengths, targets)."""
     model = CaptionModel(TINY, seed=seed)
     rng = np.random.default_rng(1000 + seed)
-    data = [(rng.normal(size=(t, 8)), target, valid)
-            for target, t, valid in GRADCHECK_ITEMS]
-    return model, data
+    matrices = [rng.normal(size=(t, 8)) for _, t, _ in GRADCHECK_ITEMS]
+    inputs, _ = bucket_pad(matrices)
+    lengths = [valid for _, _, valid in GRADCHECK_ITEMS]
+    targets = [target for target, _, _ in GRADCHECK_ITEMS]
+    return model, inputs, lengths, targets
 
 
 def test_backward_passes_gradient_check():
-    model, data = gradcheck_fixture(seed=0)
+    model, inputs, lengths, targets = gradcheck_fixture(seed=0)
     model.zero_grads()
-    for m, target, valid in data:
-        model.backward(model.forward_teacher_forced(m, target, valid).cache)
+    model.backward(model.forward_teacher_forced(inputs, lengths, targets).cache)
 
     def loss_fn():
-        return sum(model.forward_teacher_forced(m, target, valid).loss
-                   for m, target, valid in data)
+        return model.forward_teacher_forced(inputs, lengths, targets).loss
 
     for group in model.parameters():
         assert finite_diff_check(loss_fn, group, epsilon=1e-4) < 1e-4, group.name
@@ -339,7 +347,7 @@ def test_backward_matches_reference_loss_differences_with_padding():
     target = [START, 4, 5, 5, END] + [PAD] * 15
     valid = 3
     model.zero_grads()
-    d_matrix = model.backward(model.forward_teacher_forced(m, target, valid).cache)
+    d_matrix = model.backward(forward_one(model, m, target, valid).cache)[0]
     eps = 1e-5
     for group in model.parameters():
         flat_value, flat_grad = group.value.ravel(), group.gradient.ravel()
@@ -367,8 +375,8 @@ def test_backward_padded_frames_get_zero_input_gradient():
     m = np.random.default_rng(21).normal(size=(4, 8))
     target = [START, 4, 5, END] + [PAD] * 16
     model.zero_grads()
-    result = model.forward_teacher_forced(m, target, valid_length=2)
-    d_matrix = model.backward(result.cache)
+    result = forward_one(model, m, target, valid=2)
+    d_matrix = model.backward(result.cache)[0]
     assert np.array_equal(d_matrix[2:], np.zeros((2, 8)))
     assert not np.allclose(d_matrix[:2], 0.0)
 
@@ -379,17 +387,17 @@ def test_backward_input_gradient_matches_finite_differences():
     target = [START, 4, 5, END] + [PAD] * 16
     valid = 3
     model.zero_grads()
-    result = model.forward_teacher_forced(m, target, valid)
-    d_matrix = model.backward(result.cache)
+    result = forward_one(model, m, target, valid)
+    d_matrix = model.backward(result.cache)[0]
     eps = 1e-5
     rng = np.random.default_rng(0)
     for _ in range(10):
         t, f = rng.integers(0, valid), rng.integers(0, 8)
         saved = m[t, f]
         m[t, f] = saved + eps
-        up = model.forward_teacher_forced(m, target, valid).loss
+        up = forward_one(model, m, target, valid).loss
         m[t, f] = saved - eps
-        down = model.forward_teacher_forced(m, target, valid).loss
+        down = forward_one(model, m, target, valid).loss
         m[t, f] = saved
         numeric = (up - down) / (2 * eps)
         assert d_matrix[t, f] == pytest.approx(numeric, abs=1e-7)
@@ -398,8 +406,8 @@ def test_backward_input_gradient_matches_finite_differences():
 def test_backward_zero_steps_zero_gradients():
     model = CaptionModel(TINY, seed=3)
     model.zero_grads()
-    result = model.forward_teacher_forced(np.zeros((2, 8)), [START] + [PAD] * 19)
-    d_matrix = model.backward(result.cache)
+    result = forward_one(model, np.zeros((2, 8)), [START] + [PAD] * 19)
+    d_matrix = model.backward(result.cache)[0]
     assert np.array_equal(d_matrix, np.zeros((2, 8)))
     for group in model.parameters():
         assert np.array_equal(group.gradient, np.zeros_like(group.gradient))
@@ -409,6 +417,148 @@ def test_backward_requires_cache():
     model = CaptionModel(TINY, seed=3)
     with pytest.raises(ValueError):
         model.backward(None)
+
+
+def test_backward_uses_a_cache_once():
+    model = CaptionModel(TINY, seed=3)
+    result = forward_one(model, np.ones((2, 8)), [START, 4, END] + [PAD] * 17)
+    model.backward(result.cache)
+    with pytest.raises(ValueError):
+        model.backward(result.cache)
+
+
+# ---------------------------------------------------------------------------
+# padded batches against per-sample oracles
+# ---------------------------------------------------------------------------
+
+# Five samples of three items with distinct lengths 3, 4 and 2 (the first
+# item has two padded frames of its own): two captions of item 0 are two
+# rows with the same input, and item 2 carries a target with no step at all.
+BATCH_ITEM_SHAPES = [(5, 3), (4, 4), (2, 2)]  # (frames, valid length) per item
+BATCH_SAMPLES = [
+    (0, [START, 4, 5, 4, END] + [PAD] * 15),
+    (1, [START, 5, 5, 4, 5, END] + [PAD] * 14),
+    (0, [START, 4, END] + [PAD] * 17),
+    (2, [START] + [PAD] * 19),
+    (2, [START, 5, 4, END] + [PAD] * 16),
+]
+
+
+def batch_fixture(seed):
+    """(model, per-item matrices, per-item valid lengths, padded inputs and
+    lengths of BATCH_SAMPLES, one row per sample)."""
+    model = CaptionModel(TINY, seed=seed)
+    rng = np.random.default_rng(500 + seed)
+    matrices = [rng.normal(size=(frames, 8)) for frames, _ in BATCH_ITEM_SHAPES]
+    valids = [valid for _, valid in BATCH_ITEM_SHAPES]
+    inputs, _ = bucket_pad([matrices[item] for item, _ in BATCH_SAMPLES])
+    lengths = [valids[item] for item, _ in BATCH_SAMPLES]
+    return model, matrices, valids, inputs, lengths
+
+
+def run_batch(model, inputs, lengths):
+    """Loss, every parameter's gradient and d(inputs) of BATCH_SAMPLES as one batch."""
+    model.zero_grads()
+    result = model.forward_teacher_forced(inputs, lengths, [t for _, t in BATCH_SAMPLES])
+    d_inputs = model.backward(result.cache)
+    return result.loss, {g.name: g.gradient.copy() for g in model.parameters()}, d_inputs
+
+
+def assert_within_policy(actual, expected, name=""):
+    """model.py's tolerance policy: rtol 1e-9, taken against the largest entry
+    of the array, since entries that cancel to ~1e-19 carry no relative digits."""
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(actual - expected)) <= 1e-9 * scale, name
+
+
+def test_batch_loss_and_gradients_equal_per_sample_sums():
+    for seed in (0, 1, 2):
+        model, matrices, valids, inputs, lengths = batch_fixture(seed)
+        loss, grads, d_inputs = run_batch(model, inputs, lengths)
+        summed = {name: np.zeros_like(g) for name, g in grads.items()}
+        d_each = np.zeros_like(inputs)
+        loss_sum = 0.0
+        for b, (item, target) in enumerate(BATCH_SAMPLES):
+            model.zero_grads()
+            one = forward_one(model, matrices[item], target, valids[item])
+            loss_sum += one.loss
+            d_each[b, :len(matrices[item])] = model.backward(one.cache)[0]
+            for group in model.parameters():
+                summed[group.name] += group.gradient
+        ref = sum(ref_teacher_forced_loss(model, matrices[item], target, valids[item])
+                  for item, target in BATCH_SAMPLES)
+        assert loss == pytest.approx(ref, rel=1e-9, abs=0.0)
+        assert loss == pytest.approx(loss_sum, rel=1e-9, abs=0.0)
+        for name, grad in grads.items():
+            assert np.any(grad != 0.0), name
+            assert_within_policy(grad, summed[name], name)
+        assert_within_policy(d_inputs, d_each)
+
+
+def test_batch_gradients_match_reference_central_differences():
+    model, matrices, valids, inputs, lengths = batch_fixture(seed=3)
+    _, grads, d_inputs = run_batch(model, inputs, lengths)
+
+    def ref_loss():
+        return sum(ref_teacher_forced_loss(model, matrices[item], target, valids[item])
+                   for item, target in BATCH_SAMPLES)
+
+    rng = np.random.default_rng(7)
+    eps = 1e-5
+    for group in model.parameters():
+        flat_value, flat_grad = group.value.ravel(), grads[group.name].ravel()
+        for idx in rng.choice(flat_value.size, size=min(8, flat_value.size), replace=False):
+            saved = flat_value[idx]
+            flat_value[idx] = saved + eps
+            up = ref_loss()
+            flat_value[idx] = saved - eps
+            down = ref_loss()
+            flat_value[idx] = saved
+            assert flat_grad[idx] == pytest.approx((up - down) / (2 * eps),
+                                                   rel=1e-5, abs=1e-9), group.name
+    # an input entry of item 0 reaches the loss through both of its rows
+    rows_of = {item: [b for b, (i, _) in enumerate(BATCH_SAMPLES) if i == item]
+               for item in range(len(matrices))}
+    for item, t, f in [(0, 0, 1), (0, 2, 6), (1, 3, 0), (2, 1, 4)]:
+        m = matrices[item]
+        saved = m[t, f]
+        m[t, f] = saved + eps
+        up = ref_loss()
+        m[t, f] = saved - eps
+        down = ref_loss()
+        m[t, f] = saved
+        assert sum(d_inputs[b, t, f] for b in rows_of[item]) == pytest.approx(
+            (up - down) / (2 * eps), rel=1e-5, abs=1e-9)
+
+
+@pytest.mark.parametrize("fill", ["noise", "non-finite"])
+def test_batch_padded_frame_values_change_nothing(fill):
+    model, _, _, inputs, lengths = batch_fixture(seed=4)
+    loss, grads, d_inputs = run_batch(model, inputs, lengths)
+    noisy = inputs.copy()
+    padded = np.arange(inputs.shape[1])[None, :] >= np.array(lengths)[:, None]
+    count = int(padded.sum())
+    if fill == "noise":
+        noisy[padded] = np.random.default_rng(9).normal(scale=1e3, size=(count, 8))
+    else:
+        noisy[padded] = np.resize([np.nan, np.inf, -np.inf], (count, 8))
+    noisy_loss, noisy_grads, noisy_d_inputs = run_batch(model, noisy, lengths)
+    assert noisy_loss == loss
+    for name, grad in grads.items():
+        assert np.array_equal(noisy_grads[name], grad), name
+    assert np.array_equal(noisy_d_inputs, d_inputs)
+    assert np.array_equal(d_inputs[padded], np.zeros((count, 8)))
+
+
+def test_batch_rejects_mismatched_targets_and_lengths():
+    model, _, _, inputs, lengths = batch_fixture(seed=0)
+    targets = [t for _, t in BATCH_SAMPLES]
+    with pytest.raises(ValueError):
+        model.forward_teacher_forced(inputs, lengths, targets[:2])
+    with pytest.raises(ValueError):
+        model.forward_teacher_forced(inputs[:1], lengths[:1], [[START, 9, END]])
+    with pytest.raises(ShapeError):
+        model.forward_teacher_forced(inputs, lengths[:2], targets)
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +766,9 @@ def test_attention_with_hoisted_keys_is_bit_identical_to_unhoisted_formula():
         valid = int(rng.integers(1, t_total + 1))
         enc = model.encode(rng.normal(size=(t_total, 8)), valid_length=valid)
         h_prev = rng.normal(size=8)
-        step, (_, _, pre, alpha, _) = att.forward(enc.values, valid, h_prev, enc.keys)
+        step = att.forward(enc.values, valid, h_prev, enc.keys)
+        pre = att._pre(enc.keys, h_prev)
+        alpha = np.maximum(pre, 0.0)
         want_pre, want_alpha, want_weights, want_context = _unhoisted_attention_forward(
             att, enc.values, valid, h_prev)
         assert np.array_equal(pre, want_pre)

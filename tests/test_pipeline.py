@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from aacap import cli
+from aacap import cli, pipeline
 from aacap.errors import ConfigError, DataError
 from aacap.features import Waveform, write_wav
 from aacap.model import CaptionModel, ModelConfig
@@ -173,8 +173,8 @@ def test_padded_forward_matches_unpadded():
     matrix = rng.normal(size=(3, 6))
     padded = np.vstack([matrix, np.zeros((2, 6))])
     target = [START, 4, 5, END] + [PAD] * 16
-    plain = model.forward_teacher_forced(matrix, target)
-    masked = model.forward_teacher_forced(padded, target, valid_length=3)
+    plain = model.forward_teacher_forced(matrix[None], [3], [target])
+    masked = model.forward_teacher_forced(padded[None], [3], [target])
     assert masked.loss == pytest.approx(plain.loss, abs=1e-12)
 
 
@@ -229,18 +229,61 @@ def test_train_lr_halves_on_stagnant_validation(tmp_path):
 
 
 def test_train_aborts_on_non_finite_loss(tmp_path, monkeypatch):
-    from aacap import pipeline as pl
-    from aacap.model import ForwardResult, _SequenceCache
+    from aacap.model import ForwardResult
 
     manifest = make_toy_dataset(tmp_path / "toy", seed=0, n_items=2)
 
-    def poisoned(self, matrix, target, valid_length=None):
-        return ForwardResult(float("nan"), _SequenceCache(matrix.shape, None, None, [], 0))
+    def poisoned(self, inputs, lengths, targets):
+        return ForwardResult(float("nan"), None)
 
     monkeypatch.setattr(CaptionModel, "forward_teacher_forced", poisoned)
     with pytest.raises(FloatingPointError) as exc:
         train(TrainConfig(**TINY_TRAIN), manifest, tmp_path / "run")
     assert "batch" in str(exc.value)
+
+
+def _spy_on_batches(monkeypatch) -> list:
+    """Records (inputs shape, lengths) of every teacher-forced call."""
+    calls = []
+    original = CaptionModel.forward_teacher_forced
+
+    def spy(self, inputs, lengths, targets):
+        calls.append((inputs.shape, list(lengths)))
+        return original(self, inputs, lengths, targets)
+
+    monkeypatch.setattr(CaptionModel, "forward_teacher_forced", spy)
+    return calls
+
+
+def test_train_runs_a_batch_as_one_call_with_one_row_per_sample(tmp_path, monkeypatch):
+    manifest = make_toy_dataset(tmp_path / "toy", seed=3, n_items=2, segments_per_item=(2, 4))
+    calls = _spy_on_batches(monkeypatch)
+    train(TrainConfig(**{**TINY_TRAIN, "batch_size": 10, "max_epochs": 2}), manifest,
+          tmp_path / "run")
+    frames = sorted(load_features(e).shape[0]
+                    for e in split_entries(load_manifest(manifest), "dev"))
+    assert len(calls) == 2  # one call per batch: two epochs of one batch
+    for shape, lengths in calls:
+        assert shape[0] == 10 and shape[1] == max(frames)
+        assert sorted(lengths) == sorted(frames * 5)
+
+
+def test_train_splits_a_batch_over_the_frame_budget(tmp_path, monkeypatch):
+    manifest = make_toy_dataset(tmp_path / "toy", seed=3, n_items=2, segments_per_item=(2, 4))
+    config = TrainConfig(**{**TINY_TRAIN, "batch_size": 10, "max_epochs": 2})
+    whole = train(config, manifest, tmp_path / "whole")
+    longest = max(load_features(e).shape[0]
+                  for e in split_entries(load_manifest(manifest), "dev"))
+    monkeypatch.setattr(pipeline, "TRAIN_FRAME_BUDGET", 3 * longest + 1)
+    calls = _spy_on_batches(monkeypatch)
+    split = train(config, manifest, tmp_path / "split")
+    # two epochs of one batch of 10, each as calls of 3, 3, 2 and 2 rows
+    assert [shape[0] for shape, _ in calls] == [3, 3, 2, 2] * 2
+    assert all(shape[0] * shape[1] <= 3 * longest for shape, _ in calls)
+    assert split.losses == pytest.approx(whole.losses, rel=1e-9, abs=0.0)
+    assert split.val_bleu4 == whole.val_bleu4
+    for a, b in zip(split.model.parameters(), whole.model.parameters()):
+        assert np.allclose(a.value, b.value, rtol=1e-9, atol=1e-12), a.name
 
 
 def test_train_config_validation():
@@ -491,6 +534,69 @@ def test_cli_checkpoint_that_is_a_directory_exits_3(tmp_path, capsys):
     code = cli.main(["caption", "--checkpoint", str(tmp_path), "--input", input_path])
     assert code == 3
     assert capsys.readouterr().err.startswith("data error: ")
+
+
+def _blank_captions(manifest, split):
+    """Empties the captions of the first item of a split; returns that item."""
+    entries = load_manifest(manifest)
+    target = next(e for e in entries if e.split == split)
+    target.captions = []
+    save_manifest(manifest, entries)
+    return target
+
+
+@pytest.mark.filterwarnings("ignore:.*0 captions")
+def test_cli_train_rejects_an_uncaptioned_val_item_before_training(tmp_path, capsys):
+    manifest = make_toy_dataset(tmp_path / "toy", seed=0, n_items=2)
+    target = _blank_captions(manifest, "val")
+    run_dir = tmp_path / "run"
+    code = cli.main(["train", "--manifest", str(manifest), "--out-dir", str(run_dir),
+                     "--min-count", "1", "--enc-hidden", "4", "--attn-dim", "4",
+                     "--dec-hidden", "4", "--word-dim", "4"])
+    assert code == 3
+    assert f"val item {target.id!r} has no captions" in capsys.readouterr().err
+    assert not (run_dir / "train.log").exists()
+
+
+@pytest.mark.filterwarnings("ignore:.*0 captions")
+def test_cli_evaluate_rejects_an_uncaptioned_item_of_its_split_only(trained, tmp_path,
+                                                                   capsys):
+    manifest, result = trained
+    held_out = tmp_path / "held_out.jsonl"
+    save_manifest(held_out, load_manifest(manifest))
+    target = _blank_captions(held_out, "eval")
+    code = cli.main(["evaluate", "--checkpoint", str(result.checkpoint_path),
+                     "--manifest", str(held_out), "--split", "eval"])
+    assert code == 3
+    assert f"eval item {target.id!r} has no captions" in capsys.readouterr().err
+    # a split that is not scored may hold items without references
+    assert cli.main(["vocab-build", "--manifest", str(held_out), "--min-count", "1",
+                     "--out", str(tmp_path / "vocab.txt")]) == 0
+    assert cli.main(["evaluate", "--checkpoint", str(result.checkpoint_path),
+                     "--manifest", str(held_out), "--split", "val", "--beam", "1"]) == 0
+
+
+def test_cli_train_non_finite_loss_exits_3(tmp_path, capsys):
+    manifest = make_toy_dataset(tmp_path / "toy", seed=0, n_items=4)
+    with np.errstate(all="ignore"):
+        code = cli.main(["train", "--manifest", str(manifest), "--out-dir",
+                         str(tmp_path / "run"), "--lr", "1e305", "--batch-size", "4",
+                         "--min-count", "1", "--enc-hidden", "8", "--attn-dim", "8",
+                         "--dec-hidden", "8", "--word-dim", "8"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numerical error: ")
+
+
+def test_cli_shape_error_exits_3(tmp_path, capsys, monkeypatch):
+    from aacap.errors import ShapeError
+
+    def mismatched(*args, **kwargs):
+        raise ShapeError("mixed feature dims in batch: [3, 4]")
+
+    monkeypatch.setattr(cli, "evaluate", mismatched)
+    code = cli.main(["evaluate", "--checkpoint", "c", "--manifest", "m"])
+    assert code == 3
+    assert capsys.readouterr().err == "data error: mixed feature dims in batch: [3, 4]\n"
 
 
 def test_cli_make_toy_config_error(tmp_path):
