@@ -9,7 +9,7 @@ from aacap.features import (
     AugmentConfig,
     Waveform,
     log_mel,
-    spec_augment_with_info,
+    spec_augment,
     stft_power,
 )
 
@@ -38,14 +38,13 @@ print(f"log-mel spectrogram: {spec.frames} frames x {spec.mel_bins} mel bins, "
       f"values in [{spec.values.min():.2f}, {spec.values.max():.2f}]")
 
 # --- SpecAugment -------------------------------------------------------------
-cfg = AugmentConfig(max_time_mask=40, max_freq_mask=12, apply_probability=1.0,
-                    rng_seed=7)
-masked, info = spec_augment_with_info(spec, cfg)
+cfg = AugmentConfig(max_time_mask=40, max_freq_mask=12, apply_probability=1.0)
+masked, info = spec_augment(spec.values, cfg, seed=7)
 print(f"time mask: start={info.time_span[0]} length={info.time_span[1]} frames")
 print(f"freq mask: start={info.freq_span[0]} length={info.freq_span[1]} bins")
-changed = int((masked.values != spec.values).sum())
+changed = int((masked != spec.values).sum())
 print(f"cells rewritten to the spectrogram mean: {changed}")
 
 # same seed, same masks: augmentation is reproducible
-again, _ = spec_augment_with_info(spec, cfg)
-print("deterministic per seed:", bool(np.array_equal(masked.values, again.values)))
+again, _ = spec_augment(spec.values, cfg, seed=7)
+print("deterministic per seed:", bool(np.array_equal(masked, again)))

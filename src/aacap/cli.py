@@ -5,8 +5,10 @@ non-finite loss or gradient in training.
 """
 
 import argparse
+import inspect
 import sys
 
+from . import pipeline
 from .errors import ConfigError, DataError, ShapeError
 from .features import AugmentConfig
 from .metrics import MetricReport
@@ -21,6 +23,12 @@ from .pipeline import (
     train,
 )
 from .text import build_vocab
+
+
+def _default(func: str, name: str):
+    """The default of parameter `name` of pipeline.<func>: each default is
+    written once, in the library signature."""
+    return inspect.signature(getattr(pipeline, func)).parameters[name].default
 
 
 def _parse_segments(text: str):
@@ -38,43 +46,43 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vocab-build", help="build a vocabulary file from captions")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--min-count", type=int, default=10)
+    p.add_argument("--min-count", type=int, default=TrainConfig.vocab_min_count)
     p.add_argument("--all-splits", action="store_true",
                    help="count words over every split instead of dev only")
 
     p = sub.add_parser("train", help="train a captioning model")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--patience", type=int, default=3)
-    p.add_argument("--lr-factor", type=float, default=0.5)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--min-count", type=int, default=10)
-    p.add_argument("--enc-hidden", type=int, default=256)
-    p.add_argument("--attn-dim", type=int, default=256)
-    p.add_argument("--dec-hidden", type=int, default=256)
-    p.add_argument("--word-dim", type=int, default=128)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.initial_lr)
+    p.add_argument("--patience", type=int, default=TrainConfig.plateau_patience)
+    p.add_argument("--lr-factor", type=float, default=TrainConfig.lr_factor)
+    p.add_argument("--epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--min-count", type=int, default=TrainConfig.vocab_min_count)
+    p.add_argument("--enc-hidden", type=int, default=TrainConfig.enc_hidden)
+    p.add_argument("--attn-dim", type=int, default=TrainConfig.attn_dim)
+    p.add_argument("--dec-hidden", type=int, default=TrainConfig.dec_hidden)
+    p.add_argument("--word-dim", type=int, default=TrainConfig.word_dim)
     p.add_argument("--augment", action="store_true",
                    help="apply time/frequency masking to spectrogram inputs")
-    p.add_argument("--max-time-mask", type=int, default=192)
-    p.add_argument("--max-freq-mask", type=int, default=48)
-    p.add_argument("--augment-prob", type=float, default=0.4)
+    p.add_argument("--max-time-mask", type=int, default=AugmentConfig.max_time_mask)
+    p.add_argument("--max-freq-mask", type=int, default=AugmentConfig.max_freq_mask)
+    p.add_argument("--augment-prob", type=float, default=AugmentConfig.apply_probability)
 
     p = sub.add_parser("evaluate", help="score a manifest split with beam search")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--split", default="eval", choices=["dev", "val", "eval"])
-    p.add_argument("--beam", type=int, default=3)
+    p.add_argument("--split", default=_default("evaluate", "split"), choices=pipeline.SPLITS)
+    p.add_argument("--beam", type=int, default=_default("evaluate", "beam"))
     p.add_argument("--no-length-norm", action="store_true")
     p.add_argument("--out", help="write the raw scores as JSON")
 
     p = sub.add_parser("caption", help="caption one embedding file or wav")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--mode", default="beam", choices=["greedy", "beam"])
-    p.add_argument("--beam", type=int, default=3)
+    p.add_argument("--mode", default=_default("caption_file", "mode"), choices=["greedy", "beam"])
+    p.add_argument("--beam", type=int, default=_default("caption_file", "beam"))
     p.add_argument("--no-length-norm", action="store_true")
 
     p = sub.add_parser("attn-export", help="export greedy-decoding attention weights")
@@ -85,11 +93,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("make-toy", help="generate the synthetic toy dataset")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-items", type=int, default=8)
-    p.add_argument("--segments", type=_parse_segments, default=4,
+    p.add_argument("--seed", type=int, default=_default("make_toy_dataset", "seed"))
+    p.add_argument("--n-items", type=int, default=_default("make_toy_dataset", "n_items"))
+    p.add_argument("--segments", type=_parse_segments,
+                   default=_default("make_toy_dataset", "segments_per_item"),
                    help="segments per item, either N or LO:HI")
-    p.add_argument("--dim", type=int, default=16)
+    p.add_argument("--dim", type=int, default=_default("make_toy_dataset", "dim"))
 
     return parser
 
@@ -153,14 +162,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, ShapeError) as exc:
+    except (DataError, ShapeError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except FloatingPointError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -22,6 +22,8 @@ from .model import AttentionStep, CaptionModel, EncoderOutput
 from .numerics import log_softmax
 from .text import END, MAX_TOKENS, START
 
+DEFAULT_BEAM = 3
+
 
 @dataclass
 class Hypothesis:
@@ -49,17 +51,15 @@ def greedy_decode_encoded(model: CaptionModel, enc: EncoderOutput,
     return hyp.tokens, hyp.attention
 
 
-def beam_search(model: CaptionModel, matrix: np.ndarray, beam: int = 3,
-                max_tokens: int = MAX_TOKENS, length_normalize: bool = True,
-                valid_length: int | None = None) -> Hypothesis:
+def beam_search(model: CaptionModel, matrix: np.ndarray, beam: int = DEFAULT_BEAM,
+                max_tokens: int = MAX_TOKENS, length_normalize: bool = True) -> Hypothesis:
     """Best completed hypothesis under beam search.
 
     Finished hypotheses leave the live set and collect in a completed pool;
     the pool winner maximizes the (optionally length-normalized) score, with
     ties broken by shorter length, then lexicographic token order.
     """
-    return _search(model, model.encode(matrix, valid_length), beam, max_tokens,
-                   length_normalize)
+    return _search(model, model.encode(matrix), beam, max_tokens, length_normalize)
 
 
 def _search(model: CaptionModel, enc: EncoderOutput, beam: int, max_tokens: int,

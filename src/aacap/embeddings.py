@@ -48,8 +48,8 @@ def plan_segments(duration: float, window: float = DEFAULT_SEGMENT_SECONDS) -> S
 def save_embedding_file(path, matrix: np.ndarray):
     """Write a (T, F) matrix as magic + version/T/F (u32 LE) + float32 LE rows."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] < 1:
-        raise DataError(f"embedding matrix must be 2-D with T >= 1, got {matrix.shape}")
+    if matrix.ndim != 2 or min(matrix.shape) < 1:
+        raise DataError(f"embedding matrix must be 2-D with T, F >= 1, got {matrix.shape}")
     t, f = matrix.shape
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -58,7 +58,8 @@ def save_embedding_file(path, matrix: np.ndarray):
 
 
 def load_embedding_file(path) -> np.ndarray:
-    """Read an AACE file back as a float64 (T, F) matrix; NaN or inf is corrupt."""
+    """Read an AACE file back as a float64 (T, F) matrix; NaN, inf, or T or F
+    of 0 is corrupt."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 16 or data[:4] != MAGIC:
@@ -66,6 +67,8 @@ def load_embedding_file(path) -> np.ndarray:
     version, t, f = struct.unpack("<III", data[4:16])
     if version != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported format version {version}")
+    if t < 1 or f < 1:
+        raise CorruptionError(f"{path}: empty {t}x{f} matrix")
     expected = 16 + 4 * t * f
     if len(data) != expected:
         raise CorruptionError(

@@ -53,7 +53,6 @@ class AugmentConfig:
     max_time_mask: int = 192
     max_freq_mask: int = 48
     apply_probability: float = 0.4
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.max_time_mask < 0 or self.max_freq_mask < 0:
@@ -84,6 +83,8 @@ def read_wav(path) -> Waveform:
         raise DataError(f"{path}: expected mono audio, got {channels} channels")
     if width != 2:
         raise DataError(f"{path}: expected 16-bit samples, got {8 * width}-bit")
+    if rate < 1:
+        raise DataError(f"{path}: sample rate {rate} Hz")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return resample(Waveform(samples, rate), TARGET_SAMPLE_RATE)
 
@@ -172,28 +173,23 @@ def log_mel(power: np.ndarray, mel_bins: int = DEFAULT_MEL_BINS,
                        DEFAULT_HOP / TARGET_SAMPLE_RATE)
 
 
-def wav_to_log_mel(path, mel_bins: int = DEFAULT_MEL_BINS) -> Spectrogram:
-    """Full front end: read, resample, STFT, mel, log."""
-    w = read_wav(path)
-    return log_mel(stft_power(w), mel_bins=mel_bins)
+def wav_to_log_mel(path) -> Spectrogram:
+    """Full front end at the default analysis settings: read, resample, STFT, mel, log."""
+    return log_mel(stft_power(read_wav(path)))
 
 
-def spec_augment(s: Spectrogram, cfg: AugmentConfig) -> Spectrogram:
-    """Masked copy of s; see spec_augment_with_info for the mask policy."""
-    return spec_augment_with_info(s, cfg)[0]
+def spec_augment(values: np.ndarray, cfg: AugmentConfig,
+                 seed: int) -> tuple[np.ndarray, AppliedMasks]:
+    """Masked copy of a (frames, bins) grid, and the spans it masked.
 
-
-def spec_augment_with_info(s: Spectrogram, cfg: AugmentConfig) -> tuple[Spectrogram, AppliedMasks]:
-    """Mask one time span and one frequency span, each drawn independently.
-
-    Each mask is applied with probability cfg.apply_probability; its length is
-    uniform on [0, max] (clamped to the grid) and its start uniform so that it
-    fits. Masked cells are set to the spectrogram mean. Deterministic given
-    cfg.rng_seed.
+    One time span and one frequency span are drawn independently. Each mask
+    is applied with probability cfg.apply_probability; its length is uniform
+    on [0, max] (clamped to the grid) and its start uniform so that it fits.
+    Masked cells are set to the grid mean. Deterministic given seed.
     """
-    rng = np.random.default_rng(cfg.rng_seed)
-    values = s.values.copy()
-    fill = float(s.values.mean()) if s.values.size else 0.0
+    rng = np.random.default_rng(seed)
+    fill = float(values.mean()) if values.size else 0.0
+    values = values.copy()
     frames, bins = values.shape
 
     time_span = None
@@ -210,7 +206,7 @@ def spec_augment_with_info(s: Spectrogram, cfg: AugmentConfig) -> tuple[Spectrog
         values[:, start:start + length] = fill
         freq_span = (start, length)
 
-    return Spectrogram(values, s.frame_hop), AppliedMasks(time_span, freq_span)
+    return values, AppliedMasks(time_span, freq_span)
 
 
 def bucket_pad(batch: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

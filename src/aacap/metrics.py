@@ -9,7 +9,7 @@ by 10); callers that want the usual x100 display do that at print time.
 import json
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import exp, log, sqrt
 from typing import Callable, Optional, Sequence
 
@@ -45,9 +45,7 @@ class MetricReport:
     meteor: float
 
     def to_dict(self) -> dict[str, float]:
-        return {"bleu_1": self.bleu_1, "bleu_2": self.bleu_2, "bleu_3": self.bleu_3,
-                "bleu_4": self.bleu_4, "rouge_l": self.rouge_l, "cider": self.cider,
-                "meteor": self.meteor}
+        return asdict(self)
 
     def format_text(self) -> str:
         return "\n".join(f"{key} {value:.6f}" for key, value in self.to_dict().items())
@@ -113,8 +111,9 @@ def lcs_length(a: Tokens, b: Tokens) -> int:
     return prev[-1]
 
 
-def rouge_l(instance: EvalInstance, beta: float = ROUGE_BETA) -> float:
-    """Best F-measure over references from LCS precision and recall."""
+def rouge_l(instance: EvalInstance) -> float:
+    """Best F-measure over references from LCS precision and recall, recall
+    weighted by ROUGE_BETA."""
     cand = instance.candidate
     if not cand:
         return 0.0
@@ -127,8 +126,8 @@ def rouge_l(instance: EvalInstance, beta: float = ROUGE_BETA) -> float:
             continue
         precision = lcs / len(cand)
         recall = lcs / len(ref)
-        score = ((1 + beta ** 2) * precision * recall
-                 / (recall + beta ** 2 * precision))
+        score = ((1 + ROUGE_BETA ** 2) * precision * recall
+                 / (recall + ROUGE_BETA ** 2 * precision))
         best = max(best, score)
     return best
 

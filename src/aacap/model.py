@@ -20,16 +20,17 @@ since padding only follows a row's valid steps, the recurrence needs no
 per-step mask. The bwd direction reads each row reversed within its own
 length, through one gather index.
 
-Teacher forcing takes a padded batch of B samples, one encoder row and one
-target each. The decoder steps every sample as one (B, d_h) matrix; the
-logits do not feed the recurrence, so the output projection and softmax
-are one (sum of steps, d_h) x (d_h, V) product after the loop. Word
-embeddings enter the decoder cell's input projection once, before
-the loop. A sample's steps past its last target token run on and are
-never read, and a sample with no target step adds loss 0 and no gradient.
-The attention keys E W_enc do not depend on the decoder state, so they are
-taken once per encode and carried on EncoderOutput; each decoder step adds
-only h_prev W_h to them.
+A decoder step is Decoder.advance: an attention read of the encoder output
+from h_prev, then one decoder cell step on [word embedding, context]. The
+same call steps one token in inference and a row of B tokens in teacher
+forcing, where a padded batch of B samples, one encoder row and one target
+each, steps as one (B, d_h) matrix. The logits do not feed the recurrence,
+so training takes the output projection and softmax as one
+(sum of steps, d_h) x (d_h, V) product after the loop. A sample's steps
+past its last target token run on and are never read, and a sample with no
+target step adds loss 0 and no gradient. The attention keys E W_enc do not
+depend on the decoder state, so they are taken once per encode and carried
+on EncoderOutput; each decoder step adds only h_prev W_h to them.
 
 Backpropagation is reverse-time over decoder steps (through the attention
 read and the decoder cell), then reverse-time through both encoder layers.
@@ -111,10 +112,10 @@ class ModelConfig:
 
 
 @dataclass
-class EncoderOutput:
-    values: np.ndarray  # (T, d_e); rows at or beyond valid_length are zero
-    valid_length: int
-    keys: np.ndarray  # (T, d_a) attention keys E W_enc, the same for every decoder step
+class EncoderOutput:  # one sequence, or a batch with a leading B axis on every field
+    values: np.ndarray  # (..., T, d_e); frames at or beyond valid_length are zero
+    valid_length: int | np.ndarray  # (...)
+    keys: np.ndarray  # (..., T, d_a) attention keys E W_enc, the same for every decoder step
 
 
 @dataclass
@@ -134,8 +135,7 @@ class _DecoderCache:
     """What backward reads of a teacher-forced batch of B samples, S = the
     most target steps of any sample. Per-step arrays are step-major."""
 
-    enc_values: np.ndarray  # (B, T, d_e)
-    keys: np.ndarray  # (B, T, d_a) attention keys
+    enc: EncoderOutput  # the batch's, (B, T, ·)
     tokens_in: np.ndarray  # (S, B)
     h: np.ndarray  # (S + 1, B, d_h); row s is the state before step s
     c: np.ndarray  # (S + 1, B, d_h)
@@ -181,10 +181,10 @@ class LstmCell:
     """Single LSTM cell with one fused weight (input_dim + hidden_dim, 4 * hidden_dim)
     and one bias (4 * hidden_dim); gate column blocks follow GATES order.
 
-    The decoder steps the cell one vector at a time in inference and one
-    (B, hidden) matrix at a time in training; BiLstmLayer runs it over a
-    padded batch of sequences, taking the input projection before the time
-    loop and the weight gradients after it.
+    The decoder steps the cell through step, one vector at a time in
+    inference and one (B, hidden) matrix at a time in training; BiLstmLayer
+    runs it over a padded batch of sequences, taking the input projection
+    before the time loop and the weight gradients after it.
     """
 
     GATES = ("forget", "input", "output", "cell")
@@ -230,12 +230,14 @@ class LstmCell:
         return dc_total * f
 
     def step(self, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
-        """Returns (h, c). h = o * tanh(f * c_prev + i * g_candidate)."""
-        if x.shape != (self.input_dim,):
-            raise ShapeError(f"{self.name}: input shape {x.shape}, expected ({self.input_dim},)")
-        z = np.concatenate([x, h_prev])
-        _, c, h = self.activate(z @ self.w.value + self.b.value, c_prev)
-        return h, c
+        """One step over rows x (..., input_dim); returns (h, c, gates).
+        h = o * tanh(f * c_prev + i * g_candidate)."""
+        if x.shape[-1:] != (self.input_dim,):
+            raise ShapeError(
+                f"{self.name}: input shape {x.shape}, expected (..., {self.input_dim})")
+        z = np.concatenate([x, h_prev], axis=-1)
+        gates, c, h = self.activate(z @ self.w.value + self.b.value, c_prev)
+        return h, c, gates
 
     def forward_sequence(self, x_seq: np.ndarray):
         """Runs the cell from zero state over each row of x_seq (B, T, input_dim).
@@ -454,13 +456,21 @@ class Decoder:
         return ([self.embedding] + self.cell.params() + [self.w_out, self.b_out]
                 + self.attention.params())
 
+    def advance(self, tokens, h_prev: np.ndarray, c_prev: np.ndarray, enc: EncoderOutput):
+        """The attention read from h_prev, then the cell step on [embedding, context],
+        for one token id with 1-D states or (B,) ids with (B, d_h) states and a
+        batch enc. Returns (h, c, gates, AttentionStep)."""
+        att_step = self.attention.forward(enc.values, enc.valid_length, h_prev, enc.keys)
+        x = np.concatenate([self.embedding.value[tokens], att_step.context], axis=-1)
+        h, c, gates = self.cell.step(x, h_prev, c_prev)
+        return h, c, gates, att_step
+
     def step(self, token: int, h_prev: np.ndarray, c_prev: np.ndarray,
              enc: EncoderOutput):
+        """One inference step: (logits over vocab, h, c, AttentionStep)."""
         if not 0 <= token < self.cfg.vocab_size:
             raise ValueError(f"token id {token} outside vocabulary of {self.cfg.vocab_size}")
-        att_step = self.attention.forward(enc.values, enc.valid_length, h_prev, enc.keys)
-        x = np.concatenate([self.embedding.value[token], att_step.context])
-        h, c = self.cell.step(x, h_prev, c_prev)
+        h, c, _, att_step = self.advance(token, h_prev, c_prev, enc)
         logits = h @ self.w_out.value + self.b_out.value
         return logits, h, c, att_step
 
@@ -511,8 +521,6 @@ class CaptionModel:
             raise ValueError(f"{len(targets)} targets for {len(inputs)} encoder rows")
         enc_values, enc_cache = self.encoder.forward(inputs, lengths)
         dec = self.decoder
-        att, cell = dec.attention, dec.cell
-        word_dim, ctx_end = self.cfg.word_dim, cell.input_dim
         n_steps = np.array([_step_count(target) for target in targets], dtype=np.int64)
         batch, span = len(targets), int(n_steps.max(initial=0))
         tokens = np.full((batch, span + 1), PAD)
@@ -522,23 +530,16 @@ class CaptionModel:
         if tokens.size and (tokens.min() < 0 or tokens.max() >= self.cfg.vocab_size):
             raise ValueError(f"token ids outside vocabulary of {self.cfg.vocab_size}")
 
-        keys, valid = att.keys(enc_values), np.asarray(lengths)
+        enc = EncoderOutput(enc_values, np.asarray(lengths), dec.attention.keys(enc_values))
         tokens_in = tokens[:, :span].T
-        w = cell.w.value
-        # each step's gate buffer starts as its word projection, taken for all steps at once
-        gates = (dec.embedding.value[tokens_in.ravel()] @ w[:word_dim]
-                 + cell.b.value).reshape(span, batch, w.shape[1])
         h = np.zeros((span + 1, batch, self.cfg.dec_hidden))
         c = np.zeros_like(h)
+        gates = np.empty((span, batch, 4 * self.cfg.dec_hidden))
         contexts = np.empty((span, batch, self.cfg.enc_out_dim))
         weights = np.empty((span, batch, enc_values.shape[1]))
         for s in range(span):
-            att_step = att.forward(enc_values, valid, h[s], keys)
+            h[s + 1], c[s + 1], gates[s], att_step = dec.advance(tokens_in[s], h[s], c[s], enc)
             weights[s], contexts[s] = att_step.weights, att_step.context
-            pre = gates[s]
-            pre += contexts[s] @ w[word_dim:ctx_end]
-            pre += h[s] @ w[ctx_end:]
-            gates[s], c[s + 1], h[s + 1] = cell.activate(pre, c[s])
 
         samples, steps = np.nonzero(np.arange(span) < n_steps[:, None])
         tokens_out = tokens[samples, steps + 1]
@@ -546,8 +547,8 @@ class CaptionModel:
         nll = -np.log(np.maximum(probs[np.arange(len(samples)), tokens_out], PROB_FLOOR))
         totals = np.bincount(samples, weights=nll, minlength=batch)
         loss = sum(total / n for total, n in zip(totals.tolist(), n_steps.tolist()) if n)
-        decoder = _DecoderCache(enc_values, keys, tokens_in, h, c, gates,
-                                contexts, weights, n_steps, samples, steps, tokens_out, probs)
+        decoder = _DecoderCache(enc, tokens_in, h, c, gates, contexts, weights, n_steps,
+                                samples, steps, tokens_out, probs)
         return ForwardResult(float(loss), _BatchCache(enc_cache, decoder))
 
     def backward(self, cache: _BatchCache) -> np.ndarray:
@@ -585,7 +586,7 @@ class CaptionModel:
         w_rest, enc_out = cell.w.value[word_dim:], self.cfg.enc_out_dim
         d_pre = np.empty_like(cache.gates)
         d_contexts = np.empty_like(cache.contexts)
-        d_att_pre = np.zeros_like(cache.keys)
+        d_att_pre = np.zeros_like(cache.enc.keys)
         dh_next = np.zeros((batch, self.cfg.dec_hidden))
         dc_next = np.zeros((batch, self.cfg.dec_hidden))
         for s in range(span - 1, -1, -1):
@@ -594,7 +595,7 @@ class CaptionModel:
             dz = d_pre[s] @ w_rest.T
             d_contexts[s] = dz[:, :enc_out]
             dh_next = dz[:, enc_out:] + att.backward(
-                cache.enc_values, cache.keys, cache.h[s], cache.weights[s],
+                cache.enc.values, cache.enc.keys, cache.h[s], cache.weights[s],
                 d_contexts[s], d_att_pre)
 
         rows_in = span * batch
@@ -608,7 +609,7 @@ class CaptionModel:
 
         # every step's context read of E: (B, T, S) @ (B, S, d_e)
         d_enc = cache.weights.transpose(1, 2, 0) @ d_contexts.transpose(1, 0, 2)
-        d_enc += att.backward_encoder(cache.enc_values, d_att_pre)
+        d_enc += att.backward_encoder(cache.enc.values, d_att_pre)
         return d_enc
 
     # ------------------------------------------------------------------

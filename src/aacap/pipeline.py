@@ -15,10 +15,10 @@ from typing import Optional
 
 import numpy as np
 
-from .decoding import beam_search, greedy_decode_encoded
+from .decoding import DEFAULT_BEAM, beam_search, greedy_decode_encoded
 from .embeddings import load_embedding_file, save_embedding_file
 from .errors import ConfigError, DataError
-from .features import AugmentConfig, Spectrogram, bucket_pad, spec_augment, wav_to_log_mel
+from .features import AugmentConfig, bucket_pad, spec_augment, wav_to_log_mel
 from .metrics import EvalInstance, MetricReport, bleu, evaluate_corpus
 from .model import CaptionModel, ModelConfig
 from .numerics import adam_step
@@ -53,10 +53,10 @@ class TrainConfig:
     seed: int = 0
     augment: Optional[AugmentConfig] = None
     vocab_min_count: int = 10
-    enc_hidden: int = 256
-    attn_dim: int = 256
-    dec_hidden: int = 256
-    word_dim: int = 128
+    enc_hidden: int = ModelConfig.enc_hidden
+    attn_dim: int = ModelConfig.attn_dim
+    dec_hidden: int = ModelConfig.dec_hidden
+    word_dim: int = ModelConfig.word_dim
 
     def __post_init__(self):
         if not (math.isfinite(self.initial_lr) and self.initial_lr > 0.0):
@@ -83,13 +83,13 @@ class TrainResult:
 
 
 class PlateauScheduler:
-    """Halve the rate after `patience` consecutive epochs without improvement.
+    """Scale the rate by `factor` after `patience` consecutive epochs without improvement.
 
     Improvement means beating the best seen value by more than
     PLATEAU_MIN_IMPROVEMENT; the stale counter resets when the rate drops.
     """
 
-    def __init__(self, initial_lr: float, factor: float = 0.5, patience: int = 3):
+    def __init__(self, initial_lr: float, factor: float, patience: int):
         self.lr = initial_lr
         self.factor = factor
         self.patience = patience
@@ -180,9 +180,9 @@ def load_features(entry: ManifestEntry) -> np.ndarray:
     return load_embedding_file(entry.path)
 
 
-def load_input_file(path, expected_dim: Optional[int] = None) -> np.ndarray:
+def load_input_file(path, expected_dim: int) -> np.ndarray:
     matrix = load_features(ManifestEntry("input", str(path), [], "eval"))
-    if expected_dim is not None and matrix.shape[1] != expected_dim:
+    if matrix.shape[1] != expected_dim:
         raise DataError(
             f"{path}: feature dim {matrix.shape[1]} does not match the "
             f"checkpoint's expected {expected_dim}")
@@ -203,22 +203,15 @@ def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def _greedy_captions(model: CaptionModel, vocab: Vocabulary,
-                     matrices: list[np.ndarray]) -> list[list[str]]:
-    captions = []
-    for matrix in matrices:
-        enc = model.encode(matrix)
-        ids, _ = greedy_decode_encoded(model, enc)
-        captions.append(decode(ids, vocab).split())
-    return captions
-
-
 def validation_bleu4(model: CaptionModel, vocab: Vocabulary,
                      entries: list[ManifestEntry],
                      matrices: list[np.ndarray]) -> float:
-    candidates = _greedy_captions(model, vocab, matrices)
-    instances = [EvalInstance(cand, [normalize(c) for c in entry.captions])
-                 for cand, entry in zip(candidates, entries)]
+    """BLEU-4 of greedy captions of matrices against their entries' captions."""
+    instances = []
+    for entry, matrix in zip(entries, matrices):
+        ids, _ = greedy_decode_encoded(model, model.encode(matrix))
+        instances.append(EvalInstance(decode(ids, vocab).split(),
+                                      [normalize(c) for c in entry.captions]))
     return bleu(instances, 4)
 
 
@@ -277,9 +270,8 @@ def train(config: TrainConfig, manifest_path, out_dir) -> TrainResult:
                 for item_idx, caption_idx in batch:
                     matrix = dev_matrices[item_idx]
                     if config.augment is not None and dev[item_idx].is_wav:
-                        aug = replace(config.augment, rng_seed=_derived_seed(
+                        matrix, _ = spec_augment(matrix, config.augment, _derived_seed(
                             config.seed, epoch, item_idx, caption_idx))
-                        matrix = spec_augment(Spectrogram(matrix, 0.0), aug).values
                     matrices.append(matrix)
                 per_call = max(1, TRAIN_FRAME_BUDGET // max(len(m) for m in matrices))
                 calls = math.ceil(len(batch) / per_call)
@@ -340,7 +332,7 @@ def load_checkpoint(path) -> tuple[CaptionModel, Vocabulary]:
 
 
 def evaluate(checkpoint_path, manifest_path, split: str = "eval",
-             beam: int = 3, length_normalize: bool = True) -> MetricReport:
+             beam: int = DEFAULT_BEAM, length_normalize: bool = True) -> MetricReport:
     """Beam-search decode every item of a split and score against all captions."""
     model, vocab = load_checkpoint(checkpoint_path)
     entries = split_entries(load_manifest(manifest_path), split)
@@ -357,7 +349,7 @@ def evaluate(checkpoint_path, manifest_path, split: str = "eval",
     return evaluate_corpus(candidates, references)
 
 
-def caption_file(checkpoint_path, input_path, mode: str = "beam", beam: int = 3,
+def caption_file(checkpoint_path, input_path, mode: str = "beam", beam: int = DEFAULT_BEAM,
                  length_normalize: bool = True) -> str:
     """Caption one embedding file or wav; mode is 'greedy' or 'beam'."""
     if mode not in ("greedy", "beam"):

@@ -17,7 +17,6 @@ PAD, START, END, UNK = 0, 1, 2, 3
 RESERVED = ["<PAD>", "<START>", "<END>", "<UNK>"]
 
 MAX_TOKENS = 20
-DEFAULT_MIN_COUNT = 10
 
 _WORD_RE = re.compile(r"[a-z0-9']+")
 
@@ -62,7 +61,7 @@ class Vocabulary:
         return cls(words)
 
 
-def build_vocab(captions: Iterable[str], min_count: int = DEFAULT_MIN_COUNT) -> Vocabulary:
+def build_vocab(captions: Iterable[str], min_count: int) -> Vocabulary:
     """Vocabulary of words seen at least min_count times across the corpus.
 
     Index order is deterministic: reserved tokens, then descending frequency

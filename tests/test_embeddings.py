@@ -83,6 +83,22 @@ def test_embedding_file_bad_version(tmp_path):
         load_embedding_file(path)
 
 
+@pytest.mark.parametrize("t, f", [(0, 4), (3, 0), (0, 0)])
+def test_embedding_file_empty_matrix_is_corrupt(tmp_path, t, f):
+    import struct
+
+    path = tmp_path / "clip.aace"
+    path.write_bytes(b"AACE" + struct.pack("<III", 1, t, f))
+    with pytest.raises(CorruptionError, match=f"empty {t}x{f} matrix"):
+        load_embedding_file(path)
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (3, 0), (5,)])
+def test_save_embedding_file_refuses_empty_or_non_matrix(tmp_path, shape):
+    with pytest.raises(DataError):
+        save_embedding_file(tmp_path / "bad.aace", np.zeros(shape))
+
+
 def test_embedding_file_truncated_payload(tmp_path):
     import struct
 

@@ -9,7 +9,6 @@ from aacap.errors import ConfigError, DataError, ShapeError
 from aacap.features import (
     LOG_OFFSET,
     AugmentConfig,
-    Spectrogram,
     Waveform,
     bucket_pad,
     log_mel,
@@ -17,7 +16,6 @@ from aacap.features import (
     read_wav,
     resample,
     spec_augment,
-    spec_augment_with_info,
     stft_power,
     write_wav,
 )
@@ -132,50 +130,48 @@ def test_log_mel_rejects_bad_band_edges():
         log_mel(np.zeros((2, 257)), f_min=5000.0, f_max=4000.0)
 
 
-def _toy_spec(frames=220, bins=64, seed=0) -> Spectrogram:
-    rng = np.random.default_rng(seed)
-    return Spectrogram(rng.normal(size=(frames, bins)), 0.01)
+def _toy_grid(frames=220, bins=64, seed=0) -> np.ndarray:
+    return np.random.default_rng(seed).normal(size=(frames, bins))
 
 
 def test_spec_augment_probability_zero_is_identity():
-    spec = _toy_spec()
-    out = spec_augment(spec, AugmentConfig(apply_probability=0.0, rng_seed=5))
-    assert np.array_equal(out.values, spec.values)
+    grid = _toy_grid()
+    out, masks = spec_augment(grid, AugmentConfig(apply_probability=0.0), seed=5)
+    assert np.array_equal(out, grid)
+    assert masks.time_span is None and masks.freq_span is None
 
 
 def test_spec_augment_probability_one_masks_one_span_each_axis():
-    spec = _toy_spec()
-    cfg = AugmentConfig(apply_probability=1.0, rng_seed=11)
-    out, masks = spec_augment_with_info(spec, cfg)
-    assert out.values.shape == spec.values.shape
+    grid = _toy_grid()
+    out, masks = spec_augment(grid, AugmentConfig(apply_probability=1.0), seed=11)
+    assert out.shape == grid.shape
     assert masks.time_span is not None and masks.freq_span is not None
     t0, tlen = masks.time_span
     f0, flen = masks.freq_span
     assert 0 <= tlen <= 192
     assert 0 <= flen <= 48
-    fill = spec.values.mean()
-    assert np.allclose(out.values[t0:t0 + tlen, :], fill)
-    assert np.allclose(out.values[:, f0:f0 + flen], fill)
+    fill = grid.mean()
+    assert np.allclose(out[t0:t0 + tlen, :], fill)
+    assert np.allclose(out[:, f0:f0 + flen], fill)
     # nothing outside the two spans changed
-    untouched = np.ones(spec.values.shape, dtype=bool)
+    untouched = np.ones(grid.shape, dtype=bool)
     untouched[t0:t0 + tlen, :] = False
     untouched[:, f0:f0 + flen] = False
-    assert np.array_equal(out.values[untouched], spec.values[untouched])
+    assert np.array_equal(out[untouched], grid[untouched])
 
 
 def test_spec_augment_deterministic_per_seed():
-    spec = _toy_spec()
-    cfg = AugmentConfig(rng_seed=42)
-    a = spec_augment(spec, cfg)
-    b = spec_augment(spec, cfg)
-    assert np.array_equal(a.values, b.values)
+    grid = _toy_grid()
+    a, _ = spec_augment(grid, AugmentConfig(), seed=42)
+    b, _ = spec_augment(grid, AugmentConfig(), seed=42)
+    assert np.array_equal(a, b)
 
 
 def test_spec_augment_monte_carlo_application_rate():
-    spec = _toy_spec(frames=200)
+    grid = _toy_grid(frames=200)
     hits = 0
     for seed in range(10_000):
-        _, masks = spec_augment_with_info(spec, AugmentConfig(rng_seed=seed))
+        _, masks = spec_augment(grid, AugmentConfig(), seed)
         if masks.time_span is not None:
             hits += 1
     assert abs(hits / 10_000 - 0.4) <= 0.02
@@ -247,6 +243,23 @@ def test_read_wav_rejects_stereo(tmp_path):
         wav.setframerate(16000)
         wav.writeframes(b"\x00\x00" * 64)
     with pytest.raises(DataError):
+        read_wav(path)
+
+
+def wav_bytes(rate: int, frames: int = 64) -> bytes:
+    """A mono 16-bit PCM WAV file of silence whose header claims `rate`."""
+    import struct
+
+    data = b"\x00\x00" * frames
+    fmt = struct.pack("<HHIIHH", 1, 1, rate, 2 * rate, 2, 16)
+    return (b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVEfmt "
+            + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", len(data)) + data)
+
+
+def test_read_wav_rejects_zero_sample_rate(tmp_path):
+    path = tmp_path / "rate0.wav"
+    path.write_bytes(wav_bytes(0))
+    with pytest.raises(DataError, match="sample rate 0"):
         read_wav(path)
 
 

@@ -33,7 +33,7 @@ def _zeroed_cell(input_dim=3, hidden_dim=2):
 def test_lstm_cell_all_zero_parameters():
     # gates sit at 0.5, the candidate at 0, so the state never moves
     cell = _zeroed_cell()
-    h, c = cell.step(np.zeros(3), np.zeros(2), np.zeros(2))
+    h, c, _ = cell.step(np.zeros(3), np.zeros(2), np.zeros(2))
     assert np.array_equal(h, np.zeros(2))
     assert np.array_equal(c, np.zeros(2))
 
@@ -51,7 +51,7 @@ def test_lstm_cell_scalar_oracle():
     g = math.tanh(0.5 * x + 0.1)
     c_expect = i * g  # c_prev = 0
     h_expect = o * math.tanh(c_expect)
-    h, c = cell.step(np.array([x]), np.zeros(1), np.zeros(1))
+    h, c, _ = cell.step(np.array([x]), np.zeros(1), np.zeros(1))
     assert c[0] == pytest.approx(c_expect, abs=1e-12)
     assert h[0] == pytest.approx(h_expect, abs=1e-12)
 
@@ -63,7 +63,7 @@ def test_lstm_cell_outputs_bounded():
     cell = LstmCell("t", 5, 7, rng)
     h = c = np.zeros(7)
     for _ in range(50):
-        h, c = cell.step(rng.uniform(-3, 3, 5), h, c)
+        h, c, _ = cell.step(rng.uniform(-3, 3, 5), h, c)
         assert np.all(np.abs(h) < 1.0)
 
 
@@ -559,6 +559,42 @@ def test_batch_rejects_mismatched_targets_and_lengths():
         model.forward_teacher_forced(inputs[:1], lengths[:1], [[START, 9, END]])
     with pytest.raises(ShapeError):
         model.forward_teacher_forced(inputs, lengths[:2], targets)
+
+
+def test_decoder_advance_over_rows_equals_per_row_calls():
+    for seed in (0, 1, 2):
+        model, matrices, valids, inputs, lengths = batch_fixture(seed)
+        dec = model.decoder
+        values, _ = model.encoder.forward(inputs, lengths)
+        enc = EncoderOutput(values, np.asarray(lengths), dec.attention.keys(values))
+        rng = np.random.default_rng(seed)
+        batch = len(lengths)
+        tokens = rng.integers(0, TINY.vocab_size, size=batch)
+        h_prev, c_prev = rng.normal(size=(2, batch, TINY.dec_hidden))
+        h, c, gates, att = dec.advance(tokens, h_prev, c_prev, enc)
+        for b in range(batch):
+            row = EncoderOutput(values[b], lengths[b], enc.keys[b])
+            h_b, c_b, gates_b, att_b = dec.advance(int(tokens[b]), h_prev[b], c_prev[b], row)
+            for name, got, want in (("h", h[b], h_b), ("c", c[b], c_b),
+                                    ("gates", gates[b], gates_b),
+                                    ("weights", att.weights[b], att_b.weights),
+                                    ("context", att.context[b], att_b.context)):
+                assert got.shape == want.shape, name
+                assert_within_policy(got, want, name)
+
+
+def test_teacher_forced_attention_weights_equal_advance_row_by_row():
+    model, matrices, valids, inputs, lengths = batch_fixture(seed=4)
+    result = model.forward_teacher_forced(inputs, lengths, [t for _, t in BATCH_SAMPLES])
+    cache = result.cache.decoder
+    for b, (item, _) in enumerate(BATCH_SAMPLES):
+        enc = model.encode(matrices[item], valids[item])
+        h, c = model.initial_state()
+        for s in range(cache.n_steps[b]):
+            h, c, _, att = model.decoder.advance(int(cache.tokens_in[s, b]), h, c, enc)
+            cached = cache.weights[s, b]
+            assert np.all(cached[len(matrices[item]):] == 0.0)
+            assert_within_policy(cached[:len(matrices[item])], att.weights)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
+import inspect
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from test_features import wav_bytes
+
 from aacap import cli, pipeline
 from aacap.errors import ConfigError, DataError
-from aacap.features import Waveform, write_wav
+from aacap.features import AugmentConfig, Waveform, write_wav
 from aacap.model import CaptionModel, ModelConfig
 from aacap.pipeline import (
     EXPECTED_CAPTIONS,
@@ -400,8 +404,6 @@ def test_load_features_from_wav(tmp_path):
 
 
 def test_train_on_wav_manifest_with_augment(tmp_path):
-    from aacap.features import AugmentConfig
-
     entries = []
     for i in range(2):
         wav = tmp_path / f"clip_{i}.wav"
@@ -412,7 +414,7 @@ def test_train_on_wav_manifest_with_augment(tmp_path):
     manifest = tmp_path / "wav_manifest.jsonl"
     save_manifest(manifest, entries)
     config = TrainConfig(**{**TINY_TRAIN, "max_epochs": 2},
-                         augment=AugmentConfig(apply_probability=1.0, rng_seed=0))
+                         augment=AugmentConfig(apply_probability=1.0))
     result = train(config, manifest, tmp_path / "run")
     assert result.checkpoint_path.exists()
     assert all(math.isfinite(loss) for loss in result.losses)
@@ -496,6 +498,44 @@ def test_cli_seed_flag_removed_where_nothing_reads_it(command):
     with pytest.raises(SystemExit) as exc:
         cli.main([command, *required[command], "--seed", "0"])
     assert exc.value.code == 2
+
+
+class _Called(Exception):
+    """Raised in place of the library call a CLI command makes, with its arguments."""
+
+
+def _called(monkeypatch, argv, target):
+    """(args, kwargs) that `aacap <argv>` passes to cli.<target>."""
+    def stop(*args, **kwargs):
+        raise _Called(args, kwargs)
+    monkeypatch.setattr(cli, target, stop)
+    with pytest.raises(_Called) as exc:
+        cli.main(argv)
+    return exc.value.args
+
+
+@pytest.mark.parametrize("flags, augment", [([], None), (["--augment"], AugmentConfig())],
+                         ids=["plain", "augment"])
+def test_cli_train_defaults_build_the_default_configs(monkeypatch, flags, augment):
+    (config, *_), _ = _called(monkeypatch, ["train", "--manifest", "m", "--out-dir", "o",
+                                            *flags], "train")
+    assert config == TrainConfig(augment=augment)
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["make-toy", "--out-dir", "o"], "make_toy_dataset"),
+    (["evaluate", "--checkpoint", "c", "--manifest", "m"], "evaluate"),
+    (["caption", "--checkpoint", "c", "--input", "i"], "caption_file"),
+], ids=["make-toy", "evaluate", "caption"])
+def test_cli_defaults_are_the_library_defaults(monkeypatch, argv, target):
+    signature = inspect.signature(getattr(cli, target))
+    args, kwargs = _called(monkeypatch, argv, target)
+    passed = signature.bind(*args, **kwargs).arguments
+    defaulted = [name for name, p in signature.parameters.items()
+                 if name in passed and p.default is not inspect.Parameter.empty]
+    assert len(defaulted) >= 2
+    for name in defaulted:
+        assert passed[name] == signature.parameters[name].default, name
 
 
 def _manifest_line(tmp_path, captions, encoding="utf-8") -> bytes:
@@ -644,6 +684,40 @@ def test_cli_all_nan_input_exits_3(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "non-finite" in captured.err
     assert captured.out == ""
+
+
+def _write_empty_aace(path, t, f):
+    import struct
+
+    path.write_bytes(b"AACE" + struct.pack("<III", 1, t, f))
+
+
+@pytest.mark.parametrize("t, f", [(0, 16), (3, 0)])
+def test_cli_caption_empty_embedding_file_exits_3(tmp_path, capsys, t, f):
+    checkpoint, _ = _cli_checkpoint(tmp_path)
+    bad = tmp_path / "clip.aace"
+    _write_empty_aace(bad, t, f)
+    code = cli.main(["caption", "--checkpoint", str(checkpoint), "--input", str(bad)])
+    assert code == 3
+    assert f"empty {t}x{f} matrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t, f", [(0, 16), (3, 0)])
+def test_cli_train_empty_embedding_file_exits_3(tmp_path, capsys, t, f):
+    manifest = make_toy_dataset(tmp_path / "toy", seed=0, n_items=2)
+    _write_empty_aace(Path(load_manifest(manifest)[0].path), t, f)
+    code = cli.main(["train", "--manifest", str(manifest), "--out-dir", str(tmp_path / "run")])
+    assert code == 3
+    assert f"empty {t}x{f} matrix" in capsys.readouterr().err
+
+
+def test_cli_caption_wav_with_zero_sample_rate_exits_3(tmp_path, capsys):
+    checkpoint, _ = _cli_checkpoint(tmp_path)
+    bad = tmp_path / "rate0.wav"
+    bad.write_bytes(wav_bytes(0))
+    code = cli.main(["caption", "--checkpoint", str(checkpoint), "--input", str(bad)])
+    assert code == 3
+    assert "sample rate 0" in capsys.readouterr().err
 
 
 def test_cli_wrong_feature_dim_input_exits_3(tmp_path, capsys):

@@ -48,7 +48,7 @@ def test_build_vocab_orders_by_frequency_then_lexicographic():
 
 def test_build_vocab_empty_corpus():
     with pytest.raises(DataError):
-        build_vocab([])
+        build_vocab([], min_count=1)
 
 
 def test_reserved_indices_fixed():
