@@ -39,8 +39,9 @@ print(f"embedding matrix: {matrix.shape[0]} segments x {matrix.shape[1]} dims")
 print("row norms:", np.round(np.linalg.norm(matrix, axis=1), 3))
 
 # --- file round trip ---------------------------------------------------------
-path = Path(tempfile.mkdtemp()) / "clip.aace"
-save_embedding_file(path, matrix)
-loaded = load_embedding_file(path)
-print(f"wrote {path.stat().st_size} bytes; "
-      f"round trip exact: {bool(np.array_equal(loaded.astype(np.float32), matrix.astype(np.float32)))}")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "clip.aace"
+    save_embedding_file(path, matrix)
+    loaded = load_embedding_file(path)
+    print(f"wrote {path.stat().st_size} bytes; "
+          f"round trip exact: {bool(np.array_equal(loaded.astype(np.float32), matrix.astype(np.float32)))}")

@@ -234,6 +234,9 @@ def train(config: TrainConfig, manifest_path, out_dir) -> TrainResult:
     val = split_entries(entries, "val")
     if not dev or not val:
         raise DataError("training needs non-empty dev and val splits")
+    if config.augment is not None and not any(entry.is_wav for entry in dev):
+        raise ConfigError(
+            "--augment masks log-mel frames of .wav items, and the dev split has none")
     _require_references(val, manifest_path)
 
     vocab = build_vocab((c for entry in dev for c in entry.captions),

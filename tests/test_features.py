@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from hypothesis import strategies as st
 from aacap.errors import ConfigError, DataError, ShapeError
 from aacap.features import (
     LOG_OFFSET,
+    MIN_SAMPLE_RATE,
+    STFT_CHUNK_FRAMES,
+    TARGET_SAMPLE_RATE,
     AugmentConfig,
     Waveform,
     bucket_pad,
@@ -80,6 +84,60 @@ def test_stft_rejects_non_power_of_two_window():
 def test_stft_rejects_hop_above_window():
     with pytest.raises(ConfigError):
         stft_power(Waveform(np.zeros(1000), 16000), window_size=256, hop=512)
+
+
+def per_frame_stft_power(samples: np.ndarray, window_size: int, hop: int) -> np.ndarray:
+    """The STFT one frame at a time, one rfft each; stft_power must equal it bit for bit."""
+    n_frames = (len(samples) - window_size) // hop + 1
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window_size) / window_size)
+    power = np.empty((n_frames, window_size // 2 + 1))
+    for t in range(n_frames):
+        frame = samples[t * hop:t * hop + window_size] * window
+        power[t] = np.abs(np.fft.rfft(frame)) ** 2
+    return power
+
+
+CHUNK = STFT_CHUNK_FRAMES
+
+
+@pytest.mark.parametrize("frames, window_size, hop, tail", [
+    (1, 512, 160, 0),
+    (1, 512, 160, 159),
+    (CHUNK, 512, 160, 0),
+    (CHUNK + 1, 512, 160, 0),
+    (3 * CHUNK + 17, 512, 160, 5),
+    (2 * CHUNK + 9, 64, 1, 0),
+    (CHUNK + 3, 256, 256, 100),
+], ids=["one-frame", "one-frame-with-tail", "one-chunk", "one-chunk-plus-one",
+        "partial-last-chunk", "hop-1", "hop-window"])
+def test_stft_equals_the_per_frame_loop(frames, window_size, hop, tail):
+    n = window_size + hop * (frames - 1) + tail
+    samples = np.random.default_rng(frames).uniform(-1, 1, n)
+    w = Waveform(samples, 16000)
+    power = stft_power(w, window_size=window_size, hop=hop)
+    assert power.shape == (frames, window_size // 2 + 1)
+    assert np.array_equal(power, per_frame_stft_power(samples, window_size, hop))
+    assert not np.shares_memory(power, w.samples)
+
+
+def test_stft_of_a_strided_input_equals_the_per_frame_loop():
+    samples = np.random.default_rng(5).uniform(-1, 1, 2 * (512 + 160 * (CHUNK + 40)))[::2]
+    assert not samples.flags.c_contiguous
+    power = stft_power(Waveform(samples, 16000))
+    assert np.array_equal(power, per_frame_stft_power(samples, 512, 160))
+
+
+def test_stft_extra_memory_is_bounded_on_a_long_clip():
+    # One rfft over all frames of 30 s would hold ~25 MB of windowed frames
+    # and spectrum beside the grid; chunks keep that to a few MB.
+    w = Waveform(np.random.default_rng(0).uniform(-1, 1, 30 * 16000), 16000)
+    tracemalloc.start()
+    try:
+        power = stft_power(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= power.nbytes + 8 * 2**20
 
 
 def test_log_mel_zero_power_is_constant_floor():
@@ -261,6 +319,22 @@ def test_read_wav_rejects_zero_sample_rate(tmp_path):
     path.write_bytes(wav_bytes(0))
     with pytest.raises(DataError, match="sample rate 0"):
         read_wav(path)
+
+
+@pytest.mark.parametrize("rate", [1, MIN_SAMPLE_RATE - 1])
+def test_read_wav_rejects_rates_below_the_floor(tmp_path, rate):
+    path = tmp_path / f"rate{rate}.wav"
+    path.write_bytes(wav_bytes(rate))
+    with pytest.raises(DataError, match=f"sample rate {rate} Hz is below"):
+        read_wav(path)
+
+
+def test_read_wav_accepts_the_floor_rate(tmp_path):
+    path = tmp_path / "floor.wav"
+    path.write_bytes(wav_bytes(MIN_SAMPLE_RATE, frames=64))
+    w = read_wav(path)
+    assert w.sample_rate == TARGET_SAMPLE_RATE
+    assert len(w.samples) == 64 * TARGET_SAMPLE_RATE // MIN_SAMPLE_RATE
 
 
 def test_read_wav_rejects_garbage(tmp_path):

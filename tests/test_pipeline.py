@@ -711,6 +711,18 @@ def test_cli_train_empty_embedding_file_exits_3(tmp_path, capsys, t, f):
     assert f"empty {t}x{f} matrix" in capsys.readouterr().err
 
 
+def test_cli_train_augment_on_an_embedding_manifest_exits_2(tmp_path, capsys):
+    manifest = make_toy_dataset(tmp_path / "toy", seed=0, n_items=2)
+    run_dir = tmp_path / "run"
+    code = cli.main(["train", "--manifest", str(manifest), "--out-dir", str(run_dir),
+                     "--augment"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --augment")
+    assert ".wav" in err
+    assert not (run_dir / "model.ckpt").exists()
+
+
 def test_cli_caption_wav_with_zero_sample_rate_exits_3(tmp_path, capsys):
     checkpoint, _ = _cli_checkpoint(tmp_path)
     bad = tmp_path / "rate0.wav"
