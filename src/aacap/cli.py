@@ -81,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("caption", help="caption one embedding file or wav")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--mode", default=_default("caption_file", "mode"), choices=["greedy", "beam"])
     p.add_argument("--beam", type=int, default=_default("caption_file", "beam"))
     p.add_argument("--no-length-norm", action="store_true")
 
@@ -141,8 +140,7 @@ def _run(args) -> int:
         if args.out:
             report.save(args.out)
     elif args.command == "caption":
-        print(caption_file(args.checkpoint, args.input, mode=args.mode,
-                           beam=args.beam,
+        print(caption_file(args.checkpoint, args.input, beam=args.beam,
                            length_normalize=not args.no_length_norm))
     elif args.command == "attn-export":
         record = export_attention(args.checkpoint, args.input, args.out,

@@ -5,12 +5,17 @@ length normalisation. Sequences include the leading <START> token and are
 capped at max_tokens entries total, matching the training-time caption
 length. A hypothesis is finished once it emits <END> or hits the cap.
 
-Each step runs model.decoder_step and log_softmax once per live hypothesis
-and stacks prefix score + log-probabilities into one (live, V) array. The
-next beam is read off that array with np.partition; only the entries at or
-above the beam-th best score are sorted, by (-score, prefix tokens, token),
-which is the order a full sort of every candidate gives. The attention keys
-E W_enc come with the EncoderOutput, taken once per encode.
+The live hypotheses are the rows of one (live, d_h) decoder state. A step
+is one model.decoder_step over their last tokens and one row-wise
+log_softmax; with the prefix scores that gives one (live, V) array. The
+next beam is read off it with np.partition; only the entries at or above
+the beam-th best score are sorted, by (-score, prefix tokens, token), the
+order a full sort of every candidate gives, and the kept rows' states are
+gathered. The attention keys E W_enc come with the EncoderOutput.
+
+A stacked (live, d_h) product rounds differently from one per hypothesis,
+so log-probabilities match a per-hypothesis search within 1e-12. Greedy
+decoding is one row and bit-identical to stepping a 1-D state.
 """
 
 from dataclasses import dataclass, field
@@ -29,8 +34,6 @@ DEFAULT_BEAM = 3
 class Hypothesis:
     tokens: list[int]  # starts with START; ends with END when finished that way
     log_prob: float  # sum of per-step log softmax probabilities
-    h: np.ndarray
-    c: np.ndarray
     attention: list[AttentionStep] = field(default_factory=list)
 
     @property
@@ -68,24 +71,26 @@ def _search(model: CaptionModel, enc: EncoderOutput, beam: int, max_tokens: int,
         raise ConfigError(f"beam width must be >= 1, got {beam}")
     if max_tokens < 2:
         raise ConfigError(f"max_tokens must be >= 2 (<START> plus one token), got {max_tokens}")
-    h0, c0 = model.initial_state()
-    live = [Hypothesis([START], 0.0, h0, c0)]
+    h, c = (state[None] for state in model.initial_state())
+    live = [Hypothesis([START], 0.0)]
     completed: list[Hypothesis] = []
     while live:
-        steps = [model.decoder_step(hyp.tokens[-1], hyp.h, hyp.c, enc) for hyp in live]
-        scores = np.stack([hyp.log_prob + log_softmax(logits)
-                           for hyp, (logits, _, _, _) in zip(live, steps)])
-        next_live = []
+        logits, h, c, att = model.decoder_step(
+            np.array([hyp.tokens[-1] for hyp in live]), h, c, enc)
+        scores = np.array([[hyp.log_prob] for hyp in live]) + log_softmax(logits)
+        next_live, rows = [], []
         for row, token in top_candidates(scores, [hyp.tokens for hyp in live], beam):
             hyp = live[row]
-            _, h, c, att = steps[row]
-            extended = Hypothesis(hyp.tokens + [token], scores[row, token], h, c,
-                                  attention=hyp.attention + [att])
+            step = AttentionStep(att.weights[row], att.context[row])
+            extended = Hypothesis(hyp.tokens + [token], scores[row, token],
+                                  attention=hyp.attention + [step])
             if token == END or len(extended.tokens) >= max_tokens:
                 completed.append(extended)
             else:
                 next_live.append(extended)
+                rows.append(row)
         live = next_live
+        h, c = h[rows], c[rows]
     return min(completed,
                key=lambda hyp: (-hyp.score(length_normalize), hyp.emitted, hyp.tokens))
 

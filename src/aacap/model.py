@@ -5,8 +5,8 @@ encoder runs a padded batch: inputs (B, T, F_e) laid out by
 features.bucket_pad, one valid length per row, padding at the end of each
 row. Its output E is (B, T, d_e), with d_e twice the per-direction hidden
 size, and is zero on padded frames. CaptionModel.encode runs one (T, F_e)
-matrix as the batch-of-1 case of the same encoder; inference then steps
-the decoder one 1-D vector at a time.
+matrix as the batch-of-1 case of the same encoder; beam search then steps
+the decoder over a row per live hypothesis against that one E.
 
 Each LSTM cell holds one fused weight (input_dim + hidden_dim, 4 * hidden)
 and one bias (4 * hidden), gate column blocks in LstmCell.GATES order
@@ -22,10 +22,10 @@ length, through one gather index.
 
 A decoder step is Decoder.advance: an attention read of the encoder output
 from h_prev, then one decoder cell step on [word embedding, context]. The
-same call steps one token in inference and a row of B tokens in teacher
-forcing, where a padded batch of B samples, one encoder row and one target
-each, steps as one (B, d_h) matrix. The logits do not feed the recurrence,
-so training takes the output projection and softmax as one
+same call steps one token or a row of beam hypotheses over one E, and a
+padded batch of B samples in teacher forcing, one encoder row and target
+each, as one (B, d_h) matrix. The logits do not feed the recurrence, so
+training takes the output projection and softmax as one
 (sum of steps, d_h) x (d_h, V) product after the loop. A sample's steps
 past its last target token run on and are never read, and a sample with no
 target step adds loss 0 and no gradient. The attention keys E W_enc do not
@@ -392,14 +392,15 @@ class Attention:
                 keys: np.ndarray):
         """One attention read from h_prev, for one sequence or a batch:
         enc_values (..., T, d_e), valid lengths (...), h_prev (..., d_h), and
-        keys = self.keys(enc_values), as EncoderOutput carries it."""
+        keys = self.keys(enc_values), as EncoderOutput carries it; one sequence's
+        (T, ·) arrays broadcast over rows of h_prev (R, d_h)."""
         pre = self._pre(keys, h_prev)  # (..., T, d_a)
         alpha = np.maximum(pre, 0.0)
         logits = (alpha @ self.w_score.value)[..., 0]
         padded = np.arange(logits.shape[-1]) >= np.asarray(valid)[..., None]
-        logits[padded] = -np.inf  # padded frames never receive weight
+        logits[..., padded] = -np.inf  # padded frames never receive weight
         weights = softmax(logits)
-        weights[padded] = 0.0
+        weights[..., padded] = 0.0
         context = (weights[..., None, :] @ enc_values)[..., 0, :]
         return AttentionStep(weights=weights, context=context)
 
@@ -458,17 +459,16 @@ class Decoder:
 
     def advance(self, tokens, h_prev: np.ndarray, c_prev: np.ndarray, enc: EncoderOutput):
         """The attention read from h_prev, then the cell step on [embedding, context],
-        for one token id with 1-D states or (B,) ids with (B, d_h) states and a
-        batch enc. Returns (h, c, gates, AttentionStep)."""
+        for one token id with 1-D states or (B,) ids with (B, d_h) states, and
+        enc of one sequence or a batch of B. Returns (h, c, gates, AttentionStep)."""
         att_step = self.attention.forward(enc.values, enc.valid_length, h_prev, enc.keys)
         x = np.concatenate([self.embedding.value[tokens], att_step.context], axis=-1)
         h, c, gates = self.cell.step(x, h_prev, c_prev)
         return h, c, gates, att_step
 
-    def step(self, token: int, h_prev: np.ndarray, c_prev: np.ndarray,
-             enc: EncoderOutput):
-        """One inference step: (logits over vocab, h, c, AttentionStep)."""
-        if not 0 <= token < self.cfg.vocab_size:
+    def step(self, token, h_prev: np.ndarray, c_prev: np.ndarray, enc: EncoderOutput):
+        """One inference step of one id or a row of ids: (logits, h, c, AttentionStep)."""
+        if np.any((np.asarray(token) < 0) | (np.asarray(token) >= self.cfg.vocab_size)):
             raise ValueError(f"token id {token} outside vocabulary of {self.cfg.vocab_size}")
         h, c, _, att_step = self.advance(token, h_prev, c_prev, enc)
         logits = h @ self.w_out.value + self.b_out.value
@@ -500,9 +500,9 @@ class CaptionModel:
         values, _ = self.encoder.forward(matrix[None], [valid])
         return EncoderOutput(values[0], valid, self.decoder.attention.keys(values[0]))
 
-    def decoder_step(self, prev_token: int, h_prev: np.ndarray, c_prev: np.ndarray,
+    def decoder_step(self, prev_token, h_prev: np.ndarray, c_prev: np.ndarray,
                      enc: EncoderOutput):
-        """One inference step: (logits over vocab, h, c, AttentionStep)."""
+        """One inference step of one id or a row of ids: (logits, h, c, AttentionStep)."""
         return self.decoder.step(prev_token, h_prev, c_prev, enc)
 
     def initial_state(self) -> tuple[np.ndarray, np.ndarray]:

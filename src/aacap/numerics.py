@@ -69,14 +69,12 @@ class ParameterGroup:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function: 1 / (1 + e^-x) for x >= 0 and
+    e^x / (1 + e^x) below, with e = e^-|x| shared by both, so exp never
+    overflows."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -91,12 +89,13 @@ def softmax(x: np.ndarray) -> np.ndarray:
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:
-    """log(softmax(x)) without forming intermediate tiny probabilities."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.size == 0:
+    """log(softmax(x)) along the last axis, so of a vector or of each row of a
+    stack, without forming intermediate tiny probabilities."""
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if x.shape[-1] == 0:
         raise ValueError("log_softmax of an empty vector")
-    shifted = x - np.max(x)
-    return shifted - np.log(np.exp(shifted).sum())
+    shifted = x - np.max(x, axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def adam_step(group: ParameterGroup, learning_rate: float) -> ParameterGroup:

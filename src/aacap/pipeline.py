@@ -306,8 +306,6 @@ def train(config: TrainConfig, manifest_path, out_dir) -> TrainResult:
                 best_val = val_score
                 model.save(checkpoint_path, extra_config={"vocab": vocab.words})
             scheduler.observe(val_score)
-    if not checkpoint_path.exists():
-        model.save(checkpoint_path, extra_config={"vocab": vocab.words})
     return TrainResult(checkpoint_path, log_path, losses, val_scores, lrs, vocab, model)
 
 
@@ -352,19 +350,14 @@ def evaluate(checkpoint_path, manifest_path, split: str = "eval",
     return evaluate_corpus(candidates, references)
 
 
-def caption_file(checkpoint_path, input_path, mode: str = "beam", beam: int = DEFAULT_BEAM,
+def caption_file(checkpoint_path, input_path, beam: int = DEFAULT_BEAM,
                  length_normalize: bool = True) -> str:
-    """Caption one embedding file or wav; mode is 'greedy' or 'beam'."""
-    if mode not in ("greedy", "beam"):
-        raise ConfigError(f"mode must be 'greedy' or 'beam', got {mode!r}")
+    """Caption one embedding file or wav by beam search; greedy decoding is
+    beam=1 with length_normalize=False."""
     model, vocab = load_checkpoint(checkpoint_path)
     matrix = load_input_file(input_path, model.cfg.embed_dim)
-    if mode == "greedy":
-        ids, _ = greedy_decode_encoded(model, model.encode(matrix))
-    else:
-        ids = beam_search(model, matrix, beam=beam,
-                          length_normalize=length_normalize).tokens
-    return decode(ids, vocab)
+    return decode(beam_search(model, matrix, beam=beam,
+                              length_normalize=length_normalize).tokens, vocab)
 
 
 def export_attention(checkpoint_path, input_path, out_path,

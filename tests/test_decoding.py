@@ -7,12 +7,14 @@ from refimpl import ref_decoder_logits, ref_encode, ref_log_prob_of_sequence
 
 from aacap.decoding import (
     Hypothesis,
+    _search,
     beam_search,
     greedy_decode_encoded,
     top_candidates,
 )
 from aacap.errors import ConfigError, DataError
 from aacap.model import CaptionModel, ModelConfig
+from aacap.numerics import log_softmax
 from aacap.text import END, START
 
 SMALL = ModelConfig(embed_dim=4, vocab_size=5, enc_hidden=3, attn_dim=3,
@@ -177,7 +179,7 @@ def test_beam_rejects_zero_width():
 
 
 def test_hypothesis_emitted_counts_tokens_after_start():
-    hyp = Hypothesis([START, 4, END], -1.0, np.zeros(1), np.zeros(1))
+    hyp = Hypothesis([START, 4, END], -1.0)
     assert hyp.emitted == 2
 
 
@@ -290,3 +292,82 @@ def test_selection_skips_non_finite_scores():
         tuple_sort_selection(finite_only, prefixes, 10)[:4]
     with pytest.raises(DataError):
         top_candidates(np.full((2, 3), np.nan), prefixes, 2)
+
+
+# ---------------------------------------------------------------------------
+# the row search against a search that steps each hypothesis on its own
+# ---------------------------------------------------------------------------
+
+MID = ModelConfig(embed_dim=6, vocab_size=40, enc_hidden=8, attn_dim=12,
+                  dec_hidden=24, word_dim=10)
+
+
+def per_hypothesis_search(model, enc, beam, max_tokens, length_normalize):
+    """Straight-line beam search: one 1-D decoder_step and one log_softmax per
+    live hypothesis, each carrying its own state, and the next beam by a full
+    sort. Returns (tokens, log_prob, attention steps) of the winner."""
+    h0, c0 = model.initial_state()
+    live = [([START], 0.0, h0, c0, [])]
+    completed = []
+    while live:
+        steps = [model.decoder_step(tokens[-1], h, c, enc) for tokens, _, h, c, _ in live]
+        scores = np.stack([log_prob + log_softmax(logits)
+                           for (_, log_prob, _, _, _), (logits, _, _, _) in zip(live, steps)])
+        next_live = []
+        for row, token in tuple_sort_selection(scores, [hyp[0] for hyp in live], beam):
+            tokens, _, _, _, attention = live[row]
+            _, h, c, att = steps[row]
+            extended = (tokens + [token], scores[row, token], h, c, attention + [att])
+            if token == END or len(extended[0]) >= max_tokens:
+                completed.append(extended)
+            else:
+                next_live.append(extended)
+        live = next_live
+
+    def score(hyp):
+        return hyp[1] / max(1, len(hyp[0]) - 1) if length_normalize else hyp[1]
+    tokens, log_prob, _, _, attention = min(
+        completed, key=lambda hyp: (-score(hyp), len(hyp[0]), hyp[0]))
+    return tokens, log_prob, attention
+
+
+def search_cases():
+    """(model, enc) pairs: the rigged 5-word model, and a wider one whose
+    stacked products have more terms, on padded inputs."""
+    for seed in range(6):
+        model, m = rigged_model(seed)
+        yield model, model.encode(m)
+        rng = np.random.default_rng(seed)
+        model = CaptionModel(MID, seed=seed)
+        model.decoder.b_out.value[:] = rng.normal(scale=2.0, size=MID.vocab_size)
+        model.decoder.w_out.value *= 4.0
+        yield model, model.encode(rng.normal(size=(7, 6)) * 2.0, valid_length=5)
+
+
+@pytest.mark.parametrize("length_normalize", [False, True])
+@pytest.mark.parametrize("beam", [1, 3, 5])
+def test_row_search_matches_per_hypothesis_search(beam, length_normalize):
+    """decoding.py's tolerance: tokens equal, log-probabilities within 1e-12."""
+    for case, (model, enc) in enumerate(search_cases()):
+        hyp = _search(model, enc, beam, 8, length_normalize)
+        tokens, log_prob, attention = per_hypothesis_search(model, enc, beam, 8,
+                                                            length_normalize)
+        assert hyp.tokens == tokens, case
+        assert abs(hyp.log_prob - log_prob) <= 1e-12, case
+        assert len(hyp.attention) == len(attention)
+        for got, want in zip(hyp.attention, attention):
+            assert got.weights.shape == want.weights.shape
+            assert np.allclose(got.weights, want.weights, rtol=0.0, atol=1e-12), case
+
+
+def test_greedy_row_is_bit_identical_to_stepping_one_hypothesis():
+    for case, (model, enc) in enumerate(search_cases()):
+        ids, trace = greedy_decode_encoded(model, enc, max_tokens=8)
+        tokens, log_prob, attention = per_hypothesis_search(model, enc, 1, 8, False)
+        assert ids == tokens, case
+        assert _search(model, enc, 1, 8, False).log_prob == log_prob, case
+        assert len(trace) == len(attention)
+        for got, want in zip(trace, attention):
+            assert got.weights.shape == want.weights.shape
+            assert np.array_equal(got.weights, want.weights), case
+            assert np.array_equal(got.context, want.context), case

@@ -264,6 +264,33 @@ def test_decoder_step_rejects_bad_token():
     h, c = model.initial_state()
     with pytest.raises(ValueError):
         model.decoder_step(17, h, c, enc)
+    rows = np.zeros((3, TINY.dec_hidden))
+    for tokens in ([START, 4, 17], [-1, START, 4]):
+        with pytest.raises(ValueError, match="outside vocabulary"):
+            model.decoder_step(np.array(tokens), rows, rows, enc)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_decoder_step_over_rows_equals_per_row_calls(seed):
+    """Beam search's layout, R hypotheses over one sequence's E with valid < T:
+    within rtol 1e-12 of R 1-D calls, and exactly 0 weight on padded frames."""
+    model = CaptionModel(TINY, seed=seed)
+    rng = np.random.default_rng(seed)
+    valid = 2 + seed
+    enc = model.encode(rng.normal(size=(6, 8)) * 2.0, valid_length=valid)
+    tokens = rng.integers(0, TINY.vocab_size, size=4)
+    h_prev, c_prev = rng.normal(size=(2, 4, TINY.dec_hidden))
+    logits, h, c, att = model.decoder_step(tokens, h_prev, c_prev, enc)
+    assert logits.shape == (4, TINY.vocab_size)
+    assert att.weights.shape == (4, 6)
+    assert np.all(att.weights[:, valid:] == 0.0)
+    for r, token in enumerate(tokens.tolist()):
+        logits_r, h_r, c_r, att_r = model.decoder_step(token, h_prev[r], c_prev[r], enc)
+        for name, got, want in (("logits", logits[r], logits_r), ("h", h[r], h_r),
+                                ("c", c[r], c_r), ("weights", att.weights[r], att_r.weights),
+                                ("context", att.context[r], att_r.context)):
+            assert got.shape == want.shape, name
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=name)
 
 
 def forward_one(model, m, target, valid=None):

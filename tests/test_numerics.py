@@ -51,10 +51,45 @@ def test_log_softmax_matches_log_of_softmax():
     assert np.allclose(log_softmax(x), np.log(softmax(x)), atol=1e-12)
 
 
+def test_log_softmax_of_rows_equals_one_call_per_row():
+    rng = np.random.default_rng(0)
+    for vocab in (1, 5, 163, 4404):
+        rows = rng.normal(scale=8.0, size=(4, vocab))
+        out = log_softmax(rows)
+        assert out.shape == rows.shape
+        for r in range(len(rows)):
+            assert np.array_equal(out[r], log_softmax(rows[r])), (vocab, r)
+    with pytest.raises(ValueError):
+        log_softmax(np.zeros((3, 0)))
+
+
 def test_sigmoid_extremes_stay_finite():
     out = sigmoid(np.array([-1000.0, 0.0, 1000.0]))
     assert np.all(np.isfinite(out))
     assert out[1] == 0.5
+
+
+def masked_sigmoid(x):
+    """The two-branch formula through a boolean mask: 1 / (1 + e^-x) for x >= 0,
+    e^x / (1 + e^x) below."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_is_bit_identical_to_the_masked_formula():
+    tiny = np.finfo(np.float64).tiny
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0, 745.0, -745.0,
+                        tiny, -tiny, tiny / 2, -tiny / 2, 5e-324, -5e-324, 1e-300, -1e-300,
+                        36.7, -36.7, 709.8, -709.8])
+    rng = np.random.default_rng(0)
+    for x in (special, rng.normal(scale=10.0, size=(20, 768)), rng.normal(size=768)):
+        got = sigmoid(x)
+        assert got.shape == x.shape
+        assert np.array_equal(got, masked_sigmoid(x), equal_nan=True)
 
 
 def test_adam_zero_gradient_keeps_value():

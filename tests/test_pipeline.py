@@ -9,6 +9,7 @@ import pytest
 from test_features import wav_bytes
 
 from aacap import cli, pipeline
+from aacap.decoding import greedy_decode_encoded
 from aacap.errors import ConfigError, DataError
 from aacap.features import AugmentConfig, Waveform, write_wav
 from aacap.model import CaptionModel, ModelConfig
@@ -29,7 +30,7 @@ from aacap.pipeline import (
     split_entries,
     train,
 )
-from aacap.text import END, PAD, START
+from aacap.text import END, PAD, START, decode
 
 TINY_TRAIN = dict(batch_size=4, initial_lr=1e-2, max_epochs=3, seed=0,
                   vocab_min_count=1, enc_hidden=8, attn_dim=8, dec_hidden=8,
@@ -328,6 +329,8 @@ def test_untrained_model_scores_near_zero(tmp_path):
     manifest = make_toy_dataset(tmp_path / "toy", seed=3, n_items=6)
     config = TrainConfig(**{**TINY_TRAIN, "max_epochs": 1, "initial_lr": 1e-12})
     result = train(config, manifest, tmp_path / "run")
+    assert result.checkpoint_path == tmp_path / "run" / "model.ckpt"
+    assert result.checkpoint_path.exists()  # a one-epoch run saves its checkpoint
     report = evaluate(result.checkpoint_path, manifest, split="dev", beam=3)
     assert report.bleu_4 < 0.05
 
@@ -340,18 +343,12 @@ def test_evaluate_unknown_split_empty(trained, tmp_path):
 
 def test_caption_beam_one_equals_greedy(trained):
     manifest, result = trained
-    entry = split_entries(load_manifest(manifest), "dev")[0]
-    greedy = caption_file(result.checkpoint_path, entry.path, mode="greedy")
-    beam_one = caption_file(result.checkpoint_path, entry.path, mode="beam",
-                            beam=1, length_normalize=False)
-    assert greedy == beam_one
-
-
-def test_caption_rejects_bad_mode(trained):
-    manifest, result = trained
-    entry = split_entries(load_manifest(manifest), "dev")[0]
-    with pytest.raises(ConfigError):
-        caption_file(result.checkpoint_path, entry.path, mode="sampled")
+    model, vocab = pipeline.load_checkpoint(result.checkpoint_path)
+    for entry in split_entries(load_manifest(manifest), "dev"):
+        ids, _ = greedy_decode_encoded(model, model.encode(load_features(entry)))
+        beam_one = caption_file(result.checkpoint_path, entry.path,
+                                beam=1, length_normalize=False)
+        assert beam_one == decode(ids, vocab)
 
 
 def test_caption_rejects_wrong_feature_dim(trained, tmp_path):
@@ -375,7 +372,7 @@ def test_export_attention_structure(trained, tmp_path):
     assert on_disk == record
     assert record["id"] == entry.id
     assert record["frames"] == load_features(entry).shape[0]
-    caption = caption_file(result.checkpoint_path, entry.path, mode="greedy")
+    caption = caption_file(result.checkpoint_path, entry.path, beam=1, length_normalize=False)
     assert len(record["tokens"]) == len(caption.split())
     assert len(record["weights"]) == len(record["tokens"])
     for row in record["weights"]:
@@ -456,13 +453,21 @@ def test_cli_end_to_end(tmp_path, capsys):
 
     entry = split_entries(load_manifest(manifest), "dev")[0]
     assert cli.main(["caption", "--checkpoint", str(checkpoint), "--input",
-                     entry.path, "--mode", "greedy"]) == 0
-    capsys.readouterr()
+                     entry.path, "--beam", "1", "--no-length-norm"]) == 0
+    assert capsys.readouterr().out == caption_file(checkpoint, entry.path, beam=1,
+                                                   length_normalize=False) + "\n"
 
     trace_path = tmp_path / "trace.json"
     assert cli.main(["attn-export", "--checkpoint", str(checkpoint), "--input",
                      entry.path, "--out", str(trace_path)]) == 0
     assert trace_path.exists()
+
+
+def test_cli_caption_has_no_mode_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["caption", "--checkpoint", "c", "--input", "i", "--mode", "greedy"])
+    assert exc.value.code == 2
+    assert "--mode" in capsys.readouterr().err
 
 
 def test_cli_config_error_exit_code(tmp_path):
