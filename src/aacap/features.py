@@ -199,23 +199,15 @@ def spec_augment(values: np.ndarray, cfg: AugmentConfig,
     rng = np.random.default_rng(seed)
     fill = float(values.mean()) if values.size else 0.0
     values = values.copy()
-    frames, bins = values.shape
-
-    time_span = None
-    if rng.random() < cfg.apply_probability:
-        length = int(rng.integers(0, min(cfg.max_time_mask, frames) + 1))
-        start = int(rng.integers(0, frames - length + 1))
-        values[start:start + length, :] = fill
-        time_span = (start, length)
-
-    freq_span = None
-    if rng.random() < cfg.apply_probability:
-        length = int(rng.integers(0, min(cfg.max_freq_mask, bins) + 1))
-        start = int(rng.integers(0, bins - length + 1))
-        values[:, start:start + length] = fill
-        freq_span = (start, length)
-
-    return values, AppliedMasks(time_span, freq_span)
+    spans = [None, None]  # (time, frequency)
+    for axis, max_length in enumerate((cfg.max_time_mask, cfg.max_freq_mask)):
+        if rng.random() < cfg.apply_probability:
+            size = values.shape[axis]
+            length = int(rng.integers(0, min(max_length, size) + 1))
+            start = int(rng.integers(0, size - length + 1))
+            values.swapaxes(0, axis)[start:start + length] = fill
+            spans[axis] = (start, length)
+    return values, AppliedMasks(*spans)
 
 
 def bucket_pad(batch: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

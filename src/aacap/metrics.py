@@ -24,14 +24,27 @@ CIDER_SIGMA = 6.0  # length penalty width, CIDEr-D variant only
 CIDER_N_MAX = 4  # n-gram orders 1..CIDER_N_MAX
 
 
+def ngram_counts(tokens: Tokens, n: int) -> Counter:
+    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+
+
 @dataclass
 class EvalInstance:
+    """One candidate and its references; nothing changes it once built. clip[k - 1]
+    maps each k-gram (k = 1..4) to its highest count in any one reference, the
+    `cook_refs` table of CIDEr (Vedantam et al. 2015): BLEU clips against it,
+    and its keys are the item's document for CIDEr's idf."""
+
     candidate: list[str]
     references: list[list[str]]
 
     def __post_init__(self):
         if not self.references:
             raise DataError("an evaluation instance needs at least one reference")
+        self.clip = [Counter() for _ in range(CIDER_N_MAX)]
+        for n, table in enumerate(self.clip, start=1):
+            for ref in self.references:
+                table |= ngram_counts(ref, n)
 
 
 @dataclass
@@ -56,10 +69,6 @@ class MetricReport:
             fh.write("\n")
 
 
-def ngram_counts(tokens: Tokens, n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
-
-
 # ---------------------------------------------------------------------------
 # BLEU
 # ---------------------------------------------------------------------------
@@ -80,12 +89,7 @@ def bleu(instances: Sequence[EvalInstance], n: int = 4) -> float:
         cand_len += len(cand)
         ref_len += min((abs(len(r) - len(cand)), len(r)) for r in inst.references)[1]
         for k in range(1, n + 1):
-            counts = ngram_counts(cand, k)
-            max_ref = Counter()
-            for ref in inst.references:
-                for gram, count in ngram_counts(ref, k).items():
-                    max_ref[gram] = max(max_ref[gram], count)
-            correct[k - 1] += sum(min(c, max_ref[g]) for g, c in counts.items())
+            correct[k - 1] += sum((ngram_counts(cand, k) & inst.clip[k - 1]).values())
             guess[k - 1] += max(0, len(cand) - k + 1)
     if cand_len == 0 or any(c == 0 for c in correct) or any(g == 0 for g in guess):
         return 0.0
@@ -161,14 +165,8 @@ def cider(instances: Sequence[EvalInstance], cider_d: bool = False) -> float:
     log_n = log(len(instances))
     idf_by_n: list[dict] = []
     for n in range(1, CIDER_N_MAX + 1):
-        doc_freq: Counter = Counter()
-        for inst in instances:
-            grams = set()
-            for ref in inst.references:
-                grams.update(ngram_counts(ref, n).keys())
-            doc_freq.update(grams)
-        idf_by_n.append({gram: log_n - log(max(1.0, df))
-                         for gram, df in doc_freq.items()})
+        doc_freq = Counter(gram for inst in instances for gram in inst.clip[n - 1])
+        idf_by_n.append({gram: log_n - log(df) for gram, df in doc_freq.items()})
     total = 0.0
     for inst in instances:
         per_n = []

@@ -58,11 +58,12 @@ the config's weight bytes against the file size before it builds the
 model, and builds it without random init, since every array is overwritten.
 """
 
+import contextlib
 import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -106,9 +107,7 @@ class ModelConfig:
                 + (enc_out + self.dec_hidden + 1) * self.attn_dim)
 
     def to_dict(self) -> dict:
-        return {"embed_dim": self.embed_dim, "vocab_size": self.vocab_size,
-                "enc_hidden": self.enc_hidden, "attn_dim": self.attn_dim,
-                "dec_hidden": self.dec_hidden, "word_dim": self.word_dim}
+        return asdict(self)
 
 
 @dataclass
@@ -398,9 +397,10 @@ class Attention:
         alpha = np.maximum(pre, 0.0)
         logits = (alpha @ self.w_score.value)[..., 0]
         padded = np.arange(logits.shape[-1]) >= np.asarray(valid)[..., None]
-        logits[..., padded] = -np.inf  # padded frames never receive weight
+        # A valid frame holds the row max, so softmax gives each padded frame
+        # exp(-inf) = +0.0 exactly: no weight and no share of the context.
+        logits[..., padded] = -np.inf
         weights = softmax(logits)
-        weights[..., padded] = 0.0
         context = (weights[..., None, :] @ enc_values)[..., 0, :]
         return AttentionStep(weights=weights, context=context)
 
@@ -617,24 +617,29 @@ class CaptionModel:
     # ------------------------------------------------------------------
 
     def save(self, path, extra_config: Optional[dict] = None):
-        """Versioned binary checkpoint: config JSON block + named float64 arrays."""
+        """Versioned binary checkpoint: config JSON block + named float64 arrays.
+        It is written to a temporary file beside `path` and then moved over it,
+        so a save that fails part-way leaves an earlier file whole."""
         config = {"model": self.cfg.to_dict()}
         if extra_config:
             config.update(extra_config)
         blob = json.dumps(config, sort_keys=True).encode("utf-8")
-        with open(path, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            params = self.parameters()
-            fh.write(struct.pack("<I", len(params)))
-            for group in params:
-                name = group.name.encode("utf-8")
-                fh.write(struct.pack("<I", len(name)))
-                fh.write(name)
-                fh.write(struct.pack("<I", group.value.ndim))
-                fh.write(struct.pack(f"<{group.value.ndim}I", *group.value.shape))
-                fh.write(group.value.astype("<f8", copy=False).data)
+        params = self.parameters()
+        tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob
+                         + struct.pack("<I", len(params)))
+                for group in params:
+                    name, shape = group.name.encode("utf-8"), group.value.shape
+                    fh.write(struct.pack(f"<I{len(name)}sI{len(shape)}I",
+                                         len(name), name, len(shape), *shape))
+                    fh.write(group.value.astype("<f8", copy=False).data)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
 
     @classmethod
     def load(cls, path) -> tuple["CaptionModel", dict]:

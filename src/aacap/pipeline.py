@@ -9,7 +9,7 @@ eval}. Training is fully reproducible from (seed, config, manifest).
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from .decoding import DEFAULT_BEAM, beam_search, greedy_decode_encoded
 from .embeddings import load_embedding_file, save_embedding_file
-from .errors import ConfigError, DataError
+from .errors import ConfigError, CorruptionError, DataError
 from .features import AugmentConfig, bucket_pad, spec_augment, wav_to_log_mel
 from .metrics import EvalInstance, MetricReport, bleu, evaluate_corpus
 from .model import CaptionModel, ModelConfig
@@ -153,8 +153,7 @@ def load_manifest(path) -> list[ManifestEntry]:
 def save_manifest(path, entries: list[ManifestEntry]):
     with open(path, "w", encoding="utf-8") as fh:
         for entry in entries:
-            fh.write(json.dumps({"id": entry.id, "path": entry.path,
-                                 "captions": entry.captions, "split": entry.split}) + "\n")
+            fh.write(json.dumps(asdict(entry)) + "\n")
 
 
 def split_entries(entries: list[ManifestEntry], split: str) -> list[ManifestEntry]:
@@ -329,7 +328,11 @@ def load_checkpoint(path) -> tuple[CaptionModel, Vocabulary]:
     model, config = CaptionModel.load(path)
     if "vocab" not in config:
         raise DataError(f"{path}: checkpoint has no vocabulary block")
-    return model, Vocabulary(config["vocab"])
+    words, size = config["vocab"], model.cfg.vocab_size
+    if not (isinstance(words, list) and len(words) == size
+            and all(isinstance(w, str) for w in words)):
+        raise CorruptionError(f"{path}: vocabulary block is not a list of {size} strings")
+    return model, Vocabulary(words)
 
 
 def evaluate(checkpoint_path, manifest_path, split: str = "eval",

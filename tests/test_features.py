@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -233,6 +234,60 @@ def test_spec_augment_monte_carlo_application_rate():
         if masks.time_span is not None:
             hits += 1
     assert abs(hits / 10_000 - 0.4) <= 0.02
+
+
+def _two_block_spec_augment(values, cfg, seed):
+    """The time mask and the frequency mask written as two blocks: the
+    reference for spec_augment's one loop over axes."""
+    rng = np.random.default_rng(seed)
+    fill = float(values.mean()) if values.size else 0.0
+    values = values.copy()
+    frames, bins = values.shape
+    time_span = None
+    if rng.random() < cfg.apply_probability:
+        length = int(rng.integers(0, min(cfg.max_time_mask, frames) + 1))
+        start = int(rng.integers(0, frames - length + 1))
+        values[start:start + length, :] = fill
+        time_span = (start, length)
+    freq_span = None
+    if rng.random() < cfg.apply_probability:
+        length = int(rng.integers(0, min(cfg.max_freq_mask, bins) + 1))
+        start = int(rng.integers(0, bins - length + 1))
+        values[:, start:start + length] = fill
+        freq_span = (start, length)
+    return values, (time_span, freq_span)
+
+
+@settings(max_examples=400, deadline=None)
+@given(frames=st.integers(1, 40), bins=st.integers(1, 12),
+       max_time=st.integers(0, 50), max_freq=st.integers(0, 15),
+       probability=st.sampled_from([0.0, 1.0, 0.4, 0.9]), seed=st.integers(0, 2 ** 32 - 1))
+def test_spec_augment_equals_the_two_block_version(frames, bins, max_time, max_freq,
+                                                  probability, seed):
+    grid = np.random.default_rng(seed).normal(size=(frames, bins))
+    cfg = AugmentConfig(max_time_mask=max_time, max_freq_mask=max_freq,
+                        apply_probability=probability)
+    out, masks = spec_augment(grid, cfg, seed)
+    want, spans = _two_block_spec_augment(grid, cfg, seed)
+    assert np.array_equal(out, want)
+    assert (masks.time_span, masks.freq_span) == spans
+    assert not np.shares_memory(out, grid)
+
+
+def test_spec_augment_equals_the_two_block_version_on_edge_grids():
+    # 1-frame and 1-bin grids, masks of max length 0, probabilities 0 and 1
+    zero_length = 0
+    for frames, bins, max_time, max_freq, probability, seed in itertools.product(
+            (1, 2, 7), (1, 3), (0, 1, 5), (0, 2), (0.0, 1.0), range(6)):
+        grid = np.random.default_rng(seed).normal(size=(frames, bins))
+        cfg = AugmentConfig(max_time_mask=max_time, max_freq_mask=max_freq,
+                            apply_probability=probability)
+        out, masks = spec_augment(grid, cfg, seed)
+        want, spans = _two_block_spec_augment(grid, cfg, seed)
+        assert np.array_equal(out, want)
+        assert (masks.time_span, masks.freq_span) == spans
+        zero_length += sum(span is not None and span[1] == 0 for span in spans)
+    assert zero_length > 0
 
 
 def test_spec_augment_rejects_bad_probability():

@@ -1,8 +1,15 @@
+import importlib.util
 import itertools
+import json
 import math
+import warnings
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aacap.errors import DataError
 from aacap.metrics import (
@@ -14,10 +21,13 @@ from aacap.metrics import (
     lcs_length,
     load_synonym_table,
     meteor,
+    ngram_counts,
     rouge_l,
     rouge_l_corpus,
 )
 from aacap.stemmer import porter_stem
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def inst(candidate, *references):
@@ -299,9 +309,150 @@ def test_metric_report_serialization(tmp_path):
     assert "meteor 0.700000" in text
     path = tmp_path / "report.json"
     report.save(path)
-    import json
-
     loaded = json.loads(path.read_text())
     assert set(loaded) == {"bleu_1", "bleu_2", "bleu_3", "bleu_4",
                            "rouge_l", "cider", "meteor"}
     assert loaded["cider"] == 0.6
+
+
+# ---------------------------------------------------------------------------
+# the reference n-gram table against the per-order recount it replaced
+# ---------------------------------------------------------------------------
+
+def _recount_bleu(instances, n):
+    """BLEU that recounts every reference for each order: the reference for
+    the `clip` table, written out straight."""
+    correct, guess = [0] * n, [0] * n
+    cand_len = ref_len = 0
+    for instance in instances:
+        cand = list(instance.candidate)
+        cand_len += len(cand)
+        ref_len += min((abs(len(r) - len(cand)), len(r)) for r in instance.references)[1]
+        for k in range(1, n + 1):
+            counts = ngram_counts(cand, k)
+            max_ref = Counter()
+            for ref in instance.references:
+                for gram, count in ngram_counts(ref, k).items():
+                    max_ref[gram] = max(max_ref[gram], count)
+            correct[k - 1] += sum(min(c, max_ref[g]) for g, c in counts.items())
+            guess[k - 1] += max(0, len(cand) - k + 1)
+    if cand_len == 0 or any(c == 0 for c in correct) or any(g == 0 for g in guess):
+        return 0.0
+    log_precision = sum(math.log(c / g) for c, g in zip(correct, guess)) / n
+    brevity = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
+    return brevity * math.exp(log_precision)
+
+
+def _recount_cider(instances, cider_d):
+    """CIDEr with document frequencies from a per-order recount of every
+    reference, and the max(1, df) clamp."""
+    log_n = math.log(len(instances))
+    idf_by_n = []
+    for n in range(1, 5):
+        doc_freq = Counter()
+        for instance in instances:
+            grams = set()
+            for ref in instance.references:
+                grams.update(ngram_counts(ref, n).keys())
+            doc_freq.update(grams)
+        idf_by_n.append({gram: log_n - math.log(max(1.0, df))
+                         for gram, df in doc_freq.items()})
+
+    def vector(tokens, n, idf):
+        vec = {gram: count * idf.get(gram, 0.0)
+               for gram, count in ngram_counts(tokens, n).items()}
+        return vec, math.sqrt(sum(v * v for v in vec.values()))
+
+    total = 0.0
+    for instance in instances:
+        per_n = []
+        for n in range(1, 5):
+            idf = idf_by_n[n - 1]
+            cand_vec, cand_norm = vector(instance.candidate, n, idf)
+            score = 0.0
+            for ref in instance.references:
+                ref_vec, ref_norm = vector(ref, n, idf)
+                if cand_norm == 0.0 or ref_norm == 0.0:
+                    continue
+                if cider_d:
+                    dot = sum(min(v, ref_vec.get(g, 0.0)) * ref_vec.get(g, 0.0)
+                              for g, v in cand_vec.items())
+                else:
+                    dot = sum(v * ref_vec.get(g, 0.0) for g, v in cand_vec.items())
+                sim = dot / (cand_norm * ref_norm)
+                if cider_d:
+                    delta = len(instance.candidate) - len(ref)
+                    sim *= math.exp(-delta * delta / (2.0 * 6.0 ** 2))
+                score += sim
+            per_n.append(score / len(instance.references))
+        total += sum(per_n) / 4
+    return total / len(instances)
+
+
+# a 3-word vocabulary makes repeated n-grams and shared references common
+_words = st.lists(st.sampled_from(["a", "b", "c"]), max_size=7)
+_corpora = st.lists(st.builds(EvalInstance, _words, st.lists(_words, min_size=1, max_size=5)),
+                    min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_corpora)
+def test_bleu_and_cider_equal_the_per_order_recount(instances):
+    for n in (1, 2, 3, 4):
+        assert bleu(instances, n) == _recount_bleu(instances, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a one-instance corpus warns about its idf
+        for cider_d in (False, True):
+            assert cider(instances, cider_d=cider_d) == _recount_cider(instances, cider_d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_corpora)
+def test_clip_table_holds_each_ngrams_highest_count_in_one_reference(instances):
+    for instance in instances:
+        assert len(instance.clip) == 4
+        for n, table in enumerate(instance.clip, start=1):
+            grams = {g for ref in instance.references for g in ngram_counts(ref, n)}
+            assert set(table) == grams
+            for gram in grams:
+                assert table[gram] == max(ngram_counts(ref, n)[gram]
+                                          for ref in instance.references)
+
+
+def test_evaluate_corpus_counts_each_reference_once_per_order(monkeypatch):
+    # 3 instances x 2 references x 4 orders for the tables, then BLEU-1..4
+    # count each candidate at 1 + 2 + 3 + 4 orders
+    import aacap.metrics as metrics_module
+
+    calls = []
+    real = metrics_module.ngram_counts
+    monkeypatch.setattr(metrics_module, "ngram_counts",
+                        lambda tokens, n: calls.append(n) or real(tokens, n))
+    candidates = [["a", "b"], ["b"], []]
+    references = [[["a", "b"], ["b", "a"]]] * 3
+    instances = [EvalInstance(c, r) for c, r in zip(candidates, references)]
+    assert len(calls) == 3 * 2 * 4
+    calls.clear()
+    for n in (1, 2, 3, 4):
+        bleu(instances, n)
+    assert len(calls) == 3 * (1 + 2 + 3 + 4)
+
+
+def test_score_workload_report_matches_the_benchmark_reference(tmp_path):
+    """The 1000-item corpus of the benchmark's `score` workload, seed 0, scored
+    as that workload scores it, against perfbench/expected.json at its rtol."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs",
+                                                  REPO / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    info = inputs.make_score(0, tmp_path)
+    with open(info["corpus"], encoding="utf-8") as fh:
+        corpus = json.load(fh)
+    report = evaluate_corpus(corpus["candidates"], corpus["references"],
+                             synonyms=load_synonym_table(info["synonyms"])).to_dict()
+    expected = json.loads((REPO / "perfbench" / "expected.json").read_text())
+    rtol = expected["rtol"]["score"]
+    want = expected["workloads"]["score"]["report"]
+    assert report.keys() == want.keys()
+    for key, value in want.items():
+        assert report[key] == pytest.approx(value, rel=rtol, abs=1e-12), key

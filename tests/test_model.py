@@ -241,6 +241,45 @@ def test_attention_invariants_random_steps():
         assert np.all(step.context <= hi + 1e-12)
 
 
+def _attention_zeroing_padded_weights(att, enc_values, valid, h_prev, keys):
+    """Attention.forward with padded weights set to 0 after the softmax: the
+    reference that shows the -inf logits alone give exactly those zeros."""
+    pre = keys + (h_prev @ att.w_hidden.value)[..., None, :]
+    logits = (np.maximum(pre, 0.0) @ att.w_score.value)[..., 0]
+    padded = np.arange(logits.shape[-1]) >= np.asarray(valid)[..., None]
+    logits[..., padded] = -np.inf
+    weights = softmax(logits)
+    weights[..., padded] = 0.0
+    return weights, (weights[..., None, :] @ enc_values)[..., 0, :]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_attention_padded_weights_equal_explicit_zeroing(seed):
+    # one sequence with one h_prev, with R rows of h_prev, and a padded batch
+    model = CaptionModel(TINY, seed=seed)
+    att = model.decoder.attention
+    rng = np.random.default_rng(seed)
+    frames = 7
+    valid = int(rng.integers(1, frames))
+    enc = model.encode(rng.normal(size=(frames, 8)) * 3.0, valid_length=valid)
+    lengths = rng.integers(1, frames + 1, size=3)
+    lengths[0] = 1
+    batch_values, _ = model.encoder.forward(rng.normal(size=(3, frames, 8)), lengths)
+    cases = [(enc.values, valid, rng.normal(size=TINY.dec_hidden), enc.keys),
+             (enc.values, valid, rng.normal(size=(4, TINY.dec_hidden)) * 5.0, enc.keys),
+             (batch_values, lengths, rng.normal(size=(3, TINY.dec_hidden)),
+              att.keys(batch_values))]
+    for values, lengths_or_valid, h_prev, keys in cases:
+        step = att.forward(values, lengths_or_valid, h_prev, keys)
+        want_weights, want_context = _attention_zeroing_padded_weights(
+            att, values, lengths_or_valid, h_prev, keys)
+        assert np.array_equal(step.weights, want_weights)
+        assert np.array_equal(step.context, want_context)
+        padded = np.arange(frames) >= np.asarray(lengths_or_valid)[..., None]
+        padded = np.broadcast_to(padded, step.weights.shape)
+        assert not np.signbit(step.weights[padded]).any()  # +0.0, as the zeroing wrote
+
+
 # ---------------------------------------------------------------------------
 # decoder step and teacher forcing
 # ---------------------------------------------------------------------------
@@ -640,6 +679,85 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(orig.value, new.value)
     m = np.random.default_rng(13).normal(size=(3, 8))
     assert np.array_equal(model.encode(m).values, loaded.encode(m).values)
+
+
+def _checkpoint_bytes_written_field_by_field(model, extra_config):
+    """The checkpoint layout written one struct.pack per field: the reference
+    for CaptionModel.save."""
+    config = {"model": {"embed_dim": model.cfg.embed_dim, "vocab_size": model.cfg.vocab_size,
+                        "enc_hidden": model.cfg.enc_hidden, "attn_dim": model.cfg.attn_dim,
+                        "dec_hidden": model.cfg.dec_hidden, "word_dim": model.cfg.word_dim}}
+    config.update(extra_config)
+    blob = json.dumps(config, sort_keys=True).encode("utf-8")
+    out = [b"AACM\x02", struct.pack("<I", len(blob)), blob]
+    params = model.parameters()
+    out.append(struct.pack("<I", len(params)))
+    for group in params:
+        name = group.name.encode("utf-8")
+        out += [struct.pack("<I", len(name)), name, struct.pack("<I", group.value.ndim),
+                struct.pack(f"<{group.value.ndim}I", *group.value.shape),
+                group.value.astype("<f8").tobytes()]
+    return b"".join(out)
+
+
+@pytest.mark.parametrize("seed", [0, 12])
+def test_checkpoint_bytes_equal_the_field_by_field_layout(tmp_path, seed):
+    model = CaptionModel(TINY, seed=seed)
+    extra = {"vocab": ["<PAD>", "<START>", "<END>", "<UNK>", "a", "b"]}
+    model.save(tmp_path / "model.ckpt", extra_config=extra)
+    assert (tmp_path / "model.ckpt").read_bytes() == \
+        _checkpoint_bytes_written_field_by_field(model, extra)
+    assert TINY.to_dict() == {"embed_dim": 8, "vocab_size": 6, "enc_hidden": 4,
+                              "attn_dim": 4, "dec_hidden": 8, "word_dim": 8}
+    assert list(TINY.to_dict()) == ["embed_dim", "vocab_size", "enc_hidden", "attn_dim",
+                                    "dec_hidden", "word_dim"]
+
+
+# fail at the header, at the first array, and with 7 of 16 arrays written
+@pytest.mark.parametrize("fail_at", [1, 2, 9])
+def test_failed_save_leaves_the_previous_checkpoint_whole(tmp_path, monkeypatch, fail_at):
+    import errno
+    import types
+
+    import aacap.model as model_module
+
+    path = tmp_path / "model.ckpt"
+    CaptionModel(TINY, seed=1).save(path)
+    before = path.read_bytes()
+    calls = []
+
+    def pack(fmt, *values):
+        calls.append(fmt)
+        if len(calls) == fail_at:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return struct.pack(fmt, *values)
+
+    monkeypatch.setattr(model_module, "struct",
+                        types.SimpleNamespace(pack=pack, unpack=struct.unpack))
+    with pytest.raises(OSError, match="No space left"):
+        CaptionModel(TINY, seed=2).save(path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+    loaded, _ = CaptionModel.load(path)
+    for orig, new in zip(CaptionModel(TINY, seed=1).parameters(), loaded.parameters()):
+        assert np.array_equal(orig.value, new.value)
+
+
+def test_save_into_a_missing_directory_raises_and_leaves_nothing(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        CaptionModel(TINY, seed=1).save(tmp_path / "missing" / "model.ckpt")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_replaces_an_existing_checkpoint(tmp_path):
+    path = tmp_path / "model.ckpt"
+    CaptionModel(TINY, seed=1).save(path)
+    CaptionModel(TINY, seed=2).save(path)
+    loaded, _ = CaptionModel.load(path)
+    for orig, new in zip(CaptionModel(TINY, seed=2).parameters(), loaded.parameters()):
+        assert np.array_equal(orig.value, new.value)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
 
 def test_checkpoint_bad_magic(tmp_path):

@@ -90,6 +90,17 @@ def test_manifest_round_trip(tmp_path):
     assert split_entries(loaded, "val")[0].captions == ["b"] * 5
 
 
+def test_save_manifest_bytes_equal_the_field_by_field_writer(tmp_path):
+    entries = [ManifestEntry("x1", "/data/a b.aace", ["a dog barks", "caf\u00e9 \"noise\""],
+                             "dev"),
+               ManifestEntry("x2", "clip.wav", [], "eval")]
+    path = tmp_path / "manifest.jsonl"
+    save_manifest(path, entries)
+    want = "".join(json.dumps({"id": e.id, "path": e.path, "captions": e.captions,
+                               "split": e.split}) + "\n" for e in entries)
+    assert path.read_bytes() == want.encode("utf-8")
+
+
 def test_manifest_rejects_unknown_split(tmp_path):
     path = tmp_path / "manifest.jsonl"
     path.write_text(json.dumps({"id": "a", "path": "f", "captions": [],
@@ -657,6 +668,24 @@ def _cli_checkpoint(tmp_path):
                                                    "a", "b"]})
     manifest = make_toy_dataset(tmp_path / "toy", seed=0, n_items=2)
     return checkpoint, load_manifest(manifest)[0].path
+
+
+@pytest.mark.parametrize("vocab", [
+    {"<PAD>": 0, "<START>": 1, "<END>": 2, "<UNK>": 3, "a": 4, "b": 5},
+    6,
+    ["<PAD>", "<START>", "<END>", "<UNK>", "a", 7],
+    ["<PAD>", "<START>", "<END>", "<UNK>", "a", "b", "c"],
+    ["<PAD>", "<START>", "<END>", "<UNK>", "a"],
+], ids=["dict", "int", "non-string", "longer", "shorter"])
+def test_cli_checkpoint_with_a_bad_vocabulary_block_exits_3(tmp_path, capsys, vocab):
+    checkpoint, input_path = _cli_checkpoint(tmp_path)
+    model, _ = CaptionModel.load(checkpoint)
+    model.save(checkpoint, extra_config={"vocab": vocab})
+    code = cli.main(["caption", "--checkpoint", str(checkpoint), "--input", input_path])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "vocabulary block is not a list of 6 strings" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_corrupt_checkpoint_config_exits_3(tmp_path, capsys):
