@@ -11,7 +11,9 @@ log_softmax; with the prefix scores that gives one (live, V) array. The
 next beam is read off it with np.partition; only the entries at or above
 the beam-th best score are sorted, by (-score, prefix tokens, token), the
 order a full sort of every candidate gives, and the kept rows' states are
-gathered. The attention keys E W_enc come with the EncoderOutput.
+gathered. Both take an EncoderOutput, so the encoding is done by the caller,
+one item or a batch of items at a time; the attention keys E W_enc come
+with it.
 
 A stacked (live, d_h) product rounds differently from one per hypothesis,
 so log-probabilities match a per-hypothesis search within 1e-12. Greedy
@@ -54,15 +56,15 @@ def greedy_decode_encoded(model: CaptionModel, enc: EncoderOutput,
     return hyp.tokens, hyp.attention
 
 
-def beam_search(model: CaptionModel, matrix: np.ndarray, beam: int = DEFAULT_BEAM,
+def beam_search(model: CaptionModel, enc: EncoderOutput, beam: int = DEFAULT_BEAM,
                 max_tokens: int = MAX_TOKENS, length_normalize: bool = True) -> Hypothesis:
-    """Best completed hypothesis under beam search.
+    """Best completed hypothesis under beam search over one sequence's encoding.
 
     Finished hypotheses leave the live set and collect in a completed pool;
     the pool winner maximizes the (optionally length-normalized) score, with
     ties broken by shorter length, then lexicographic token order.
     """
-    return _search(model, model.encode(matrix), beam, max_tokens, length_normalize)
+    return _search(model, enc, beam, max_tokens, length_normalize)
 
 
 def _search(model: CaptionModel, enc: EncoderOutput, beam: int, max_tokens: int,

@@ -82,12 +82,18 @@ def read_wav(path) -> Waveform:
             raw = wav.readframes(wav.getnframes())
     except (wave.Error, EOFError) as exc:
         raise DataError(f"{path}: not a readable WAV file ({exc})") from exc
+    except RuntimeError as exc:  # wave's seek past the end of the enclosing chunk
+        raise DataError(f"{path}: not a readable WAV file (a chunk header's size "
+                        f"runs past its enclosing chunk)") from exc
     if channels != 1:
         raise DataError(f"{path}: expected mono audio, got {channels} channels")
     if width != 2:
         raise DataError(f"{path}: expected 16-bit samples, got {8 * width}-bit")
     if rate < MIN_SAMPLE_RATE:
         raise DataError(f"{path}: sample rate {rate} Hz is below {MIN_SAMPLE_RATE} Hz")
+    if len(raw) % width:
+        raise DataError(f"{path}: data chunk holds {len(raw)} bytes, not whole "
+                        f"{8 * width}-bit samples")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return resample(Waveform(samples, rate), TARGET_SAMPLE_RATE)
 

@@ -4,21 +4,24 @@ Shapes follow one convention throughout: feature rows are time steps. The
 encoder runs a padded batch: inputs (B, T, F_e) laid out by
 features.bucket_pad, one valid length per row, padding at the end of each
 row. Its output E is (B, T, d_e), with d_e twice the per-direction hidden
-size, and is zero on padded frames. CaptionModel.encode runs one (T, F_e)
-matrix as the batch-of-1 case of the same encoder; beam search then steps
-the decoder over a row per live hypothesis against that one E.
+size, and is zero on padded frames. CaptionModel.encode runs such a batch,
+or one (T, F_e) matrix as the batch of one row, through the same encoder
+without keeping anything for backward; beam search then steps the decoder
+over a row per live hypothesis against one sequence's E.
 
 Each LSTM cell holds one fused weight (input_dim + hidden_dim, 4 * hidden)
 and one bias (4 * hidden), gate column blocks in LstmCell.GATES order
-(forget, input, output, cell candidate); see Appleyard et al. 2016,
-arXiv:1604.01946. A Bi-LSTM layer takes each direction's input projection
-X W_x + b as one product before its time loop, so a step costs one
-(B, hidden) x (hidden, 4 * hidden) product plus elementwise gates. Padded
-steps run like any other, on zeroed input. Their outputs are dropped and
-their incoming gradient is zeroed, so their gate deltas are exactly zero;
-since padding only follows a row's valid steps, the recurrence needs no
-per-step mask. The bwd direction reads each row reversed within its own
-length, through one gather index.
+(forget, input, output, cell candidate). The encoder runs its rows packed,
+the layout of Appleyard et al. 2016 (arXiv:1604.01946) that cuDNN uses:
+a layer sorts its rows longest first and lays their valid frames out
+time-major, so step t holds only the n_t rows still valid at t and padded
+frames cost nothing. The bwd direction reads each row reversed within its
+own length, so its padding also comes last and the same n_t serves both
+directions; the output goes back to the caller's row order. A step costs
+one (n_t, hidden) x (hidden, 4 * hidden) product plus elementwise gates.
+The input projection X W_x + b is taken PROJECTION_CHUNK steps at a time:
+training keeps it whole for backward, and encode keeps only the chunk in
+hand, so an encode call never holds a (frames, 4 * hidden) block.
 
 A decoder step is Decoder.advance: an attention read of the encoder output
 from h_prev, then one decoder cell step on [word embedding, context]. The
@@ -49,20 +52,25 @@ sums. The tests hold them to rtol 1e-9, the loss also against the
 straight-line reference in tests/refimpl.py; for a gradient array the
 tolerance is taken against its largest entry, since entries that cancel to
 ~1e-19 carry no relative digits. Values in padded frames change nothing,
-bit for bit.
+bit for bit. One matrix's E is bit-identical to the unpacked, unchunked
+recurrence. A batch's E equals each row's own encode within 1e-12 absolute
+(E is an LSTM's h, so it lies in (-1, 1)): a step of several rows is a
+matrix product where one row alone is a matrix-vector product, and the two
+round differently.
 
 Checkpoints are "AACM" plus version byte 2: a length-prefixed JSON config
-block, then each parameter by name, shape and float64 data. Version 1
-files, which stored each gate as its own array, still load. A load checks
+block, then each parameter by name, shape and float64 data. A load checks
 the config's weight bytes against the file size before it builds the
-model, and builds it without random init, since every array is overwritten.
+model, and builds it without random init, since every array is overwritten
+by a read straight into it. Version 1 files, which stored each LSTM gate as
+its own array, are no longer read.
 """
 
 import contextlib
 import json
-import math
 import os
 import struct
+import sys
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
@@ -73,7 +81,7 @@ from .numerics import PROB_FLOOR, ParameterGroup, sigmoid, softmax
 from .text import PAD
 
 CHECKPOINT_MAGIC = b"AACM\x02"
-_CHECKPOINT_MAGIC_V1 = b"AACM\x01"  # per-gate LSTM arrays; read, never written
+PROJECTION_CHUNK = 8  # encoder steps per input projection product
 
 
 @dataclass(frozen=True)
@@ -115,6 +123,11 @@ class EncoderOutput:  # one sequence, or a batch with a leading B axis on every 
     values: np.ndarray  # (..., T, d_e); frames at or beyond valid_length are zero
     valid_length: int | np.ndarray  # (...)
     keys: np.ndarray  # (..., T, d_a) attention keys E W_enc, the same for every decoder step
+
+    def item(self, b: int) -> "EncoderOutput":
+        """Sequence b of a batch, cut to its valid frames."""
+        valid = int(self.valid_length[b])
+        return EncoderOutput(self.values[b, :valid], valid, self.keys[b, :valid])
 
 
 @dataclass
@@ -182,8 +195,8 @@ class LstmCell:
 
     The decoder steps the cell through step, one vector at a time in
     inference and one (B, hidden) matrix at a time in training; BiLstmLayer
-    runs it over a padded batch of sequences, taking the input projection
-    before the time loop and the weight gradients after it.
+    runs it over the packed rows of a batch of sequences, taking the input
+    projection a chunk of steps ahead and the weight gradients after the loop.
     """
 
     GATES = ("forget", "input", "output", "cell")
@@ -238,60 +251,122 @@ class LstmCell:
         gates, c, h = self.activate(z @ self.w.value + self.b.value, c_prev)
         return h, c, gates
 
-    def forward_sequence(self, x_seq: np.ndarray):
-        """Runs the cell from zero state over each row of x_seq (B, T, input_dim).
+    def forward_sequence(self, x_seq: np.ndarray, at: tuple, offsets: np.ndarray,
+                         out: np.ndarray, keep_cache: bool = True):
+        """Runs the cell from zero state over packed rows of a padded batch.
 
-        Returns (h_seq (B, T, hidden_dim), cache for backward_sequence). Each
-        step is one (B, hidden) product. The cache is a list, stored
-        step-major, that backward empties; it leaves out h_seq, which
-        backward recomputes as o * tanh(c).
+        Packed row j is x_seq[at[0][j], at[1][j]] (input_dim,), and its h is
+        written to out at the same place. The rows are time-major: step t
+        holds rows offsets[t] to offsets[t + 1], no more than the step
+        before, and they are the first rows of the step before, in order.
+        They are gathered, and projected, PROJECTION_CHUNK steps at a time.
+        Returns the cache for backward_sequence, or None without keep_cache:
+        the (N, 4 hidden) gates and (N, hidden) c, with x_seq and at. h is
+        recomputed in backward as o * tanh(c).
         """
-        batch, frames = x_seq.shape[:2]
-        hidden = self.hidden_dim
-        x = x_seq.transpose(1, 0, 2).reshape(frames * batch, self.input_dim)
-        w_h = self.w.value[self.input_dim:]
-        # each step's gate buffer starts as its input projection
-        gates = (x @ self.w.value[:self.input_dim] + self.b.value).reshape(
-            frames, batch, 4 * hidden)
-        h_seq = np.zeros((frames + 1, batch, hidden))  # row t is the state before step t
-        c_seq = np.zeros((frames + 1, batch, hidden))
-        for t in range(frames):
-            gates[t], c_seq[t + 1], h_seq[t + 1] = self.activate(
-                gates[t] + h_seq[t] @ w_h, c_seq[t])
-        return h_seq[1:].transpose(1, 0, 2), [x, gates, c_seq]
-
-    def backward_sequence(self, cache, dh_seq: np.ndarray) -> np.ndarray:
-        """Backprop of forward_sequence given d(loss)/d(h_seq) (B, T, hidden_dim).
-
-        Accumulates the parameter gradients with one product each after the
-        reverse-time loop; returns d(loss)/d(x_seq) (B, T, input_dim). Each
-        cached array is freed once it is no longer needed.
-        """
-        x, gates, c_seq = cache
-        cache.clear()
-        frames, batch = gates.shape[:2]
         hidden = self.hidden_dim
         w_x, w_h = self.w.value[:self.input_dim], self.w.value[self.input_dim:]
-        dh = dh_seq.transpose(1, 0, 2)
+        gates = np.empty((offsets[-1], 4 * hidden)) if keep_cache else None
+        c = np.empty((offsets[-1], hidden)) if keep_cache else None
+        h_prev = c_prev = np.zeros((offsets[1], hidden))
+        for lo, hi in _chunks(len(offsets) - 1):
+            base, end = offsets[lo], offsets[hi]
+            proj = np.matmul(x_seq[at[0][base:end], at[1][base:end]], w_x,
+                             out=gates[base:end] if keep_cache else None)
+            proj += self.b.value
+            for t in range(lo, hi):
+                rows = slice(offsets[t], offsets[t + 1])
+                local, n = slice(rows.start - base, rows.stop - base), rows.stop - rows.start
+                step_gates, c_prev, h_prev = self.activate(
+                    proj[local] + h_prev[:n] @ w_h, c_prev[:n])
+                out[at[0][rows], at[1][rows]] = h_prev
+                if keep_cache:
+                    proj[local] = step_gates
+                    c[rows] = c_prev
+        return [x_seq, at, offsets, gates, c] if keep_cache else None
+
+    def backward_sequence(self, cache, dout: np.ndarray, dx: np.ndarray):
+        """Backprop of forward_sequence: reads d(loss)/d(h) from dout, and adds
+        d(loss)/d(x_seq) into dx, at the packed places of the forward.
+
+        Accumulates the parameter gradients with one product each after the
+        reverse-time loop. Each cached array is freed once it is no longer
+        needed.
+        """
+        x_seq, at, offsets, gates, c = cache
+        cache.clear()
+        hidden = self.hidden_dim
+        w_x, w_h = self.w.value[:self.input_dim], self.w.value[self.input_dim:]
+        sizes = np.diff(offsets)
+        dh = dout[at]
         d_pre = np.empty_like(gates)
-        dh_carry = dc_carry = np.zeros((batch, hidden))
-        for t in range(frames - 1, -1, -1):
-            dc_carry = self.gate_deltas(gates[t], c_seq[t], c_seq[t + 1],
-                                        dh[t] + dh_carry, dc_carry, d_pre[t])
-            dh_carry = d_pre[t] @ w_h.T
-        h_prev = np.zeros((frames, batch, hidden))  # the state before each step
-        np.multiply(gates[:-1, :, 2 * hidden:3 * hidden], np.tanh(c_seq[1:-1]), out=h_prev[1:])
-        del gates, c_seq
-        d_pre = d_pre.reshape(frames * batch, 4 * hidden)
-        self.w.gradient[:self.input_dim] += x.T @ d_pre
-        del x
-        self.w.gradient[self.input_dim:] += h_prev.reshape(frames * batch, hidden).T @ d_pre
+        # a row's carries are zero until the reverse loop reaches its last step
+        dh_carry = np.zeros((sizes[0], hidden))
+        dc_carry = np.zeros((sizes[0], hidden))
+        zero_state = np.zeros((sizes[0], hidden))
+        for t in range(len(sizes) - 1, -1, -1):
+            n, rows = sizes[t], slice(offsets[t], offsets[t + 1])
+            c_prev = c[offsets[t - 1]:offsets[t - 1] + n] if t else zero_state
+            dc_carry[:n] = self.gate_deltas(gates[rows], c_prev, c[rows],
+                                            dh[rows] + dh_carry[:n], dc_carry[:n], d_pre[rows])
+            dh_carry[:n] = d_pre[rows] @ w_h.T
+        del dh
+        # the state before each step: zero at t = 0, else row j - sizes[t-1]'s h
+        h_prev = np.zeros((len(d_pre), hidden))
+        source = np.arange(sizes[0], len(d_pre)) - np.repeat(sizes[:-1], sizes[1:])
+        np.multiply(gates[source, 2 * hidden:3 * hidden], np.tanh(c[source]),
+                    out=h_prev[sizes[0]:])
+        del gates, c
+        self.w.gradient[:self.input_dim] += x_seq[at].T @ d_pre
+        self.w.gradient[self.input_dim:] += h_prev.T @ d_pre
+        del h_prev
         self.b.gradient += d_pre.sum(axis=0)
-        return (d_pre @ w_x.T).reshape(frames, batch, self.input_dim).transpose(1, 0, 2)
+        dx[at] += d_pre @ w_x.T
+
+
+def _chunks(steps: int) -> list[tuple[int, int]]:
+    """(first, end) steps of each input projection, PROJECTION_CHUNK steps long.
+
+    A lone last step joins the chunk before it: a one-row product runs as a
+    matrix-vector kernel that rounds differently from the matrix product, so
+    a batch of one would no longer match its unchunked projection bit for bit.
+    """
+    bounds = list(range(0, steps, PROJECTION_CHUNK)) + [steps]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+@dataclass
+class _Packing:
+    """Where the rows of a padded batch go in the packed layout, longest row first.
+
+    Packed row j is batch row `rows[j]` at step `steps[j]`; the fwd direction
+    reads frame `steps[j]` of it and the bwd direction frame `reverse[j]`,
+    its frames counted back from its last valid one.
+    """
+
+    offsets: np.ndarray  # (T_valid + 1,) first packed row of each step, then N
+    rows: np.ndarray  # (N,)
+    steps: np.ndarray  # (N,)
+    reverse: np.ndarray  # (N,)
+
+    @classmethod
+    def of(cls, lengths: np.ndarray) -> "_Packing":
+        order = np.argsort(-lengths, kind="stable")
+        sizes = np.count_nonzero(lengths[:, None] > np.arange(lengths.max()), axis=0)
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        steps = np.repeat(np.arange(len(sizes)), sizes)
+        rows = order[np.arange(offsets[-1]) - offsets[steps]]
+        return cls(offsets, rows, steps, lengths[rows] - 1 - steps)
 
 
 class BiLstmLayer:
-    """Forward and backward LSTM passes over a padded batch, states concatenated per step."""
+    """Forward and backward LSTM passes over a padded batch, states concatenated per step.
+
+    Both directions run on the packed rows of _Packing: step t of either
+    steps only the rows still valid at t, so padded frames cost nothing.
+    """
 
     def __init__(self, name: str, input_dim: int, hidden_dim: int,
                  rng: Optional[np.random.Generator]):
@@ -302,30 +377,30 @@ class BiLstmLayer:
     def params(self) -> list[ParameterGroup]:
         return self.fwd.params() + self.bwd.params()
 
-    def forward(self, x_seq: np.ndarray, lengths: np.ndarray):
+    def _directions(self, pack: "_Packing"):
+        """(cell, packed places, output columns) of each direction."""
+        hidden = self.hidden_dim
+        return [(self.fwd, (pack.rows, pack.steps), slice(0, hidden)),
+                (self.bwd, (pack.rows, pack.reverse), slice(hidden, 2 * hidden))]
+
+    def forward(self, x_seq: np.ndarray, lengths: np.ndarray, keep_cache: bool = True):
         """x_seq (B, T, in), rows valid up to lengths (B,); returns (B, T, 2 hidden),
-        zero on padded frames, and the cache for backward."""
-        batch, frames = x_seq.shape[:2]
-        t = np.arange(frames)
-        valid = t < lengths[:, None]
-        # row b's frames lengths[b]-1, ..., 0, then its padding; the map is its own inverse
-        order = np.where(valid, lengths[:, None] - 1 - t, t)
-        row = np.arange(batch)[:, None]
-        h_fwd, fwd_cache = self.fwd.forward_sequence(x_seq)
-        h_bwd, bwd_cache = self.bwd.forward_sequence(x_seq[row, order])
-        out = np.concatenate([h_fwd, h_bwd[row, order]], axis=2)
-        out[~valid] = 0.0
-        return out, [fwd_cache, bwd_cache, valid, order]
+        zero on padded frames, and the cache for backward (None without
+        keep_cache). Padded frames of x_seq are never read."""
+        pack = _Packing.of(lengths)
+        out = np.zeros(x_seq.shape[:2] + (2 * self.hidden_dim,))
+        caches = [cell.forward_sequence(x_seq, at, pack.offsets, out[..., cols], keep_cache)
+                  for cell, at, cols in self._directions(pack)]
+        return out, ([caches, pack] if keep_cache else None)
 
     def backward(self, cache, dout: np.ndarray) -> np.ndarray:
-        """Empties cache; each direction's arrays are freed by its own backward."""
-        fwd_cache, bwd_cache, valid, order = cache
+        """Empties cache; each direction's arrays are freed by its own backward.
+        Padded frames of dout are never read, and get zero input gradient."""
+        caches, pack = cache
         cache.clear()
-        hidden = self.hidden_dim
-        row = np.arange(dout.shape[0])[:, None]
-        dout = np.where(valid[..., None], dout, 0.0)
-        dx = self.fwd.backward_sequence(fwd_cache, dout[..., :hidden])
-        dx += self.bwd.backward_sequence(bwd_cache, dout[row, order, hidden:])[row, order]
+        dx = np.zeros(dout.shape[:2] + (self.fwd.input_dim,))
+        for (cell, _, cols), cell_cache in zip(self._directions(pack), caches):
+            cell.backward_sequence(cell_cache, dout[..., cols], dx)
         return dx
 
 
@@ -340,11 +415,12 @@ class Encoder:
     def params(self) -> list[ParameterGroup]:
         return self.layer1.params() + self.layer2.params()
 
-    def forward(self, inputs: np.ndarray, lengths: Sequence[int]):
+    def forward(self, inputs: np.ndarray, lengths: Sequence[int], keep_cache: bool = True):
         """inputs (B, T, F_e), row b valid for its first lengths[b] frames.
 
-        Returns (E (B, T, d_e), cache). Padded frames are zeroed on entry, so
-        their values never reach E, the loss or a gradient.
+        Returns (E (B, T, d_e), cache, or None without keep_cache). Padded
+        frames are never read, so their values never reach E, the loss or a
+        gradient.
         """
         inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.ndim != 3 or inputs.shape[0] == 0 or inputs.shape[2] != self.cfg.embed_dim:
@@ -357,10 +433,9 @@ class Encoder:
                              f"{inputs.shape[0]} encoder rows")
         if lengths.min() < 1 or lengths.max() > frames:
             raise ValueError(f"valid_length {lengths.tolist()} outside 1..{frames}")
-        x = np.where((np.arange(frames) < lengths[:, None])[..., None], inputs, 0.0)
-        mid, cache1 = self.layer1.forward(x, lengths)
-        out, cache2 = self.layer2.forward(mid, lengths)
-        return out, [cache1, cache2]
+        mid, cache1 = self.layer1.forward(inputs, lengths, keep_cache)
+        out, cache2 = self.layer2.forward(mid, lengths, keep_cache)
+        return out, ([cache1, cache2] if keep_cache else None)
 
     def backward(self, cache: list, d_out: np.ndarray) -> np.ndarray:
         """Returns d(loss)/d(inputs); each layer's cache is dropped once used."""
@@ -493,12 +568,26 @@ class CaptionModel:
         for group in self.parameters():
             group.zero_grad()
 
-    def encode(self, matrix: np.ndarray, valid_length: Optional[int] = None) -> EncoderOutput:
-        """E of one (T, F_e) matrix: the encoder run as a batch of one row."""
-        matrix = np.asarray(matrix, dtype=np.float64)
-        valid = matrix.shape[0] if valid_length is None else valid_length
-        values, _ = self.encoder.forward(matrix[None], [valid])
-        return EncoderOutput(values[0], valid, self.decoder.attention.keys(values[0]))
+    def encode(self, inputs: np.ndarray, valid_length=None) -> EncoderOutput:
+        """E of one (T, F_e) matrix, valid for its first valid_length frames
+        (all by default), or of a padded batch (B, T, F_e) with valid lengths
+        (B,). One matrix runs as the batch of one row. Nothing is kept for
+        backward, and the input projection is taken a few steps at a time, so
+        a call holds about its E, its keys and two layers' outputs.
+        """
+        inputs = np.asarray(inputs, dtype=np.float64)
+        if inputs.ndim not in (2, 3):
+            raise ShapeError(f"encode input shape {inputs.shape}, expected (T, "
+                             f"{self.cfg.embed_dim}) or (B, T, {self.cfg.embed_dim})")
+        one = inputs.ndim == 2
+        batch = inputs[None] if one else inputs
+        lengths = (np.full(len(batch), batch.shape[1]) if valid_length is None
+                   else np.atleast_1d(np.asarray(valid_length, dtype=np.int64)))
+        values, _ = self.encoder.forward(batch, lengths, keep_cache=False)
+        keys = self.decoder.attention.keys(values)
+        if one:
+            return EncoderOutput(values[0], int(lengths[0]), keys[0])
+        return EncoderOutput(values, lengths, keys)
 
     def decoder_step(self, prev_token, h_prev: np.ndarray, c_prev: np.ndarray,
                      enc: EncoderOutput):
@@ -645,15 +734,14 @@ class CaptionModel:
     def load(cls, path) -> tuple["CaptionModel", dict]:
         """Rebuild a model from a checkpoint; returns (model, full config dict).
 
-        Reads the current format and v1. The config is checked against the
-        file size before the model is built, and the model is built without
-        random init: every array is then read on its own straight into it, so
-        the file is never held in memory whole.
+        Reads the current format only. The config is checked against the file
+        size before the model is built, and the model is built without random
+        init: every array is then read on its own straight into its
+        parameter, so the file is never held in memory, not even one array.
         """
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
-            magic = fh.read(5)
-            if magic not in (CHECKPOINT_MAGIC, _CHECKPOINT_MAGIC_V1):
+            if fh.read(5) != CHECKPOINT_MAGIC:
                 raise FormatError(f"{path}: not a model checkpoint (bad magic/version)")
 
             def take(n: int) -> bytes:
@@ -674,7 +762,7 @@ class CaptionModel:
                     f"{path}: config needs {8 * model_cfg.parameter_count} bytes of weights, "
                     f"the file has {size}")
             model = cls(model_cfg, random_init=False)
-            targets = model._load_targets(v1=magic == _CHECKPOINT_MAGIC_V1)
+            targets = {group.name: group.value for group in model.parameters()}
             (count,) = struct.unpack("<I", take(4))
             if count != len(targets):
                 raise CorruptionError(
@@ -687,34 +775,19 @@ class CaptionModel:
                     raise CorruptionError(f"{path}: bad parameter name ({exc})") from exc
                 (ndim,) = struct.unpack("<I", take(4))
                 shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-                values = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
                 target = targets.pop(name, None)
                 if target is None:
                     raise CorruptionError(f"{path}: unknown or repeated parameter {name!r}")
-                if target.shape != values.shape:
+                if target.shape != shape:
                     raise CorruptionError(
-                        f"{path}: {name} has shape {values.shape}, expected {target.shape}")
-                if not np.all(np.isfinite(values)):
+                        f"{path}: {name} has shape {shape}, expected {target.shape}")
+                offset = fh.tell()
+                if fh.readinto(memoryview(target).cast("B")) != target.nbytes:
+                    raise CorruptionError(f"{path}: truncated at byte {offset} + {target.nbytes}")
+                if sys.byteorder != "little":
+                    target.byteswap(inplace=True)
+                if not np.all(np.isfinite(target)):
                     raise CorruptionError(f"{path}: {name} has non-finite values")
-                target[...] = values
             if fh.tell() != size:
                 raise CorruptionError(f"{path}: {size - fh.tell()} trailing bytes")
         return model, config
-
-    def _load_targets(self, v1: bool) -> dict[str, np.ndarray]:
-        """Stored array name -> the array a checkpoint load writes it into.
-
-        v1 stored each LSTM gate apart, as {cell}.w_{gate} and {cell}.b_{gate};
-        those land in the gate's column block of the fused {cell}.w and {cell}.b.
-        """
-        targets = {group.name: group.value for group in self.parameters()}
-        if v1:
-            enc = self.encoder
-            for cell in (enc.layer1.fwd, enc.layer1.bwd, enc.layer2.fwd, enc.layer2.bwd,
-                         self.decoder.cell):
-                for kind, group in (("w", cell.w), ("b", cell.b)):
-                    del targets[group.name]
-                    blocks = np.split(group.value, len(LstmCell.GATES), axis=-1)
-                    targets.update((f"{cell.name}.{kind}_{gate}", block)
-                                   for gate, block in zip(LstmCell.GATES, blocks))
-        return targets

@@ -11,7 +11,7 @@ import math
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .embeddings import load_embedding_file, save_embedding_file
 from .errors import ConfigError, CorruptionError, DataError
 from .features import AugmentConfig, bucket_pad, spec_augment, wav_to_log_mel
 from .metrics import EvalInstance, MetricReport, bleu, evaluate_corpus
-from .model import CaptionModel, ModelConfig
+from .model import CaptionModel, EncoderOutput, ModelConfig
 from .numerics import adam_step
 from .text import END, PAD, START, Vocabulary, build_vocab, decode, encode, normalize
 
@@ -196,10 +196,35 @@ def load_input_file(path, expected_dim: int) -> np.ndarray:
 # about 75 kB per frame at the default dims, so this bounds its memory to
 # ~155 MB whatever the clip length.
 TRAIN_FRAME_BUDGET = 2048
+# Rows times padded frames of one inference encode call. It keeps no backward
+# cache and peaks at about 11 kB per frame at the default dims, ~11 MB a call.
+ENCODE_FRAME_BUDGET = 1024
 
 
 def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
+
+
+def encode_in_calls(model: CaptionModel,
+                    matrices: Iterable[np.ndarray]) -> Iterator[EncoderOutput]:
+    """Each matrix's encoding, in order, as one sequence cut to its frames.
+
+    Consecutive matrices share one batch encode call while its rows times
+    padded frames stay within ENCODE_FRAME_BUDGET; a longer matrix gets a
+    call of its own. matrices is read lazily, one call's worth ahead.
+    """
+    def encoded(group):
+        enc = model.encode(*bucket_pad(group))
+        return (enc.item(b) for b in range(len(group)))
+
+    group: list[np.ndarray] = []
+    for matrix in matrices:
+        if group and (len(group) + 1) * max(map(len, group + [matrix])) > ENCODE_FRAME_BUDGET:
+            yield from encoded(group)
+            group = []
+        group.append(matrix)
+    if group:
+        yield from encoded(group)
 
 
 def validation_bleu4(model: CaptionModel, vocab: Vocabulary,
@@ -207,8 +232,8 @@ def validation_bleu4(model: CaptionModel, vocab: Vocabulary,
                      matrices: list[np.ndarray]) -> float:
     """BLEU-4 of greedy captions of matrices against their entries' captions."""
     instances = []
-    for entry, matrix in zip(entries, matrices):
-        ids, _ = greedy_decode_encoded(model, model.encode(matrix))
+    for entry, enc in zip(entries, encode_in_calls(model, matrices)):
+        ids, _ = greedy_decode_encoded(model, enc)
         instances.append(EvalInstance(decode(ids, vocab).split(),
                                       [normalize(c) for c in entry.captions]))
     return bleu(instances, 4)
@@ -337,17 +362,20 @@ def load_checkpoint(path) -> tuple[CaptionModel, Vocabulary]:
 
 def evaluate(checkpoint_path, manifest_path, split: str = "eval",
              beam: int = DEFAULT_BEAM, length_normalize: bool = True) -> MetricReport:
-    """Beam-search decode every item of a split and score against all captions."""
+    """Beam-search decode every item of a split and score against all captions.
+
+    The items are encoded a batch of consecutive items at a time
+    (encode_in_calls) and decoded one by one, in manifest order."""
     model, vocab = load_checkpoint(checkpoint_path)
     entries = split_entries(load_manifest(manifest_path), split)
     if not entries:
         raise DataError(f"{manifest_path}: no entries in split {split!r}")
     _require_references(entries, manifest_path)
+    matrices = (load_input_file(entry.path, model.cfg.embed_dim) for entry in entries)
     candidates = []
     references = []
-    for entry in entries:
-        matrix = load_input_file(entry.path, model.cfg.embed_dim)
-        hyp = beam_search(model, matrix, beam=beam, length_normalize=length_normalize)
+    for entry, enc in zip(entries, encode_in_calls(model, matrices)):
+        hyp = beam_search(model, enc, beam=beam, length_normalize=length_normalize)
         candidates.append(decode(hyp.tokens, vocab).split())
         references.append([normalize(c) for c in entry.captions])
     return evaluate_corpus(candidates, references)
@@ -358,8 +386,8 @@ def caption_file(checkpoint_path, input_path, beam: int = DEFAULT_BEAM,
     """Caption one embedding file or wav by beam search; greedy decoding is
     beam=1 with length_normalize=False."""
     model, vocab = load_checkpoint(checkpoint_path)
-    matrix = load_input_file(input_path, model.cfg.embed_dim)
-    return decode(beam_search(model, matrix, beam=beam,
+    enc = model.encode(load_input_file(input_path, model.cfg.embed_dim))
+    return decode(beam_search(model, enc, beam=beam,
                               length_normalize=length_normalize).tokens, vocab)
 
 

@@ -124,10 +124,10 @@ def test_criterion_3_beam_search_oracle():
     started = time.monotonic()
     model, matrix = rigged_model(seed=13)  # greedy provably suboptimal here
     best_tokens, best_score = brute_force_best(model, matrix, max_emitted=4)
-    hyp = beam_search(model, matrix, beam=5, max_tokens=5, length_normalize=False)
-    greedy_ids, _ = greedy_decode_encoded(model, model.encode(matrix), max_tokens=5)
-    beam_one = beam_search(model, matrix, beam=1, max_tokens=5,
-                           length_normalize=False)
+    enc = model.encode(matrix)
+    hyp = beam_search(model, enc, beam=5, max_tokens=5, length_normalize=False)
+    greedy_ids, _ = greedy_decode_encoded(model, enc, max_tokens=5)
+    beam_one = beam_search(model, enc, beam=1, max_tokens=5, length_normalize=False)
     elapsed = time.monotonic() - started
     ok = (hyp.tokens == best_tokens
           and abs(hyp.log_prob - best_score) <= 1e-9

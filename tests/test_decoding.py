@@ -103,7 +103,8 @@ def test_beam_width_one_equals_greedy():
     for seed in (0, 3, 13, 24):
         model, m = rigged_model(seed)
         greedy_ids, _ = greedy_decode_encoded(model, model.encode(m), max_tokens=5)
-        hyp = beam_search(model, m, beam=1, max_tokens=5, length_normalize=False)
+        hyp = beam_search(model, model.encode(m), beam=1, max_tokens=5,
+                          length_normalize=False)
         assert hyp.tokens == greedy_ids, seed
 
 
@@ -114,7 +115,8 @@ def test_beam_five_matches_exhaustive_enumeration():
     best_tokens, best_score = brute_force_best(model, m)
     greedy_ids, _ = greedy_decode_encoded(model, model.encode(m), max_tokens=5)
     assert greedy_ids != best_tokens
-    hyp = beam_search(model, m, beam=5, max_tokens=5, length_normalize=False)
+    hyp = beam_search(model, model.encode(m), beam=5, max_tokens=5,
+                      length_normalize=False)
     assert hyp.tokens == best_tokens
     assert hyp.log_prob == pytest.approx(best_score, abs=1e-9)
 
@@ -123,7 +125,8 @@ def test_beam_wider_than_search_space_is_exhaustive():
     for seed in (2, 13, 24):
         model, m = rigged_model(seed)
         best_tokens, best_score = brute_force_best(model, m)
-        hyp = beam_search(model, m, beam=625, max_tokens=5, length_normalize=False)
+        hyp = beam_search(model, model.encode(m), beam=625, max_tokens=5,
+                          length_normalize=False)
         assert hyp.tokens == best_tokens, seed
         assert hyp.log_prob == pytest.approx(best_score, abs=1e-9)
 
@@ -131,14 +134,15 @@ def test_beam_wider_than_search_space_is_exhaustive():
 def test_beam_score_matches_independent_recomputation():
     for seed in (0, 5, 13):
         model, m = rigged_model(seed)
-        hyp = beam_search(model, m, beam=3, max_tokens=6)
+        hyp = beam_search(model, model.encode(m), beam=3, max_tokens=6)
         recomputed = ref_log_prob_of_sequence(model, m, hyp.tokens, 3)
         assert hyp.log_prob == pytest.approx(recomputed, abs=1e-9)
 
 
 def test_beam_prefix_scores_monotone_non_increasing():
     model, m = rigged_model(seed=24)
-    hyp = beam_search(model, m, beam=4, max_tokens=6, length_normalize=False)
+    hyp = beam_search(model, model.encode(m), beam=4, max_tokens=6,
+                      length_normalize=False)
     prefix_scores = [ref_log_prob_of_sequence(model, m, hyp.tokens[:k], 3)
                      for k in range(2, len(hyp.tokens) + 1)]
     assert all(b <= a + 1e-12 for a, b in zip(prefix_scores, prefix_scores[1:]))
@@ -147,7 +151,7 @@ def test_beam_prefix_scores_monotone_non_increasing():
 def test_beam_width_never_hurts_unnormalized_score():
     for seed in (0, 7, 13, 24):
         model, m = rigged_model(seed)
-        scores = [beam_search(model, m, beam=b, max_tokens=5,
+        scores = [beam_search(model, model.encode(m), beam=b, max_tokens=5,
                               length_normalize=False).log_prob
                   for b in (1, 2, 3, 5, 8)]
         assert all(b >= a - 1e-12 for a, b in zip(scores, scores[1:])), seed
@@ -158,16 +162,16 @@ def test_beam_uniform_model_terminates_cleanly():
     for group in model.parameters():
         group.value[...] = 0.0
     m = np.zeros((2, 4))
-    hyp = beam_search(model, m, beam=3, max_tokens=5)
+    hyp = beam_search(model, model.encode(m), beam=3, max_tokens=5)
     assert hyp.tokens[0] == START
     assert hyp.tokens[-1] == END or len(hyp.tokens) == 5
-    again = beam_search(model, m, beam=3, max_tokens=5)
+    again = beam_search(model, model.encode(m), beam=3, max_tokens=5)
     assert again.tokens == hyp.tokens
 
 
 def test_beam_length_normalization_divides_by_emitted_count():
     model, m = rigged_model(seed=5)
-    hyp = beam_search(model, m, beam=3, max_tokens=6)
+    hyp = beam_search(model, model.encode(m), beam=3, max_tokens=6)
     assert hyp.score(True) == pytest.approx(hyp.log_prob / hyp.emitted)
     assert hyp.score(False) == hyp.log_prob
 
@@ -175,7 +179,7 @@ def test_beam_length_normalization_divides_by_emitted_count():
 def test_beam_rejects_zero_width():
     model, m = rigged_model(seed=0)
     with pytest.raises(ConfigError):
-        beam_search(model, m, beam=0)
+        beam_search(model, model.encode(m), beam=0)
 
 
 def test_hypothesis_emitted_counts_tokens_after_start():
@@ -186,7 +190,7 @@ def test_hypothesis_emitted_counts_tokens_after_start():
 def test_search_rejects_token_cap_below_two():
     model, m = rigged_model(seed=0)
     with pytest.raises(ConfigError):
-        beam_search(model, m, beam=3, max_tokens=1)
+        beam_search(model, model.encode(m), beam=3, max_tokens=1)
     with pytest.raises(ConfigError):
         greedy_decode_encoded(model, model.encode(m), max_tokens=1)
 
@@ -217,7 +221,7 @@ def test_search_with_nan_logits_is_a_data_error(decode):
     model.decoder.b_out.value[:] = np.nan
     with pytest.raises(DataError, match="finite"):
         if decode == "beam":
-            beam_search(model, m, beam=3, max_tokens=5)
+            beam_search(model, model.encode(m), beam=3, max_tokens=5)
         else:
             greedy_decode_encoded(model, model.encode(m), max_tokens=5)
 

@@ -399,6 +399,24 @@ def test_read_wav_rejects_garbage(tmp_path):
         read_wav(path)
 
 
+def test_read_wav_with_an_odd_data_byte_count_is_a_data_error(tmp_path):
+    path = tmp_path / "odd.wav"
+    path.write_bytes(wav_bytes(TARGET_SAMPLE_RATE)[:-1])  # the last sample cut in half
+    with pytest.raises(DataError, match="127 bytes, not whole 16-bit samples"):
+        read_wav(path)
+
+
+def test_read_wav_with_a_chunk_running_past_its_parent_is_a_data_error(tmp_path):
+    import struct
+
+    data = bytearray(wav_bytes(TARGET_SAMPLE_RATE))
+    data[16:20] = struct.pack("<I", 0x470010)  # the fmt chunk's size, far past the file
+    path = tmp_path / "chunk.wav"
+    path.write_bytes(bytes(data))
+    with pytest.raises(DataError, match="chunk header's size"):
+        read_wav(path)
+
+
 def test_resample_identity_when_rates_match():
     w = Waveform(np.arange(10.0), 16000)
     assert resample(w, 16000) is w

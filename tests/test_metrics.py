@@ -456,3 +456,34 @@ def test_score_workload_report_matches_the_benchmark_reference(tmp_path):
     assert report.keys() == want.keys()
     for key, value in want.items():
         assert report[key] == pytest.approx(value, rel=rtol, abs=1e-12), key
+
+
+def test_eval_workload_report_matches_the_benchmark_reference(tmp_path, monkeypatch):
+    """The benchmark's `eval` workload, seed 0: its generated checkpoint and
+    12-item split through pipeline.evaluate at beam 3, against
+    perfbench/expected.json at its rtol, and each item's emitted length, read
+    from pipeline.beam_search in call order, exactly."""
+    from aacap import pipeline
+
+    spec = importlib.util.spec_from_file_location("perfbench_inputs",
+                                                  REPO / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    info = inputs.make_eval(0, tmp_path)
+    emitted = []
+    search = pipeline.beam_search
+
+    def capture(*args, **kwargs):
+        hyp = search(*args, **kwargs)
+        emitted.append(hyp.emitted)
+        return hyp
+    monkeypatch.setattr(pipeline, "beam_search", capture)
+    report = pipeline.evaluate(info["checkpoint"], info["manifest"], split="eval",
+                               beam=3).to_dict()
+    expected = json.loads((REPO / "perfbench" / "expected.json").read_text())
+    rtol = expected["rtol"]["eval"]
+    want = expected["workloads"]["eval"]
+    assert report.keys() == want["report"].keys()
+    for key, value in want["report"].items():
+        assert report[key] == pytest.approx(value, rel=rtol, abs=1e-12), key
+    assert emitted == want["emitted"]

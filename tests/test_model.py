@@ -155,6 +155,86 @@ def test_encoder_reversal_swaps_direction_roles():
     assert np.allclose(enc_rev, swapped, atol=1e-12)
 
 
+def _unpacked_encode(model, m, valid):
+    """E of one matrix as the encoder computed it before rows were packed:
+    padded frames zeroed, each direction's input projection one product over
+    every frame, then one step per frame, padded ones included."""
+    frames = len(m)
+    t = np.arange(frames)
+    order = np.where(t < valid, valid - 1 - t, t)
+    x = np.where((t < valid)[:, None], m, 0.0)
+    for layer in (model.encoder.layer1, model.encoder.layer2):
+        halves = []
+        for cell, seq in ((layer.fwd, x), (layer.bwd, x[order])):
+            w_h = cell.w.value[cell.input_dim:]
+            gates = seq @ cell.w.value[:cell.input_dim] + cell.b.value
+            h = c = np.zeros((1, cell.hidden_dim))
+            rows = []
+            for step in range(frames):
+                _, c, h = cell.activate(gates[step:step + 1] + h @ w_h, c)
+                rows.append(h[0])
+            halves.append(np.array(rows))
+        x = np.concatenate([halves[0], halves[1][order]], axis=1)
+        x[valid:] = 0.0
+    return x
+
+
+PAPER = ModelConfig(embed_dim=128, vocab_size=40)
+
+
+@pytest.mark.parametrize("cfg", [TINY, PAPER], ids=["tiny", "paper"])
+def test_one_matrix_encode_is_bit_identical_to_the_unpacked_encoder(cfg):
+    # Lengths on both sides of the projection chunks, a lone last step
+    # included. A single valid frame of a longer matrix is left out: the
+    # unpacked projection then multiplied several rows where the packed one
+    # multiplies one, and a one-row product rounds differently (1e-16).
+    model = CaptionModel(cfg, seed=3)
+    rng = np.random.default_rng(0)
+    for frames, valid in [(1, 1), (2, 2), (8, 8), (9, 9), (17, 17), (20, 12), (61, 61),
+                          (64, 33)]:
+        m = rng.normal(size=(frames, cfg.embed_dim))
+        enc = model.encode(m, valid)
+        assert np.array_equal(enc.values, _unpacked_encode(model, m, valid)), (frames, valid)
+        assert np.array_equal(enc.keys, enc.values @ model.decoder.attention.w_enc.value)
+
+
+@pytest.mark.parametrize("cfg", [TINY, PAPER], ids=["tiny", "paper"])
+def test_batch_encode_matches_per_item_encodes_within_policy(cfg):
+    # model.py's policy: a batch's E within 1e-12 of each row's own encode
+    model = CaptionModel(cfg, seed=4)
+    rng = np.random.default_rng(1)
+    lengths = [9, 1, 23, 17, 8, 23, 2]
+    matrices = [rng.normal(size=(n, cfg.embed_dim)) for n in lengths]
+    padded, valid = bucket_pad(matrices)
+    padded[0, 9:] = np.nan  # padded frames are never read
+    enc = model.encode(padded, valid)
+    assert enc.values.shape == (len(lengths), 23, cfg.enc_out_dim)
+    assert np.array_equal(enc.valid_length, lengths)
+    for b, matrix in enumerate(matrices):
+        one, row = model.encode(matrix), enc.item(b)
+        assert row.valid_length == lengths[b] and row.values.shape == one.values.shape
+        assert np.max(np.abs(row.values - one.values)) <= 1e-12
+        assert np.max(np.abs(row.keys - one.keys)) <= 1e-12 * np.max(np.abs(one.keys))
+        assert not enc.values[b, lengths[b]:].any()
+
+
+def test_batch_encode_keeps_no_backward_cache(monkeypatch):
+    from aacap.model import BiLstmLayer
+
+    seen = []
+    forward = BiLstmLayer.forward
+
+    def spy(self, *args, **kwargs):
+        out, cache = forward(self, *args, **kwargs)
+        seen.append(cache)
+        return out, cache
+    monkeypatch.setattr(BiLstmLayer, "forward", spy)
+    model = CaptionModel(TINY, seed=1)
+    model.encode(np.zeros((2, 5, 8)), [5, 3])
+    model.encode(np.zeros((4, 8)))
+    assert seen == [None] * 4
+
+
 # ---------------------------------------------------------------------------
 # attention
 # ---------------------------------------------------------------------------
@@ -597,6 +677,49 @@ def test_batch_gradients_match_reference_central_differences():
             (up - down) / (2 * eps), rel=1e-5, abs=1e-9)
 
 
+def test_packed_batch_across_projection_chunks_matches_references():
+    # rows longer than PROJECTION_CHUNK, ending at different steps, one of a
+    # single frame, and two of the same length
+    from aacap.model import PROJECTION_CHUNK
+
+    lengths = [2 * PROJECTION_CHUNK + 3, 1, PROJECTION_CHUNK + 1, 2 * PROJECTION_CHUNK + 3, 5]
+    model = CaptionModel(TINY, seed=6)
+    rng = np.random.default_rng(8)
+    matrices = [rng.normal(size=(n, 8)) for n in lengths]
+    targets = [[START] + rng.integers(4, 6, size=k).tolist() + [END] + [PAD] * (17 - k)
+               for k in (3, 1, 4, 2, 0)]
+    inputs, _ = bucket_pad(matrices)
+    model.zero_grads()
+    result = model.forward_teacher_forced(inputs, lengths, targets)
+    d_inputs = model.backward(result.cache)
+    grads = {g.name: g.gradient.copy() for g in model.parameters()}
+    ref = sum(ref_teacher_forced_loss(model, m, t, len(m)) for m, t in zip(matrices, targets))
+    assert result.loss == pytest.approx(ref, rel=1e-9, abs=0.0)
+    summed = {name: np.zeros_like(g) for name, g in grads.items()}
+    for b, (m, target) in enumerate(zip(matrices, targets)):
+        model.zero_grads()
+        one = forward_one(model, m, target)
+        assert_within_policy(model.backward(one.cache)[0], d_inputs[b, :len(m)])
+        for group in model.parameters():
+            summed[group.name] += group.gradient
+    for name, grad in grads.items():
+        assert_within_policy(grad, summed[name], name)
+    eps = 1e-5
+    for group in model.encoder.params():
+        flat_value, flat_grad = group.value.ravel(), grads[group.name].ravel()
+        for idx in rng.choice(flat_value.size, size=4, replace=False):
+            saved = flat_value[idx]
+            flat_value[idx] = saved + eps
+            up = sum(ref_teacher_forced_loss(model, m, t, len(m))
+                     for m, t in zip(matrices, targets))
+            flat_value[idx] = saved - eps
+            down = sum(ref_teacher_forced_loss(model, m, t, len(m))
+                       for m, t in zip(matrices, targets))
+            flat_value[idx] = saved
+            assert flat_grad[idx] == pytest.approx((up - down) / (2 * eps),
+                                                   rel=1e-5, abs=1e-9), group.name
+
+
 @pytest.mark.parametrize("fill", ["noise", "non-finite"])
 def test_batch_padded_frame_values_change_nothing(fill):
     model, _, _, inputs, lengths = batch_fixture(seed=4)
@@ -777,58 +900,22 @@ def test_checkpoint_truncation_detected(tmp_path):
         CaptionModel.load(path)
 
 
-def _write_v1_checkpoint(model, path, extra_config=None):
-    """The AACM\x01 layout: each LSTM gate as its own {cell}.w_{gate} and
-    {cell}.b_{gate} array, weights of a cell before its biases."""
-    from aacap.model import LstmCell
+def test_checkpoint_v1_is_a_format_error_exit_3(tmp_path, capsys):
+    from aacap import cli
+    from aacap.embeddings import save_embedding_file
 
-    config = {"model": model.cfg.to_dict(), **(extra_config or {})}
-    arrays = []
-    for group in model.parameters():
-        prefix, _, kind = group.name.rpartition(".")
-        if prefix.endswith(("fwd", "bwd", "lstm")) and kind in ("w", "b"):
-            blocks = np.split(group.value, len(LstmCell.GATES), axis=-1)
-            arrays += [(f"{prefix}.{kind}_{gate}", block)
-                       for gate, block in zip(LstmCell.GATES, blocks)]
-        else:
-            arrays.append((group.name, group.value))
-    blob = json.dumps(config, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(b"AACM\x01" + struct.pack("<I", len(blob)) + blob)
-        fh.write(struct.pack("<I", len(arrays)))
-        for name, value in arrays:
-            fh.write(struct.pack("<I", len(name)) + name.encode("utf-8"))
-            fh.write(struct.pack("<I", value.ndim) + struct.pack(f"<{value.ndim}I", *value.shape))
-            fh.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
-    return len(arrays)
-
-
-def test_checkpoint_v1_loads_to_same_decoder_logits(tmp_path):
-    model = CaptionModel(TINY, seed=12)
+    # version 1 stored each LSTM gate as its own array; it is no longer read
     path = tmp_path / "v1.ckpt"
-    assert _write_v1_checkpoint(model, path, {"vocab": ["x"]}) == 5 * 8 + 6
-    loaded, config = CaptionModel.load(path)
-    assert config["vocab"] == ["x"]
-    for orig, new in zip(model.parameters(), loaded.parameters()):
-        assert np.array_equal(orig.value, new.value), orig.name
-    m = np.random.default_rng(13).normal(size=(4, 8))
-    enc, enc_loaded = model.encode(m, 3), loaded.encode(m, 3)
-    h, c = model.initial_state()
-    for token in (START, 4, 5):
-        logits_loaded, _, _, _ = loaded.decoder_step(token, h, c, enc_loaded)
-        logits, h, c, _ = model.decoder_step(token, h, c, enc)
-        assert np.array_equal(logits, logits_loaded)
-
-
-def test_checkpoint_v1_missing_gate_rejected(tmp_path):
-    model = CaptionModel(TINY, seed=12)
-    path = tmp_path / "v1.ckpt"
-    _write_v1_checkpoint(model, path)
-    data = path.read_bytes()
-    name = b"enc.l1.fwd.w_cell"
-    path.write_bytes(data.replace(name, b"enc.l1.fwd.w_cel_"))
-    with pytest.raises(CorruptionError):
+    CaptionModel(TINY, seed=12).save(
+        path, extra_config={"vocab": ["<PAD>", "<START>", "<END>", "<UNK>", "a", "b"]})
+    path.write_bytes(b"AACM\x01" + path.read_bytes()[5:])
+    with pytest.raises(FormatError):
         CaptionModel.load(path)
+    matrix = tmp_path / "m.aace"
+    save_embedding_file(matrix, np.zeros((3, 8)))
+    assert cli.main(["caption", "--checkpoint", str(path), "--input", str(matrix)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "bad magic/version" in err
 
 
 def test_checkpoint_writes_fused_v2(tmp_path):
@@ -916,7 +1003,8 @@ def test_loaded_model_holds_no_training_buffers(tmp_path):
     CaptionModel(TINY, seed=12).save(path)
     loaded, _ = CaptionModel.load(path)
     loaded.zero_grads()
-    beam_search(loaded, np.random.default_rng(1).normal(size=(3, 8)), beam=2, max_tokens=4)
+    beam_search(loaded, loaded.encode(np.random.default_rng(1).normal(size=(3, 8))),
+                beam=2, max_tokens=4)
     for group in loaded.parameters():
         assert group._gradient is None and group._adam_m is None and group._adam_v is None
 

@@ -9,7 +9,7 @@ import pytest
 from test_features import wav_bytes
 
 from aacap import cli, pipeline
-from aacap.decoding import greedy_decode_encoded
+from aacap.decoding import beam_search, greedy_decode_encoded
 from aacap.errors import ConfigError, DataError
 from aacap.features import AugmentConfig, Waveform, write_wav
 from aacap.model import CaptionModel, ModelConfig
@@ -333,6 +333,46 @@ def test_evaluate_checkpoint_round_trip(trained):
     first = evaluate(result.checkpoint_path, manifest, split="eval", beam=2)
     second = evaluate(result.checkpoint_path, manifest, split="eval", beam=2)
     assert first.to_dict() == second.to_dict()
+
+
+@pytest.mark.parametrize("budget,n_calls", [(6, 11), (20, None), (1024, 1)])
+def test_evaluate_in_budgeted_encode_calls_equals_per_item_decoding(tmp_path, monkeypatch,
+                                                                    budget, n_calls):
+    # items of 1-8 frames: at budget 6 each is a call of its own, some of
+    # them over the budget; at 20 a call holds two or three; at 1024 one
+    # call holds the split
+    manifest = make_toy_dataset(tmp_path / "toy", seed=5, n_items=11,
+                                segments_per_item=(1, 8))
+    entries = split_entries(load_manifest(manifest), "dev")
+    words = ["<PAD>", "<START>", "<END>", "<UNK>"] + TOY_EVENTS
+    model = CaptionModel(ModelConfig(embed_dim=16, vocab_size=len(words), enc_hidden=8,
+                                     attn_dim=8, dec_hidden=8, word_dim=8), seed=2)
+    model.save(tmp_path / "model.ckpt", extra_config={"vocab": words})
+    want = [beam_search(model, model.encode(load_features(entry)), beam=3).tokens
+            for entry in entries]
+    got, calls = [], []
+    search, encode = pipeline.beam_search, CaptionModel.encode
+
+    def capture(*args, **kwargs):
+        hyp = search(*args, **kwargs)
+        got.append(hyp.tokens)
+        return hyp
+
+    def count(self, inputs, *args):
+        calls.append(inputs.shape)
+        return encode(self, inputs, *args)
+    monkeypatch.setattr(pipeline, "ENCODE_FRAME_BUDGET", budget)
+    monkeypatch.setattr(pipeline, "beam_search", capture)
+    monkeypatch.setattr(CaptionModel, "encode", count)
+    evaluate(tmp_path / "model.ckpt", manifest, split="dev", beam=3)
+    assert got == want
+    assert [len(shape) for shape in calls] == [3] * len(calls)
+    assert sum(shape[0] for shape in calls) == len(entries)
+    assert all(rows == 1 or rows * frames <= budget for rows, frames, _ in calls)
+    if n_calls is None:
+        assert 1 < len(calls) < len(entries)
+    else:
+        assert len(calls) == n_calls
 
 
 def test_untrained_model_scores_near_zero(tmp_path):
