@@ -79,7 +79,8 @@ def read_wav(path) -> Waveform:
             channels = wav.getnchannels()
             width = wav.getsampwidth()
             rate = wav.getframerate()
-            raw = wav.readframes(wav.getnframes())
+            frames = wav.getnframes()
+            raw = wav.readframes(frames)
     except (wave.Error, EOFError) as exc:
         raise DataError(f"{path}: not a readable WAV file ({exc})") from exc
     except RuntimeError as exc:  # wave's seek past the end of the enclosing chunk
@@ -91,9 +92,9 @@ def read_wav(path) -> Waveform:
         raise DataError(f"{path}: expected 16-bit samples, got {8 * width}-bit")
     if rate < MIN_SAMPLE_RATE:
         raise DataError(f"{path}: sample rate {rate} Hz is below {MIN_SAMPLE_RATE} Hz")
-    if len(raw) % width:
-        raise DataError(f"{path}: data chunk holds {len(raw)} bytes, not whole "
-                        f"{8 * width}-bit samples")
+    if len(raw) != frames * width:  # wave reads what the file holds, not what the header says
+        raise DataError(f"{path}: data chunk holds {len(raw)} bytes, not whole {8 * width}-bit "
+                        f"samples summing to the {frames * width} bytes its header gives")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return resample(Waveform(samples, rate), TARGET_SAMPLE_RATE)
 

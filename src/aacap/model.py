@@ -58,12 +58,13 @@ recurrence. A batch's E equals each row's own encode within 1e-12 absolute
 matrix product where one row alone is a matrix-vector product, and the two
 round differently.
 
-Checkpoints are "AACM" plus version byte 2: a length-prefixed JSON config
-block, then each parameter by name, shape and float64 data. A load checks
-the config's weight bytes against the file size before it builds the
-model, and builds it without random init, since every array is overwritten
-by a read straight into it. Version 1 files, which stored each LSTM gate as
-its own array, are no longer read.
+Checkpoints are "AACM" plus version byte 3: a length-prefixed JSON config
+block with the model dims and the parameter names in parameters() order,
+then the parameters as float64 LE, back to back. The dims fix every shape,
+so a load checks the file size exactly, and the names against the model's,
+before it reads each array straight into a model built without random
+init. Version 1 (an array per LSTM gate) and version 2 (a header before
+each array) are no longer read.
 """
 
 import contextlib
@@ -80,7 +81,7 @@ from .errors import ConfigError, CorruptionError, FormatError, ShapeError
 from .numerics import PROB_FLOOR, ParameterGroup, sigmoid, softmax
 from .text import PAD
 
-CHECKPOINT_MAGIC = b"AACM\x02"
+CHECKPOINT_MAGIC = b"AACM\x03"
 PROJECTION_CHUNK = 8  # encoder steps per input projection product
 
 
@@ -706,23 +707,19 @@ class CaptionModel:
     # ------------------------------------------------------------------
 
     def save(self, path, extra_config: Optional[dict] = None):
-        """Versioned binary checkpoint: config JSON block + named float64 arrays.
-        It is written to a temporary file beside `path` and then moved over it,
-        so a save that fails part-way leaves an earlier file whole."""
-        config = {"model": self.cfg.to_dict()}
-        if extra_config:
-            config.update(extra_config)
-        blob = json.dumps(config, sort_keys=True).encode("utf-8")
+        """Versioned binary checkpoint: a config JSON block naming the arrays,
+        then the float64 arrays back to back. It is written to a temporary
+        file beside `path` and then moved over it, so a save that fails
+        part-way leaves an earlier file whole."""
         params = self.parameters()
+        config = {**(extra_config or {}), "model": self.cfg.to_dict(),
+                  "arrays": [group.name for group in params]}
+        blob = json.dumps(config, sort_keys=True).encode("utf-8")
         tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
         try:
             with open(tmp, "wb") as fh:
-                fh.write(CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob
-                         + struct.pack("<I", len(params)))
+                fh.write(CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob)
                 for group in params:
-                    name, shape = group.name.encode("utf-8"), group.value.shape
-                    fh.write(struct.pack(f"<I{len(name)}sI{len(shape)}I",
-                                         len(name), name, len(shape), *shape))
                     fh.write(group.value.astype("<f8", copy=False).data)
             os.replace(tmp, path)
         except BaseException:
@@ -734,60 +731,41 @@ class CaptionModel:
     def load(cls, path) -> tuple["CaptionModel", dict]:
         """Rebuild a model from a checkpoint; returns (model, full config dict).
 
-        Reads the current format only. The config is checked against the file
-        size before the model is built, and the model is built without random
-        init: every array is then read on its own straight into its
+        Reads the current format only. The file size is checked against the
+        config before the model is built, and the model is built without
+        random init: every array is then read on its own straight into its
         parameter, so the file is never held in memory, not even one array.
         """
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
             if fh.read(5) != CHECKPOINT_MAGIC:
                 raise FormatError(f"{path}: not a model checkpoint (bad magic/version)")
-
-            def take(n: int) -> bytes:
-                offset = fh.tell()
-                if offset + n > size:
-                    raise CorruptionError(f"{path}: truncated at byte {offset} + {n}")
-                return fh.read(n)
-
-            (blob_len,) = struct.unpack("<I", take(4))
+            prefix = fh.read(4)
+            offset = 9 + int.from_bytes(prefix, "little")
+            if len(prefix) < 4 or offset > size:
+                raise CorruptionError(f"{path}: bad config block (its length runs past "
+                                      f"the end of the file)")
             try:
-                config = json.loads(take(blob_len).decode("utf-8"))
+                config = json.loads(fh.read(offset - 9).decode("utf-8"))
                 model_cfg = ModelConfig(**config["model"])
             except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError,
                     ConfigError) as exc:
                 raise CorruptionError(f"{path}: bad config block ({exc!r})") from exc
-            if 8 * model_cfg.parameter_count > size:
-                raise CorruptionError(
-                    f"{path}: config needs {8 * model_cfg.parameter_count} bytes of weights, "
-                    f"the file has {size}")
+            weight_bytes = 8 * model_cfg.parameter_count
+            if size != offset + weight_bytes:
+                raise CorruptionError(f"{path}: config needs {weight_bytes} bytes of weights, "
+                                      f"the file has {size - offset}")
             model = cls(model_cfg, random_init=False)
-            targets = {group.name: group.value for group in model.parameters()}
-            (count,) = struct.unpack("<I", take(4))
-            if count != len(targets):
-                raise CorruptionError(
-                    f"{path}: checkpoint has {count} arrays, model expects {len(targets)}")
-            for _ in range(count):
-                (name_len,) = struct.unpack("<I", take(4))
-                try:
-                    name = take(name_len).decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise CorruptionError(f"{path}: bad parameter name ({exc})") from exc
-                (ndim,) = struct.unpack("<I", take(4))
-                shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-                target = targets.pop(name, None)
-                if target is None:
-                    raise CorruptionError(f"{path}: unknown or repeated parameter {name!r}")
-                if target.shape != shape:
-                    raise CorruptionError(
-                        f"{path}: {name} has shape {shape}, expected {target.shape}")
-                offset = fh.tell()
+            params = model.parameters()
+            if config.get("arrays") != [group.name for group in params]:
+                raise CorruptionError(f"{path}: the config block's array names do not "
+                                      f"match the model's layout")
+            for group in params:
+                target, start = group.value, fh.tell()
                 if fh.readinto(memoryview(target).cast("B")) != target.nbytes:
-                    raise CorruptionError(f"{path}: truncated at byte {offset} + {target.nbytes}")
+                    raise CorruptionError(f"{path}: truncated at byte {start} + {target.nbytes}")
                 if sys.byteorder != "little":
                     target.byteswap(inplace=True)
                 if not np.all(np.isfinite(target)):
-                    raise CorruptionError(f"{path}: {name} has non-finite values")
-            if fh.tell() != size:
-                raise CorruptionError(f"{path}: {size - fh.tell()} trailing bytes")
+                    raise CorruptionError(f"{path}: {group.name} has non-finite values")
         return model, config

@@ -40,7 +40,11 @@ class ManifestEntry:
 
     @property
     def is_wav(self) -> bool:
-        return self.path.lower().endswith(".wav")
+        return _is_wav(self.path)
+
+
+def _is_wav(path) -> bool:
+    return str(path).lower().endswith(".wav")
 
 
 @dataclass
@@ -171,16 +175,16 @@ def _require_references(entries: list[ManifestEntry], manifest_path):
                             f"captions; scoring it needs at least one reference")
 
 
-def load_features(entry: ManifestEntry) -> np.ndarray:
-    """Input matrix for one item: log-mel frames for wav, rows from an
+def load_features(path) -> np.ndarray:
+    """Input matrix of one file: log-mel frames for wav, rows from an
     embedding file otherwise."""
-    if entry.is_wav:
-        return wav_to_log_mel(entry.path).values
-    return load_embedding_file(entry.path)
+    if _is_wav(path):
+        return wav_to_log_mel(path).values
+    return load_embedding_file(path)
 
 
 def load_input_file(path, expected_dim: int) -> np.ndarray:
-    matrix = load_features(ManifestEntry("input", str(path), [], "eval"))
+    matrix = load_features(path)
     if matrix.shape[1] != expected_dim:
         raise DataError(
             f"{path}: feature dim {matrix.shape[1]} does not match the "
@@ -266,8 +270,8 @@ def train(config: TrainConfig, manifest_path, out_dir) -> TrainResult:
     vocab = build_vocab((c for entry in dev for c in entry.captions),
                         min_count=config.vocab_min_count)
     targets = [[encode(c, vocab) for c in entry.captions] for entry in dev]
-    dev_matrices = [load_features(entry) for entry in dev]
-    val_matrices = [load_features(entry) for entry in val]
+    dev_matrices = [load_features(entry.path) for entry in dev]
+    val_matrices = [load_features(entry.path) for entry in val]
     dims = {m.shape[1] for m in dev_matrices + val_matrices}
     if len(dims) != 1:
         raise DataError(f"mixed feature dims across items: {sorted(dims)}")

@@ -1,0 +1,96 @@
+"""The exit-code contract under damaged inputs: whatever the bytes of a
+checkpoint, embedding file, WAV or manifest, `cli.main` returns 0 (the damage
+changed nothing it checks), 2 or 3, with no exception escaping."""
+
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from aacap import cli
+from aacap.features import Waveform, write_wav
+from aacap.model import CaptionModel, ModelConfig
+from aacap.pipeline import load_manifest, make_toy_dataset
+
+VOCAB = ["<PAD>", "<START>", "<END>", "<UNK>", "a", "b"]
+TINY_DIMS = ["--enc-hidden", "2", "--attn-dim", "2", "--dec-hidden", "2", "--word-dim", "2"]
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """Whole inputs of each kind, and the command that reads each one."""
+    root = tmp_path_factory.mktemp("fuzz")
+    manifest = make_toy_dataset(root / "toy", seed=0, n_items=3, segments_per_item=(1, 3))
+    aace = load_manifest(manifest)[0].path
+    wav = root / "clip.wav"
+    write_wav(wav, Waveform(np.random.default_rng(0).uniform(-0.3, 0.3, 4000), 16000))
+    checkpoints = {}
+    for name, embed_dim in [("aace.ckpt", 16), ("wav.ckpt", 64)]:
+        model = CaptionModel(ModelConfig(embed_dim=embed_dim, vocab_size=len(VOCAB),
+                                         enc_hidden=2, attn_dim=2, dec_hidden=2, word_dim=2))
+        model.save(root / name, extra_config={"vocab": VOCAB})
+        checkpoints[name] = str(root / name)
+
+    def caption(checkpoint, item):
+        return ["caption", "--checkpoint", checkpoint, "--input", item, "--beam", "2"]
+
+    return {
+        "checkpoint": (checkpoints["aace.ckpt"],
+                       lambda bad: caption(bad, aace)),
+        "aace": (aace, lambda bad: caption(checkpoints["aace.ckpt"], bad)),
+        "wav": (str(wav), lambda bad: caption(checkpoints["wav.ckpt"], bad)),
+        "manifest-evaluate": (str(manifest), lambda bad: [
+            "evaluate", "--checkpoint", checkpoints["aace.ckpt"], "--manifest", bad,
+            "--split", "dev", "--beam", "2"]),
+        "manifest-train": (str(manifest), lambda bad: [
+            "train", "--manifest", bad, "--out-dir", str(root / "run"), "--epochs", "1",
+            "--batch-size", "4", *TINY_DIMS]),
+    }
+
+
+@st.composite
+def damage(draw, size: int):
+    """A truncation, or one to three byte edits. Half of the edits fall
+    within the first 512 bytes, where each of these formats keeps its header,
+    and half write printable ASCII, which keeps JSON text decodable."""
+    if draw(st.booleans()):
+        return ("cut", draw(st.integers(0, size - 1)))
+    position = st.one_of(st.integers(0, min(size, 512) - 1), st.integers(0, size - 1))
+    value = st.one_of(st.integers(0, 255), st.integers(0x20, 0x7E))
+    return ("edit", draw(st.lists(st.tuples(position, value), min_size=1, max_size=3)))
+
+
+def _damaged(data: bytes, change) -> bytes:
+    kind, detail = change
+    if kind == "cut":
+        return data[:detail]
+    out = bytearray(data)
+    for position, value in detail:
+        out[position] = value
+    return bytes(out)
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "aace", "wav", "manifest-evaluate",
+                                  "manifest-train"])
+def test_damaged_inputs_exit_0_2_or_3(files, kind, capsys):
+    whole_path, argv_for = files[kind]
+    with open(whole_path, "rb") as fh:
+        whole = fh.read()
+    bad = str(Path(whole_path).with_name(f"bad-{Path(whole_path).name}"))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(change=damage(len(whole)))
+    def run(change):
+        with open(bad, "wb") as fh:
+            fh.write(_damaged(whole, change))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # caption-count and numpy warnings
+            code = cli.main(argv_for(bad))
+        capsys.readouterr()
+        assert code in (0, 2, 3), change
+
+    run()

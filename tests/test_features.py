@@ -406,6 +406,14 @@ def test_read_wav_with_an_odd_data_byte_count_is_a_data_error(tmp_path):
         read_wav(path)
 
 
+def test_read_wav_with_a_data_chunk_cut_short_by_whole_samples_is_a_data_error(tmp_path):
+    path = tmp_path / "short.wav"
+    write_wav(path, Waveform(np.zeros(TARGET_SAMPLE_RATE), TARGET_SAMPLE_RATE))
+    path.write_bytes(path.read_bytes()[:-2000])
+    with pytest.raises(DataError, match="holds 30000 bytes, .* the 32000 bytes its header"):
+        read_wav(path)
+
+
 def test_read_wav_with_a_chunk_running_past_its_parent_is_a_data_error(tmp_path):
     import struct
 

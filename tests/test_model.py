@@ -807,19 +807,16 @@ def test_checkpoint_round_trip(tmp_path):
 def _checkpoint_bytes_written_field_by_field(model, extra_config):
     """The checkpoint layout written one struct.pack per field: the reference
     for CaptionModel.save."""
-    config = {"model": {"embed_dim": model.cfg.embed_dim, "vocab_size": model.cfg.vocab_size,
-                        "enc_hidden": model.cfg.enc_hidden, "attn_dim": model.cfg.attn_dim,
-                        "dec_hidden": model.cfg.dec_hidden, "word_dim": model.cfg.word_dim}}
-    config.update(extra_config)
-    blob = json.dumps(config, sort_keys=True).encode("utf-8")
-    out = [b"AACM\x02", struct.pack("<I", len(blob)), blob]
     params = model.parameters()
-    out.append(struct.pack("<I", len(params)))
+    config = dict(extra_config)
+    config["model"] = {"embed_dim": model.cfg.embed_dim, "vocab_size": model.cfg.vocab_size,
+                       "enc_hidden": model.cfg.enc_hidden, "attn_dim": model.cfg.attn_dim,
+                       "dec_hidden": model.cfg.dec_hidden, "word_dim": model.cfg.word_dim}
+    config["arrays"] = [group.name for group in params]
+    blob = json.dumps(config, sort_keys=True).encode("utf-8")
+    out = [b"AACM\x03", struct.pack("<I", len(blob)), blob]
     for group in params:
-        name = group.name.encode("utf-8")
-        out += [struct.pack("<I", len(name)), name, struct.pack("<I", group.value.ndim),
-                struct.pack(f"<{group.value.ndim}I", *group.value.shape),
-                group.value.astype("<f8").tobytes()]
+        out += [struct.pack(f"<{group.value.size}d", *group.value.ravel())]
     return b"".join(out)
 
 
@@ -839,27 +836,39 @@ def test_checkpoint_bytes_equal_the_field_by_field_layout(tmp_path, seed):
 # fail at the header, at the first array, and with 7 of 16 arrays written
 @pytest.mark.parametrize("fail_at", [1, 2, 9])
 def test_failed_save_leaves_the_previous_checkpoint_whole(tmp_path, monkeypatch, fail_at):
+    import builtins
     import errno
-    import types
 
     import aacap.model as model_module
 
     path = tmp_path / "model.ckpt"
     CaptionModel(TINY, seed=1).save(path)
     before = path.read_bytes()
-    calls = []
+    writes = []
 
-    def pack(fmt, *values):
-        calls.append(fmt)
-        if len(calls) == fail_at:
-            raise OSError(errno.ENOSPC, "No space left on device")
-        return struct.pack(fmt, *values)
+    class FailingFile:
+        def __init__(self, fh):
+            self.fh = fh
 
-    monkeypatch.setattr(model_module, "struct",
-                        types.SimpleNamespace(pack=pack, unpack=struct.unpack))
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return self.fh.__exit__(*exc_info)
+
+        def write(self, data):
+            writes.append(len(data))
+            if len(writes) == fail_at:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(model_module, "open",
+                        lambda *args, **kwargs: FailingFile(builtins.open(*args, **kwargs)),
+                        raising=False)
     with pytest.raises(OSError, match="No space left"):
         CaptionModel(TINY, seed=2).save(path)
     monkeypatch.undo()
+    assert len(writes) == fail_at and len(CaptionModel(TINY).parameters()) == 16
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
     loaded, _ = CaptionModel.load(path)
@@ -900,15 +909,14 @@ def test_checkpoint_truncation_detected(tmp_path):
         CaptionModel.load(path)
 
 
-def test_checkpoint_v1_is_a_format_error_exit_3(tmp_path, capsys):
+def _old_version_exits_3(tmp_path, capsys, version: bytes):
     from aacap import cli
     from aacap.embeddings import save_embedding_file
 
-    # version 1 stored each LSTM gate as its own array; it is no longer read
-    path = tmp_path / "v1.ckpt"
+    path = tmp_path / "old.ckpt"
     CaptionModel(TINY, seed=12).save(
         path, extra_config={"vocab": ["<PAD>", "<START>", "<END>", "<UNK>", "a", "b"]})
-    path.write_bytes(b"AACM\x01" + path.read_bytes()[5:])
+    path.write_bytes(b"AACM" + version + path.read_bytes()[5:])
     with pytest.raises(FormatError):
         CaptionModel.load(path)
     matrix = tmp_path / "m.aace"
@@ -918,14 +926,57 @@ def test_checkpoint_v1_is_a_format_error_exit_3(tmp_path, capsys):
     assert out == "" and "bad magic/version" in err
 
 
-def test_checkpoint_writes_fused_v2(tmp_path):
+def test_checkpoint_v1_is_a_format_error_exit_3(tmp_path, capsys):
+    # version 1 stored each LSTM gate as its own array; it is no longer read
+    _old_version_exits_3(tmp_path, capsys, b"\x01")
+
+
+def test_checkpoint_v2_is_a_format_error_exit_3(tmp_path, capsys):
+    # version 2 wrote a name, ndim and shape header before each array
+    _old_version_exits_3(tmp_path, capsys, b"\x02")
+
+
+def _config_block(path) -> dict:
+    data = path.read_bytes()
+    (blob_len,) = struct.unpack("<I", data[5:9])
+    return json.loads(data[9:9 + blob_len])
+
+
+def test_checkpoint_writes_v3_names_then_weights_back_to_back(tmp_path):
     model = CaptionModel(TINY, seed=12)
     path = tmp_path / "model.ckpt"
     model.save(path)
     data = path.read_bytes()
-    assert data[:5] == b"AACM\x02"
-    assert b"enc.l1.fwd.w\x02" in data  # a fused name, then its ndim
+    assert data[:5] == b"AACM\x03"
+    config = _config_block(path)
+    assert config["arrays"] == [group.name for group in model.parameters()]
+    assert "enc.l1.fwd.w" in config["arrays"]  # a fused name
     assert b"w_forget" not in data
+    (blob_len,) = struct.unpack("<I", data[5:9])
+    assert len(data) == 9 + blob_len + 8 * TINY.parameter_count
+    weights = np.frombuffer(data[9 + blob_len:], dtype="<f8")
+    assert np.array_equal(weights, np.concatenate([g.value.ravel() for g in model.parameters()]))
+
+
+def test_checkpoint_extra_config_cannot_replace_model_or_arrays(tmp_path):
+    model = CaptionModel(TINY, seed=12)
+    path = tmp_path / "model.ckpt"
+    model.save(path, extra_config={"model": {"embed_dim": 3}, "arrays": [], "vocab": ["x"]})
+    loaded, config = CaptionModel.load(path)
+    assert config["model"] == TINY.to_dict() and config["vocab"] == ["x"]
+    for orig, new in zip(model.parameters(), loaded.parameters()):
+        assert np.array_equal(orig.value, new.value)
+
+
+def test_checkpoint_round_trip_at_paper_dims(tmp_path):
+    cfg = ModelConfig(embed_dim=128, vocab_size=4404)  # 256/256/256/128, ~41 MB
+    model = CaptionModel(cfg, seed=3)
+    path = tmp_path / "model.ckpt"
+    model.save(path)
+    loaded, _ = CaptionModel.load(path)
+    for orig, new in zip(model.parameters(), loaded.parameters()):
+        assert orig.name == new.name
+        assert np.array_equal(orig.value, new.value)
 
 
 def _rewrite_config(path, config_bytes):
@@ -950,6 +1001,42 @@ def test_checkpoint_bad_config_block_is_corruption(tmp_path, config_bytes):
     CaptionModel(TINY, seed=12).save(path)
     _rewrite_config(path, config_bytes)
     with pytest.raises(CorruptionError):
+        CaptionModel.load(path)
+
+
+def _arrays_reordered(names):
+    return [names[1], names[0]] + names[2:]
+
+
+@pytest.mark.parametrize("edit", [_arrays_reordered, lambda names: names[:-1],
+                                  lambda names: names + ["enc.l3.fwd.w"],
+                                  lambda names: names[:-1] + ["dec.w_extra"],
+                                  lambda names: None],
+                         ids=["reordered", "missing", "extra", "renamed", "absent"])
+def test_checkpoint_array_names_must_match_the_layout(tmp_path, edit):
+    path = tmp_path / "model.ckpt"
+    CaptionModel(TINY, seed=12).save(path)
+    config = _config_block(path)
+    config["arrays"] = edit(config["arrays"])
+    if config["arrays"] is None:
+        del config["arrays"]
+    _rewrite_config(path, json.dumps(config).encode("utf-8"))
+    with pytest.raises(CorruptionError, match="layout"):
+        CaptionModel.load(path)
+
+
+@pytest.mark.parametrize("cut, message", [
+    (lambda data: data + b"\x00", "bytes of weights"),
+    (lambda data: data[:-1], "bytes of weights"),
+    (lambda data: data[:-8], "bytes of weights"),
+    (lambda data: data[:12], "config block"),
+    (lambda data: data[:7], "config block"),
+], ids=["one-trailing-byte", "one-byte-short", "one-value-short", "in-config", "in-prefix"])
+def test_checkpoint_size_must_equal_config_plus_weights(tmp_path, cut, message):
+    path = tmp_path / "model.ckpt"
+    CaptionModel(TINY, seed=12).save(path)
+    path.write_bytes(cut(path.read_bytes()))
+    with pytest.raises(CorruptionError, match=message):
         CaptionModel.load(path)
 
 

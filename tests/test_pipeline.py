@@ -148,7 +148,7 @@ def test_toy_dataset_deterministic(tmp_path):
     assert [e.captions for e in e1] == [e.captions for e in e2]
     for a, b in zip(e1, e2):
         if a.split == "dev":
-            assert np.array_equal(load_features(a), load_features(b))
+            assert np.array_equal(load_features(a.path), load_features(b.path))
 
 
 def test_toy_dataset_structure(tmp_path):
@@ -166,7 +166,7 @@ def test_toy_dataset_structure(tmp_path):
 def test_toy_dataset_variable_lengths(tmp_path):
     manifest = make_toy_dataset(tmp_path, seed=1, n_items=10,
                                 segments_per_item=(3, 6))
-    lengths = {load_features(e).shape[0] for e in
+    lengths = {load_features(e.path).shape[0] for e in
                split_entries(load_manifest(manifest), "dev")}
     assert lengths <= {3, 4, 5, 6}
     assert len(lengths) > 1
@@ -276,7 +276,7 @@ def test_train_runs_a_batch_as_one_call_with_one_row_per_sample(tmp_path, monkey
     calls = _spy_on_batches(monkeypatch)
     train(TrainConfig(**{**TINY_TRAIN, "batch_size": 10, "max_epochs": 2}), manifest,
           tmp_path / "run")
-    frames = sorted(load_features(e).shape[0]
+    frames = sorted(load_features(e.path).shape[0]
                     for e in split_entries(load_manifest(manifest), "dev"))
     assert len(calls) == 2  # one call per batch: two epochs of one batch
     for shape, lengths in calls:
@@ -288,7 +288,7 @@ def test_train_splits_a_batch_over_the_frame_budget(tmp_path, monkeypatch):
     manifest = make_toy_dataset(tmp_path / "toy", seed=3, n_items=2, segments_per_item=(2, 4))
     config = TrainConfig(**{**TINY_TRAIN, "batch_size": 10, "max_epochs": 2})
     whole = train(config, manifest, tmp_path / "whole")
-    longest = max(load_features(e).shape[0]
+    longest = max(load_features(e.path).shape[0]
                   for e in split_entries(load_manifest(manifest), "dev"))
     monkeypatch.setattr(pipeline, "TRAIN_FRAME_BUDGET", 3 * longest + 1)
     calls = _spy_on_batches(monkeypatch)
@@ -348,7 +348,7 @@ def test_evaluate_in_budgeted_encode_calls_equals_per_item_decoding(tmp_path, mo
     model = CaptionModel(ModelConfig(embed_dim=16, vocab_size=len(words), enc_hidden=8,
                                      attn_dim=8, dec_hidden=8, word_dim=8), seed=2)
     model.save(tmp_path / "model.ckpt", extra_config={"vocab": words})
-    want = [beam_search(model, model.encode(load_features(entry)), beam=3).tokens
+    want = [beam_search(model, model.encode(load_features(entry.path)), beam=3).tokens
             for entry in entries]
     got, calls = [], []
     search, encode = pipeline.beam_search, CaptionModel.encode
@@ -396,7 +396,7 @@ def test_caption_beam_one_equals_greedy(trained):
     manifest, result = trained
     model, vocab = pipeline.load_checkpoint(result.checkpoint_path)
     for entry in split_entries(load_manifest(manifest), "dev"):
-        ids, _ = greedy_decode_encoded(model, model.encode(load_features(entry)))
+        ids, _ = greedy_decode_encoded(model, model.encode(load_features(entry.path)))
         beam_one = caption_file(result.checkpoint_path, entry.path,
                                 beam=1, length_normalize=False)
         assert beam_one == decode(ids, vocab)
@@ -422,7 +422,7 @@ def test_export_attention_structure(trained, tmp_path):
     on_disk = json.loads(out.read_text())
     assert on_disk == record
     assert record["id"] == entry.id
-    assert record["frames"] == load_features(entry).shape[0]
+    assert record["frames"] == load_features(entry.path).shape[0]
     caption = caption_file(result.checkpoint_path, entry.path, beam=1, length_normalize=False)
     assert len(record["tokens"]) == len(caption.split())
     assert len(record["weights"]) == len(record["tokens"])
@@ -445,8 +445,7 @@ def _write_noise_wav(path, seconds=1.0, seed=0):
 def test_load_features_from_wav(tmp_path):
     wav = tmp_path / "noise.wav"
     _write_noise_wav(wav)
-    entry = ManifestEntry("w", str(wav), ["noise"] * 5, "dev")
-    matrix = load_features(entry)
+    matrix = load_features(wav)
     assert matrix.shape[1] == 64
     assert matrix.shape[0] > 50
 
