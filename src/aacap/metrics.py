@@ -11,6 +11,7 @@ import warnings
 from collections import Counter
 from dataclasses import asdict, dataclass
 from math import exp, log, sqrt
+from operator import eq
 from typing import Callable, Optional, Sequence
 
 from .errors import DataError
@@ -30,10 +31,12 @@ def ngram_counts(tokens: Tokens, n: int) -> Counter:
 
 @dataclass
 class EvalInstance:
-    """One candidate and its references; nothing changes it once built. clip[k - 1]
-    maps each k-gram (k = 1..4) to its highest count in any one reference, the
-    `cook_refs` table of CIDEr (Vedantam et al. 2015): BLEU clips against it,
-    and its keys are the item's document for CIDEr's idf."""
+    """One candidate and its references; nothing changes it once built. Each
+    caption is counted once per order: cand_counts[k - 1] holds the
+    candidate's k-grams (k = 1..4) and ref_counts[r][k - 1] reference r's.
+    clip[k - 1] maps each k-gram to its highest count in any one reference,
+    the `cook_refs` table of CIDEr (Vedantam et al. 2015): BLEU clips against
+    it, and its keys are the item's document for CIDEr's idf."""
 
     candidate: list[str]
     references: list[list[str]]
@@ -41,10 +44,13 @@ class EvalInstance:
     def __post_init__(self):
         if not self.references:
             raise DataError("an evaluation instance needs at least one reference")
-        self.clip = [Counter() for _ in range(CIDER_N_MAX)]
-        for n, table in enumerate(self.clip, start=1):
-            for ref in self.references:
-                table |= ngram_counts(ref, n)
+        orders = range(1, CIDER_N_MAX + 1)
+        self.cand_counts = [ngram_counts(self.candidate, n) for n in orders]
+        self.ref_counts = [[ngram_counts(ref, n) for n in orders] for ref in self.references]
+        self.clip = [Counter() for _ in orders]
+        for counts in self.ref_counts:
+            for table, ref_table in zip(self.clip, counts):
+                table |= ref_table
 
 
 @dataclass
@@ -89,7 +95,7 @@ def bleu(instances: Sequence[EvalInstance], n: int = 4) -> float:
         cand_len += len(cand)
         ref_len += min((abs(len(r) - len(cand)), len(r)) for r in inst.references)[1]
         for k in range(1, n + 1):
-            correct[k - 1] += sum((ngram_counts(cand, k) & inst.clip[k - 1]).values())
+            correct[k - 1] += sum((inst.cand_counts[k - 1] & inst.clip[k - 1]).values())
             guess[k - 1] += max(0, len(cand) - k + 1)
     if cand_len == 0 or any(c == 0 for c in correct) or any(g == 0 for g in guess):
         return 0.0
@@ -146,9 +152,8 @@ def rouge_l_corpus(instances: Sequence[EvalInstance]) -> float:
 # CIDEr
 # ---------------------------------------------------------------------------
 
-def _tfidf_vector(tokens: Tokens, n: int, idf: dict) -> tuple[dict, float]:
-    vec = {gram: count * idf.get(gram, 0.0)
-           for gram, count in ngram_counts(tokens, n).items()}
+def _tfidf_vector(counts: Counter, idf: dict) -> tuple[dict, float]:
+    vec = {gram: count * idf.get(gram, 0.0) for gram, count in counts.items()}
     norm = sqrt(sum(v * v for v in vec.values()))
     return vec, norm
 
@@ -172,10 +177,10 @@ def cider(instances: Sequence[EvalInstance], cider_d: bool = False) -> float:
         per_n = []
         for n in range(1, CIDER_N_MAX + 1):
             idf = idf_by_n[n - 1]
-            cand_vec, cand_norm = _tfidf_vector(inst.candidate, n, idf)
+            cand_vec, cand_norm = _tfidf_vector(inst.cand_counts[n - 1], idf)
             score = 0.0
-            for ref in inst.references:
-                ref_vec, ref_norm = _tfidf_vector(ref, n, idf)
+            for ref, ref_counts in zip(inst.references, inst.ref_counts):
+                ref_vec, ref_norm = _tfidf_vector(ref_counts[n - 1], idf)
                 if cand_norm == 0.0 or ref_norm == 0.0:
                     continue
                 if cider_d:
@@ -214,22 +219,25 @@ def load_synonym_table(path) -> dict[str, set[str]]:
     return table
 
 
-def _align(candidate: Tokens, reference: Tokens,
-           stem: Callable[[str], str],
+def _align(candidate: Tokens, reference: Tokens, cand_stems: list[str],
+           ref_stems: list[str],
            synonyms: Optional[dict[str, set[str]]]) -> list[tuple[int, int]]:
-    """Staged greedy unigram alignment: exact, then stem, then synonyms."""
-    stages = [lambda c, r: c == r, lambda c, r: stem(c) == stem(r)]
+    """Staged greedy unigram alignment: equal words, then equal stems, then
+    synonyms. Each stage takes the free candidate words in order and pairs
+    each with the first free reference word it relates to."""
+    stages = [(candidate, reference, eq), (cand_stems, ref_stems, eq)]
     if synonyms is not None:
-        stages.append(lambda c, r: r in synonyms.get(c, ()) or c in synonyms.get(r, ()))
+        stages.append((candidate, reference,
+                       lambda c, r: r in synonyms.get(c, ()) or c in synonyms.get(r, ())))
     cand_free = [True] * len(candidate)
     ref_free = [True] * len(reference)
     pairs: list[tuple[int, int]] = []
-    for matches in stages:
-        for ci, cw in enumerate(candidate):
+    for cand_keys, ref_keys, related in stages:
+        for ci, ck in enumerate(cand_keys):
             if not cand_free[ci]:
                 continue
-            for ri, rw in enumerate(reference):
-                if ref_free[ri] and matches(cw, rw):
+            for ri, rk in enumerate(ref_keys):
+                if ref_free[ri] and related(ck, rk):
                     pairs.append((ci, ri))
                     cand_free[ci] = False
                     ref_free[ri] = False
@@ -250,15 +258,17 @@ def _chunk_count(pairs: list[tuple[int, int]]) -> int:
 def meteor(instance: EvalInstance, stem: Callable[[str], str] = porter_stem,
            synonyms: Optional[dict[str, set[str]]] = None) -> float:
     """F-mean 10PR/(R+9P) with fragmentation penalty 0.5(chunks/matches)^3,
-    best over references."""
+    best over references. The candidate's words are stemmed once, and each
+    reference's once."""
     cand = instance.candidate
     if not cand:
         return 0.0
+    cand_stems = [stem(word) for word in cand]
     best = 0.0
     for ref in instance.references:
         if not ref:
             continue
-        pairs = _align(cand, ref, stem, synonyms)
+        pairs = _align(cand, ref, cand_stems, [stem(word) for word in ref], synonyms)
         matches = len(pairs)
         if matches == 0:
             continue

@@ -23,6 +23,24 @@ The input projection X W_x + b is taken PROJECTION_CHUNK steps at a time:
 training keeps it whole for backward, and encode keeps only the chunk in
 hand, so an encode call never holds a (frames, 4 * hidden) block.
 
+A layer's two directions are independent recurrences, so in training
+(forward with the cache kept, and backward) the fwd direction runs on the
+caller's thread while the bwd one runs on a helper thread, in the spirit of
+Appleyard et al.'s overlap of independent recurrent work; numpy releases
+the GIL inside its products and ufuncs. There is one daemon helper per
+process, started on first use, and each call waits for it before
+returning; an exception raised there is raised in the caller. Each
+direction runs the same operations as on one thread and writes its own
+output columns, and the caller adds both directions' input gradients into
+d(inputs) after the join, fwd first as before: outputs are bit-identical to
+running one direction after the other. Below TWO_THREAD_MIN_WORK per step
+(rows x 4h x h) the GIL handoffs cost more than they save, and both
+directions run on the caller's thread.
+CaptionModel.encode (evaluation, validation, caption, attention export)
+stays on one thread: at its few live rows per step the gain was not
+reliable, and a helper's malloc arena costs memory in a process that
+otherwise never needs one.
+
 A decoder step is Decoder.advance: an attention read of the encoder output
 from h_prev, then one decoder cell step on [word embedding, context]. The
 same call steps one token or a row of beam hypotheses over one E, and a
@@ -72,7 +90,9 @@ import json
 import os
 import struct
 import sys
+import threading
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -83,6 +103,9 @@ from .text import PAD
 
 CHECKPOINT_MAGIC = b"AACM\x03"
 PROJECTION_CHUNK = 8  # encoder steps per input projection product
+# Training runs a layer's two directions on two threads from this much work
+# per step, rows x 4h x h (4 rows at h = 256); below it the handoffs cost more.
+TWO_THREAD_MIN_WORK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -286,9 +309,10 @@ class LstmCell:
                     c[rows] = c_prev
         return [x_seq, at, offsets, gates, c] if keep_cache else None
 
-    def backward_sequence(self, cache, dout: np.ndarray, dx: np.ndarray):
-        """Backprop of forward_sequence: reads d(loss)/d(h) from dout, and adds
-        d(loss)/d(x_seq) into dx, at the packed places of the forward.
+    def backward_sequence(self, cache, dout: np.ndarray) -> np.ndarray:
+        """Backprop of forward_sequence: reads d(loss)/d(h) from dout at the
+        packed places of the forward, and returns d(loss)/d(x_seq) there, one
+        (input_dim,) row per packed row.
 
         Accumulates the parameter gradients with one product each after the
         reverse-time loop. Each cached array is freed once it is no longer
@@ -322,7 +346,51 @@ class LstmCell:
         self.w.gradient[self.input_dim:] += h_prev.T @ d_pre
         del h_prev
         self.b.gradient += d_pre.sum(axis=0)
-        dx[at] += d_pre @ w_x.T
+        return d_pre @ w_x.T
+
+
+class _Helper:
+    """One daemon thread that runs one call at a time beside the caller."""
+
+    def __init__(self):
+        self._call = self._outcome = None
+        self._start, self._done = threading.Semaphore(0), threading.Semaphore(0)
+        threading.Thread(target=self._serve, name="aacap-bilstm-helper", daemon=True).start()
+
+    def _serve(self):
+        while True:
+            self._start.acquire()
+            try:
+                self._outcome = (self._call(), None)
+            except BaseException as exc:
+                self._outcome = (None, exc)
+            self._done.release()
+
+    def run_beside(self, here, there) -> tuple:
+        """(here(), there()), there() on the helper thread. The helper is done
+        when this returns or raises; an exception there is raised here."""
+        self._call = there
+        self._start.release()
+        try:
+            mine = here()
+        finally:
+            self._done.acquire()
+        theirs, error = self._outcome
+        self._call = self._outcome = None  # hold no arrays between calls
+        if error is not None:
+            raise error
+        return mine, theirs
+
+
+_helper: Optional[_Helper] = None
+
+
+def _forget_helper():
+    global _helper
+    _helper = None
+
+
+os.register_at_fork(after_in_child=_forget_helper)  # a forked child has no helper thread
 
 
 def _chunks(steps: int) -> list[tuple[int, int]]:
@@ -384,14 +452,26 @@ class BiLstmLayer:
         return [(self.fwd, (pack.rows, pack.steps), slice(0, hidden)),
                 (self.bwd, (pack.rows, pack.reverse), slice(hidden, 2 * hidden))]
 
+    def _run(self, pack: "_Packing", calls, threaded: bool) -> list:
+        """Results of the fwd and bwd calls: the bwd one on the helper thread
+        when threaded and a step is worth it, else one after the other."""
+        global _helper
+        if threaded and pack.offsets[1] * 4 * self.hidden_dim ** 2 >= TWO_THREAD_MIN_WORK:
+            if _helper is None:
+                _helper = _Helper()
+            return list(_helper.run_beside(*calls))
+        return [call() for call in calls]
+
     def forward(self, x_seq: np.ndarray, lengths: np.ndarray, keep_cache: bool = True):
         """x_seq (B, T, in), rows valid up to lengths (B,); returns (B, T, 2 hidden),
         zero on padded frames, and the cache for backward (None without
-        keep_cache). Padded frames of x_seq are never read."""
+        keep_cache). Padded frames of x_seq are never read. Each direction
+        writes its own columns of the output."""
         pack = _Packing.of(lengths)
         out = np.zeros(x_seq.shape[:2] + (2 * self.hidden_dim,))
-        caches = [cell.forward_sequence(x_seq, at, pack.offsets, out[..., cols], keep_cache)
-                  for cell, at, cols in self._directions(pack)]
+        calls = [partial(cell.forward_sequence, x_seq, at, pack.offsets, out[..., cols],
+                         keep_cache) for cell, at, cols in self._directions(pack)]
+        caches = self._run(pack, calls, threaded=keep_cache)
         return out, ([caches, pack] if keep_cache else None)
 
     def backward(self, cache, dout: np.ndarray) -> np.ndarray:
@@ -399,9 +479,12 @@ class BiLstmLayer:
         Padded frames of dout are never read, and get zero input gradient."""
         caches, pack = cache
         cache.clear()
+        directions = self._directions(pack)
+        calls = [partial(cell.backward_sequence, cell_cache, dout[..., cols])
+                 for (cell, _, cols), cell_cache in zip(directions, caches)]
         dx = np.zeros(dout.shape[:2] + (self.fwd.input_dim,))
-        for (cell, _, cols), cell_cache in zip(self._directions(pack), caches):
-            cell.backward_sequence(cell_cache, dout[..., cols], dx)
+        for (_, at, _), d_in in zip(directions, self._run(pack, calls, threaded=True)):
+            dx[at] += d_in
         return dx
 
 

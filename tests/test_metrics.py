@@ -414,14 +414,17 @@ def test_clip_table_holds_each_ngrams_highest_count_in_one_reference(instances):
         for n, table in enumerate(instance.clip, start=1):
             grams = {g for ref in instance.references for g in ngram_counts(ref, n)}
             assert set(table) == grams
+            assert instance.cand_counts[n - 1] == ngram_counts(instance.candidate, n)
+            assert [counts[n - 1] for counts in instance.ref_counts] == [
+                ngram_counts(ref, n) for ref in instance.references]
             for gram in grams:
                 assert table[gram] == max(ngram_counts(ref, n)[gram]
                                           for ref in instance.references)
 
 
 def test_evaluate_corpus_counts_each_reference_once_per_order(monkeypatch):
-    # 3 instances x 2 references x 4 orders for the tables, then BLEU-1..4
-    # count each candidate at 1 + 2 + 3 + 4 orders
+    # 3 instances x (2 references + 1 candidate) x 4 orders, all while the
+    # instances are built; BLEU-1..4 and CIDEr read those counts
     import aacap.metrics as metrics_module
 
     calls = []
@@ -431,11 +434,73 @@ def test_evaluate_corpus_counts_each_reference_once_per_order(monkeypatch):
     candidates = [["a", "b"], ["b"], []]
     references = [[["a", "b"], ["b", "a"]]] * 3
     instances = [EvalInstance(c, r) for c, r in zip(candidates, references)]
-    assert len(calls) == 3 * 2 * 4
+    assert len(calls) == 3 * (2 + 1) * 4
     calls.clear()
     for n in (1, 2, 3, 4):
         bleu(instances, n)
-    assert len(calls) == 3 * (1 + 2 + 3 + 4)
+    cider(instances)
+    cider(instances, cider_d=True)
+    assert calls == []
+    evaluate_corpus(candidates, references)
+    assert len(calls) == 3 * (2 + 1) * 4
+
+
+# ---------------------------------------------------------------------------
+# METEOR's stem keys against the per-pair stem comparison they replaced
+# ---------------------------------------------------------------------------
+
+def _per_pair_meteor(instance, synonyms):
+    """METEOR whose stem stage stems both words of every pair it compares."""
+    cand = instance.candidate
+    stages = [lambda c, r: c == r, lambda c, r: porter_stem(c) == porter_stem(r)]
+    if synonyms is not None:
+        stages.append(lambda c, r: r in synonyms.get(c, ()) or c in synonyms.get(r, ()))
+    best = 0.0
+    for ref in instance.references:
+        cand_free, ref_free, pairs = [True] * len(cand), [True] * len(ref), []
+        for matches in stages:
+            for ci, cw in enumerate(cand):
+                if not cand_free[ci]:
+                    continue
+                for ri, rw in enumerate(ref):
+                    if ref_free[ri] and matches(cw, rw):
+                        pairs.append((ci, ri))
+                        cand_free[ci] = ref_free[ri] = False
+                        break
+        pairs.sort()
+        if not pairs:
+            continue
+        chunks = sum(1 for k, (ci, ri) in enumerate(pairs)
+                     if k == 0 or (ci, ri) != (pairs[k - 1][0] + 1, pairs[k - 1][1] + 1))
+        precision, recall = len(pairs) / len(cand), len(pairs) / len(ref)
+        f_mean = 10.0 * precision * recall / (recall + 9.0 * precision)
+        best = max(best, f_mean * (1.0 - 0.5 * (chunks / len(pairs)) ** 3))
+    return best
+
+
+# inflections that share a stem, and a synonym pair, so that every stage matches
+_meteor_words = st.lists(st.sampled_from(["cat", "cats", "run", "running", "runs", "dog",
+                                          "barks", "barking", "a"]), max_size=8)
+_meteor_instances = st.builds(EvalInstance, _meteor_words,
+                              st.lists(_meteor_words, min_size=1, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_meteor_instances, st.booleans())
+def test_meteor_stem_keys_equal_the_per_pair_stem_comparison(instance, with_synonyms):
+    synonyms = {"cat": {"dog"}, "dog": {"cat"}} if with_synonyms else None
+    assert meteor(instance, synonyms=synonyms) == _per_pair_meteor(instance, synonyms)
+
+
+def test_meteor_stems_each_word_once_per_instance_and_reference():
+    stemmed = []
+    instance = inst("the cats ran", "a cat runs", "cats ran")
+
+    def stem(word):
+        stemmed.append(word)
+        return porter_stem(word)
+    meteor(instance, stem=stem)
+    assert sorted(stemmed) == sorted("the cats ran a cat runs cats ran".split())
 
 
 def test_score_workload_report_matches_the_benchmark_reference(tmp_path):

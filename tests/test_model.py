@@ -750,6 +750,169 @@ def test_batch_rejects_mismatched_targets_and_lengths():
         model.forward_teacher_forced(inputs, lengths[:2], targets)
 
 
+# ---------------------------------------------------------------------------
+# a training layer's two directions on two threads
+# ---------------------------------------------------------------------------
+
+def _paper_batch():
+    """A paper-dims batch of 6 rows, above the two-thread gate at h = 256."""
+    rng = np.random.default_rng(11)
+    lengths = [21, 9, 17, 21, 2, 14]
+    inputs, _ = bucket_pad([rng.normal(size=(n, PAPER.embed_dim)) for n in lengths])
+    targets = [[START] + rng.integers(4, PAPER.vocab_size, size=k).tolist() + [END]
+               + [PAD] * (8 - k) for k in (5, 2, 8, 1, 3, 6)]
+    return inputs, lengths, targets
+
+
+def _layer_run(monkeypatch, min_work):
+    """Loss, gradients, d(inputs) and each layer's output of one paper-dims
+    batch, with the two-thread gate at min_work; and the helper's call count."""
+    from aacap import model as model_module
+
+    monkeypatch.setattr(model_module, "TWO_THREAD_MIN_WORK", min_work)
+    outputs, helper_calls = [], []
+    forward, run_beside = model_module.BiLstmLayer.forward, model_module._Helper.run_beside
+
+    def keep_output(self, *args, **kwargs):
+        out, cache = forward(self, *args, **kwargs)
+        outputs.append(out.copy())
+        return out, cache
+
+    def count_call(self, *args):
+        helper_calls.append(1)
+        return run_beside(self, *args)
+    monkeypatch.setattr(model_module.BiLstmLayer, "forward", keep_output)
+    monkeypatch.setattr(model_module._Helper, "run_beside", count_call)
+    model = CaptionModel(PAPER, seed=5)
+    inputs, lengths, targets = _paper_batch()
+    result = model.forward_teacher_forced(inputs, lengths, targets)
+    d_inputs = model.backward(result.cache)
+    grads = {g.name: g.gradient.copy() for g in model.parameters()}
+    monkeypatch.undo()
+    return result.loss, grads, d_inputs, outputs, len(helper_calls)
+
+
+@pytest.mark.parametrize("switch_interval", [None, 1e-6], ids=["default", "1us"])
+def test_two_thread_layers_give_the_same_bits_as_one_thread(monkeypatch, switch_interval):
+    # a 1 us interpreter switch interval interleaves the two threads finely
+    import sys
+
+    from aacap.model import TWO_THREAD_MIN_WORK
+
+    assert 6 * 4 * PAPER.enc_hidden ** 2 >= TWO_THREAD_MIN_WORK
+    saved = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(switch_interval or saved)
+        loss, grads, d_inputs, outputs, calls = _layer_run(monkeypatch, TWO_THREAD_MIN_WORK)
+    finally:
+        sys.setswitchinterval(saved)
+    one_loss, one_grads, one_d_inputs, one_outputs, one_calls = _layer_run(monkeypatch, 1 << 62)
+    assert (calls, one_calls) == (4, 0)  # both layers' forward and backward
+    assert loss == one_loss
+    assert grads.keys() == one_grads.keys()
+    for name, grad in grads.items():
+        assert np.array_equal(grad, one_grads[name]), name
+    assert np.array_equal(d_inputs, one_d_inputs)
+    assert len(outputs) == len(one_outputs) == 2
+    for out, one_out in zip(outputs, one_outputs):
+        assert np.array_equal(out, one_out)
+
+
+@pytest.mark.parametrize("method", ["forward_sequence", "backward_sequence"])
+def test_an_exception_in_the_helper_direction_reaches_the_caller(monkeypatch, method):
+    import threading
+
+    model = CaptionModel(PAPER, seed=5)
+    inputs, lengths, targets = _paper_batch()
+    failure, ran_on = RuntimeError("bwd cell failed"), []
+
+    def fail(*args, **kwargs):
+        ran_on.append(threading.current_thread())
+        raise failure
+    monkeypatch.setattr(model.encoder.layer2.bwd, method, fail)
+    with pytest.raises(RuntimeError) as caught:
+        model.backward(model.forward_teacher_forced(inputs, lengths, targets).cache)
+    assert caught.value is failure
+    assert ran_on and ran_on[0] is not threading.main_thread()
+    monkeypatch.undo()
+    model.zero_grads()
+    result = model.forward_teacher_forced(inputs, lengths, targets)
+    d_inputs = model.backward(result.cache)
+    again = CaptionModel(PAPER, seed=5)
+    assert result.loss == again.forward_teacher_forced(inputs, lengths, targets).loss
+    assert np.array_equal(d_inputs, again.backward(
+        again.forward_teacher_forced(inputs, lengths, targets).cache))
+
+
+def test_a_forked_child_trains_on_a_helper_of_its_own():
+    import os
+    import time
+
+    inputs, lengths, targets = _paper_batch()
+    model = CaptionModel(PAPER, seed=5)
+    want = model.forward_teacher_forced(inputs, lengths, targets)  # starts the helper
+    pid = os.fork()
+    if pid == 0:  # the child has no helper thread until it starts one
+        try:
+            got = model.forward_teacher_forced(inputs, lengths, targets)
+            model.backward(got.cache)
+            os._exit(0 if got.loss == want.loss else 1)
+        finally:
+            os._exit(2)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_training_at_tier_one_dims_never_starts_the_helper(tmp_path):
+    """In a fresh process: training at the dims of the pipeline and acceptance
+    training tests, and any encode, leave one thread; a paper-dims batch
+    above the gate starts one helper, which later batches reuse."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = f"""
+import threading
+import numpy as np
+from aacap.model import CaptionModel, ModelConfig
+from aacap.pipeline import TrainConfig, make_toy_dataset, train
+
+def names():
+    return sorted(t.name for t in threading.enumerate())
+
+manifest = make_toy_dataset({str(tmp_path / "toy")!r}, seed=0, n_items=4)
+train(TrainConfig(batch_size=4, initial_lr=1e-2, max_epochs=1, seed=0, vocab_min_count=1,
+                  enc_hidden=8, attn_dim=8, dec_hidden=8, word_dim=8),
+      manifest, {str(tmp_path / "run")!r})
+rng = np.random.default_rng(0)
+for batch, hidden in [(4, 32), (8, 16), (4, 8)]:
+    model = CaptionModel(ModelConfig(embed_dim=16, vocab_size=9, enc_hidden=hidden))
+    result = model.forward_teacher_forced(rng.normal(size=(batch, 12, 16)), [12] * batch,
+                                          [[1, 5, 6, 2]] * batch)
+    model.backward(result.cache)
+paper = CaptionModel(ModelConfig(embed_dim=128, vocab_size=40))
+paper.encode(rng.normal(size=(16, 20, 128)), [20] * 16)
+print(names())
+for _ in range(2):
+    result = paper.forward_teacher_forced(rng.normal(size=(4, 6, 128)), [6] * 4,
+                                          [[1, 5, 6, 2]] * 4)
+    paper.backward(result.cache)
+print(names())
+"""
+    repo = Path(__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(repo / "src")}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["['MainThread']",
+                                        "['MainThread', 'aacap-bilstm-helper']"]
+
+
 def test_decoder_advance_over_rows_equals_per_row_calls():
     for seed in (0, 1, 2):
         model, matrices, valids, inputs, lengths = batch_fixture(seed)
