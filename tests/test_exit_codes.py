@@ -94,3 +94,14 @@ def test_damaged_inputs_exit_0_2_or_3(files, kind, capsys):
         assert code in (0, 2, 3), change
 
     run()
+
+
+@pytest.mark.parametrize("rate", [44100, 16000])
+def test_a_wav_with_no_samples_exits_3(files, tmp_path, rate, capsys):
+    path = tmp_path / f"empty-{rate}.wav"
+    write_wav(path, Waveform(np.zeros(0), rate))
+    assert cli.main(files["wav"][1](str(path))) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "has no samples" in err
+    assert "Traceback" not in err

@@ -1,6 +1,10 @@
+import importlib.util
 import itertools
+import json
 import math
 import tracemalloc
+import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from aacap.errors import ConfigError, DataError, ShapeError
 from aacap.features import (
     LOG_OFFSET,
     MIN_SAMPLE_RATE,
+    RESAMPLE_BLOCK,
     STFT_CHUNK_FRAMES,
     TARGET_SAMPLE_RATE,
     AugmentConfig,
@@ -22,8 +27,11 @@ from aacap.features import (
     resample,
     spec_augment,
     stft_power,
+    wav_to_log_mel,
     write_wav,
 )
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def naive_windowed_dft_power(frame: np.ndarray) -> np.ndarray:
@@ -428,3 +436,118 @@ def test_read_wav_with_a_chunk_running_past_its_parent_is_a_data_error(tmp_path)
 def test_resample_identity_when_rates_match():
     w = Waveform(np.arange(10.0), 16000)
     assert resample(w, 16000) is w
+
+
+def interp_resample(samples: np.ndarray, rate_in: int, rate_out: int) -> np.ndarray:
+    """Resampling by np.interp over both full time grids; resample must equal it bit for bit."""
+    n_out = int(round(len(samples) / rate_in * rate_out))
+    return np.interp(np.arange(n_out) / rate_out, np.arange(len(samples)) / rate_in, samples)
+
+
+def assert_same_bits(a: np.ndarray, b: np.ndarray):
+    assert a.shape == b.shape
+    assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+BLOCK = RESAMPLE_BLOCK
+RATES = st.one_of(st.sampled_from([1000, 8000, 15999, 16000, 16001, 22050, 44100, 48000,
+                                   96000]),
+                  st.integers(1000, 96000))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rate_in=RATES, rate_out=RATES,
+       length=st.sampled_from([1, 2, 3, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17]),
+       of_output=st.booleans(), seed=st.integers(0, 2**16))
+def test_resample_equals_np_interp_over_the_full_grids(rate_in, rate_out, length, of_output,
+                                                       seed):
+    # `of_output` makes `length` the output's length, so the blocks' edges are hit too.
+    n_in = max(1, round(length * rate_in / rate_out)) if of_output else length
+    samples = np.random.default_rng(seed).uniform(-1, 1, n_in)
+    out = resample(Waveform(samples, rate_in), rate_out)
+    assert out.sample_rate == rate_out
+    assert_same_bits(out.samples, interp_resample(samples, rate_in, rate_out))
+
+
+@pytest.mark.parametrize("rate_in, rate_out", [(44100, 16000), (8000, 16000), (16000, 44100)])
+def test_resample_of_infinite_and_nan_samples_equals_np_interp(rate_in, rate_out):
+    # Output k lands exactly on input j when k * rate_in is a multiple of
+    # rate_out; those hits take the sample itself, and np.interp redoes an
+    # inf - inf next to an infinite sample from the right end.
+    samples = np.random.default_rng(3).uniform(-1, 1, 3 * BLOCK)
+    step = rate_in // math.gcd(rate_in, rate_out)  # input index of every exact hit
+    samples[[step, 5 * step, 9 * step]] = [np.inf, -np.inf, np.nan]
+    samples[[2 * step + 1, 6 * step + 1]] = np.inf  # between hits
+    samples[[7 * step, 7 * step + 1]] = -np.inf  # a flat infinite stretch
+    samples[3 * step] = -0.0
+    out = resample(Waveform(samples, rate_in), rate_out).samples
+    assert np.isinf(out).any() and np.isnan(out).any()
+    assert_same_bits(out, interp_resample(samples, rate_in, rate_out))
+
+
+@pytest.mark.parametrize("samples", [
+    np.random.default_rng(4).uniform(-1, 1, 3000).astype(np.float32),
+    np.arange(-1500, 1500, dtype=np.int16),
+    np.random.default_rng(5).uniform(-1, 1, 6000)[::2],
+], ids=["float32", "int16", "strided"])
+def test_resample_of_other_sample_layouts_equals_np_interp(samples):
+    out = resample(Waveform(samples, 44100), TARGET_SAMPLE_RATE).samples
+    assert out.dtype == np.float64
+    assert_same_bits(out, interp_resample(samples, 44100, TARGET_SAMPLE_RATE))
+
+
+def test_resample_of_no_samples_is_a_data_error():
+    with pytest.raises(DataError, match="no samples"):
+        resample(Waveform(np.zeros(0), 44100), TARGET_SAMPLE_RATE)
+
+
+def test_resample_extra_memory_is_bounded_on_a_long_clip():
+    # The two full time grids of 30 s at 44.1 kHz would hold ~14.4 MB beside
+    # the output; the blocks keep that to their scratch arrays.
+    w = Waveform(np.random.default_rng(0).uniform(-1, 1, 30 * 44100), 44100)
+    tracemalloc.start()
+    try:
+        out = resample(w, TARGET_SAMPLE_RATE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.samples.nbytes + 2**20
+
+
+def test_read_wav_scales_every_16_bit_value_as_a_float_division_would(tmp_path):
+    pcm = np.arange(-32768, 32768).astype("<i2")
+    path = tmp_path / "all.wav"
+    with wave.open(str(path), "wb") as wav:
+        wav.setnchannels(1)
+        wav.setsampwidth(2)
+        wav.setframerate(TARGET_SAMPLE_RATE)
+        wav.writeframes(pcm.tobytes())
+    samples = read_wav(path).samples
+    assert samples.dtype == np.float64
+    assert np.array_equal(samples.view(np.uint64),
+                          (pcm.astype(np.float64) / 32768.0).view(np.uint64))
+
+
+def test_ingest_workload_checksums_match_the_benchmark_reference(tmp_path):
+    """The benchmark's `ingest` clips, seed 0, each through the front end,
+    segment plan and mock embeddings as that workload runs them, against
+    perfbench/expected.json at its rtol."""
+    from aacap.embeddings import mock_extract, plan_segments
+
+    spec = importlib.util.spec_from_file_location("perfbench_inputs",
+                                                  REPO / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    clips = inputs.make_ingest(0, tmp_path)["clips"]
+    expected = json.loads((REPO / "perfbench" / "expected.json").read_text())
+    rtol = expected["rtol"]["ingest"]
+    want = expected["workloads"]["ingest"]["checksums"]
+    assert len(clips) == len(want)
+    assert {clip["rate"] for clip in clips} == {44100, TARGET_SAMPLE_RATE}
+    for clip, (want_mel, want_embedding) in zip(clips, want):
+        spectrogram = wav_to_log_mel(clip["path"])
+        matrix = mock_extract(spectrogram, plan_segments(clip["duration"]),
+                              inputs.FEATURE_DIM, clip["extract_seed"])
+        assert float(spectrogram.values.sum()) == pytest.approx(want_mel, rel=rtol, abs=1e-12)
+        assert float(matrix.sum()) == pytest.approx(want_embedding, rel=rtol, abs=1e-12)
