@@ -12,12 +12,16 @@ next beam is read off it with np.partition; only the entries at or above
 the beam-th best score are sorted, by (-score, prefix tokens, token), the
 order a full sort of every candidate gives, and the kept rows' states are
 gathered. Both take an EncoderOutput, so the encoding is done by the caller,
-one item or a batch of items at a time; the attention keys E W_enc come
-with it.
+one item or a batch of items at a time; the attention keys E W_enc and the
+context gates E W_ctx come with it, so a step reads neither W_enc nor the
+decoder cell's context rows W_ctx.
 
 A stacked (live, d_h) product rounds differently from one per hypothesis,
 so log-probabilities match a per-hypothesis search within 1e-12. Greedy
-decoding is one row and bit-identical to stepping a 1-D state.
+decoding is one row and bit-identical to stepping a 1-D state. A step
+takes the context's share of the cell input from the context gates, in
+another order than teacher forcing's fused product, so its logits match a
+teacher-forced step within rtol 1e-12 (model.py's tolerance policy).
 """
 
 from dataclasses import dataclass, field

@@ -103,17 +103,6 @@ def read_wav(path) -> Waveform:
     return resample(Waveform(samples, rate), TARGET_SAMPLE_RATE)
 
 
-def write_wav(path, w: Waveform):
-    """Write a waveform as mono 16-bit PCM."""
-    clipped = np.clip(w.samples, -1.0, 1.0)
-    pcm = (clipped * 32767.0).astype("<i2")
-    with wave.open(str(path), "wb") as wav:
-        wav.setnchannels(1)
-        wav.setsampwidth(2)
-        wav.setframerate(w.sample_rate)
-        wav.writeframes(pcm.tobytes())
-
-
 def resample(w: Waveform, target_rate: int) -> Waveform:
     """Linear-interpolation resampling; identity when rates already match.
 

@@ -21,7 +21,6 @@ Tokens = Sequence[str]
 
 ROUGE_BETA = 1.2
 METEOR_CHUNK_PENALTY = 0.5
-CIDER_SIGMA = 6.0  # length penalty width, CIDEr-D variant only
 CIDER_N_MAX = 4  # n-gram orders 1..CIDER_N_MAX
 
 
@@ -158,11 +157,10 @@ def _tfidf_vector(counts: Counter, idf: dict) -> tuple[dict, float]:
     return vec, norm
 
 
-def cider(instances: Sequence[EvalInstance], cider_d: bool = False) -> float:
+def cider(instances: Sequence[EvalInstance]) -> float:
     """tf-idf weighted n-gram cosine against each reference, averaged over
     references and over n = 1..CIDER_N_MAX; idf treats one item's reference
-    set as one document. The cider_d flag adds count clipping and the
-    gaussian length penalty of the -D variant."""
+    set as one document."""
     if not instances:
         raise DataError("CIDEr of an empty candidate set")
     if len(instances) < 2:
@@ -183,16 +181,8 @@ def cider(instances: Sequence[EvalInstance], cider_d: bool = False) -> float:
                 ref_vec, ref_norm = _tfidf_vector(ref_counts[n - 1], idf)
                 if cand_norm == 0.0 or ref_norm == 0.0:
                     continue
-                if cider_d:
-                    dot = sum(min(v, ref_vec.get(g, 0.0)) * ref_vec.get(g, 0.0)
-                              for g, v in cand_vec.items())
-                else:
-                    dot = sum(v * ref_vec.get(g, 0.0) for g, v in cand_vec.items())
-                sim = dot / (cand_norm * ref_norm)
-                if cider_d:
-                    delta = len(inst.candidate) - len(ref)
-                    sim *= exp(-delta * delta / (2.0 * CIDER_SIGMA ** 2))
-                score += sim
+                dot = sum(v * ref_vec.get(g, 0.0) for g, v in cand_vec.items())
+                score += dot / (cand_norm * ref_norm)
             per_n.append(score / len(inst.references))
         total += sum(per_n) / CIDER_N_MAX
     return total / len(instances)
@@ -293,8 +283,7 @@ def meteor_corpus(instances: Sequence[EvalInstance],
 
 def evaluate_corpus(candidates: Sequence[Tokens],
                     references: Sequence[Sequence[Tokens]],
-                    synonyms: Optional[dict[str, set[str]]] = None,
-                    cider_d: bool = False) -> MetricReport:
+                    synonyms: Optional[dict[str, set[str]]] = None) -> MetricReport:
     """All metrics over aligned candidate/reference lists."""
     if len(candidates) != len(references):
         raise DataError(
@@ -307,6 +296,6 @@ def evaluate_corpus(candidates: Sequence[Tokens],
         bleu_3=bleu(instances, 3),
         bleu_4=bleu(instances, 4),
         rouge_l=rouge_l_corpus(instances),
-        cider=cider(instances, cider_d=cider_d),
+        cider=cider(instances),
         meteor=meteor_corpus(instances, synonyms=synonyms),
     )

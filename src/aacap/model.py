@@ -53,6 +53,15 @@ target step adds loss 0 and no gradient. The attention keys E W_enc do not
 depend on the decoder state, so they are taken once per encode and carried
 on EncoderOutput; each decoder step adds only h_prev W_h to them.
 
+Nor do the context gates E W_ctx, W_ctx being the decoder cell's weight
+rows for the context: a step's context share of the cell pre-activation is
+(alpha E) W_ctx = alpha (E W_ctx). encode takes them once beside the keys,
+and the inference step (Decoder.step, behind beam search and greedy
+decoding) reads that share as a (rows, T) x (T, 4 d_h) product instead of
+reading W_ctx, about a quarter of a step's weight traffic at a few rows.
+Teacher forcing keeps the fused [word, context, h] product: at a training
+batch the hoisted product would cost more than the steps it saves.
+
 Backpropagation is reverse-time over decoder steps (through the attention
 read and the decoder cell), then reverse-time through both encoder layers.
 The reverse loops carry only the recurrence and stack the per-step deltas
@@ -74,16 +83,24 @@ bit for bit. One matrix's E is bit-identical to the unpacked, unchunked
 recurrence. A batch's E equals each row's own encode within 1e-12 absolute
 (E is an LSTM's h, so it lies in (-1, 1)): a step of several rows is a
 matrix product where one row alone is a matrix-vector product, and the two
-round differently.
+round differently. The inference step's logits, h and c equal the
+teacher-forced step's (Decoder.advance plus the output projection) within
+rtol 1e-12 of each array's largest entry: the context share is summed in
+another order.
 
-Checkpoints are "AACM" plus version byte 3: a length-prefixed JSON config
-block with the model dims and the parameter names in parameters() order,
-then the parameters as float64 LE, back to back. The dims fix every shape,
-so a load checks the file size exactly, and the names against the model's,
-before it reads each array straight into a model built without random
-init. Version 1 (an array per LSTM gate) and version 2 (a header before
-each array) are no longer read.
+Checkpoints are "AACM" plus version byte 4: a length-prefixed JSON config
+block with the model dims, the parameter names in parameters() order and
+each parameter's word sum, then the parameters as float64 LE, back to back.
+The dims fix every shape, so a load checks the file size exactly, and the
+names against the model's, before it reads each array straight into a
+model built without random init. A word sum is the wrapping uint64 sum of
+the array's 8-byte words as stored; load checks it after reading the array,
+so an edit inside the weights is a CorruptionError rather than a model that
+loads. Version 1 (an array per LSTM gate), version 2 (a header before each
+array) and version 3 (no word sums) are no longer read.
 """
+
+from __future__ import annotations
 
 import contextlib
 import json
@@ -101,7 +118,7 @@ from .errors import ConfigError, CorruptionError, FormatError, ShapeError
 from .numerics import PROB_FLOOR, ParameterGroup, sigmoid, softmax
 from .text import PAD
 
-CHECKPOINT_MAGIC = b"AACM\x03"
+CHECKPOINT_MAGIC = b"AACM\x04"
 PROJECTION_CHUNK = 8  # encoder steps per input projection product
 # Training runs a layer's two directions on two threads from this much work
 # per step, rows x 4h x h (4 rows at h = 256); below it the handoffs cost more.
@@ -147,11 +164,15 @@ class EncoderOutput:  # one sequence, or a batch with a leading B axis on every 
     values: np.ndarray  # (..., T, d_e); frames at or beyond valid_length are zero
     valid_length: int | np.ndarray  # (...)
     keys: np.ndarray  # (..., T, d_a) attention keys E W_enc, the same for every decoder step
+    # (..., T, 4 d_h) context gates E W_ctx, the decoder cell's input rows for the
+    # context; CaptionModel.encode sets them, teacher forcing does without
+    context_gates: Optional[np.ndarray] = None
 
-    def item(self, b: int) -> "EncoderOutput":
+    def item(self, b: int) -> EncoderOutput:
         """Sequence b of a batch, cut to its valid frames."""
         valid = int(self.valid_length[b])
-        return EncoderOutput(self.values[b, :valid], valid, self.keys[b, :valid])
+        return EncoderOutput(self.values[b, :valid], valid, self.keys[b, :valid],
+                             self.context_gates[b, :valid])
 
 
 @dataclass
@@ -163,7 +184,7 @@ class AttentionStep:
 @dataclass
 class ForwardResult:
     loss: float  # sum over the batch of each sample's mean cross-entropy
-    cache: "_BatchCache"
+    cache: _BatchCache
 
 
 @dataclass
@@ -205,6 +226,12 @@ def _glorot(rng: Optional[np.random.Generator], rows: int, cols: int,
     return draws[0] if blocks == 1 else np.concatenate(draws, axis=1)
 
 
+def _word_sum(file_words: np.ndarray) -> int:
+    """Wrapping sum of an array's 8-byte words as the file stores them, little
+    endian. Any edit confined to one word changes it."""
+    return int(np.add.reduce(file_words.view("<u8"), axis=None, dtype=np.uint64))
+
+
 def _step_count(target: Sequence[int]) -> int:
     """Teacher-forced steps of a target: up to, not including, the first PAD output."""
     for s in range(len(target) - 1):
@@ -217,8 +244,9 @@ class LstmCell:
     """Single LSTM cell with one fused weight (input_dim + hidden_dim, 4 * hidden_dim)
     and one bias (4 * hidden_dim); gate column blocks follow GATES order.
 
-    The decoder steps the cell through step, one vector at a time in
-    inference and one (B, hidden) matrix at a time in training; BiLstmLayer
+    The decoder steps the cell through step, a few rows at a time in
+    inference, with the context's share of the input product taken ahead,
+    and one (B, hidden) matrix at a time in training; BiLstmLayer
     runs it over the packed rows of a batch of sequences, taking the input
     projection a chunk of steps ahead and the weight gradients after the loop.
     """
@@ -265,14 +293,24 @@ class LstmCell:
         d_pre[..., 3 * hidden:] = dc_total * i * (1.0 - g * g)
         return dc_total * f
 
-    def step(self, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
+    def step(self, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
+             share: Optional[np.ndarray] = None):
         """One step over rows x (..., input_dim); returns (h, c, gates).
-        h = o * tanh(f * c_prev + i * g_candidate)."""
-        if x.shape[-1:] != (self.input_dim,):
+        h = o * tanh(f * c_prev + i * g_candidate).
+
+        With share, x holds only the input's leading columns, and share
+        (..., 4 hidden) is the product of the rest of the input with the
+        weight rows that follow, taken by the caller."""
+        width = x.shape[-1]
+        if width != self.input_dim and (share is None or width > self.input_dim):
             raise ShapeError(
                 f"{self.name}: input shape {x.shape}, expected (..., {self.input_dim})")
-        z = np.concatenate([x, h_prev], axis=-1)
-        gates, c, h = self.activate(z @ self.w.value + self.b.value, c_prev)
+        w = self.w.value
+        if share is None:
+            pre = np.concatenate([x, h_prev], axis=-1) @ w + self.b.value
+        else:
+            pre = x @ w[:width] + h_prev @ w[self.input_dim:] + share + self.b.value
+        gates, c, h = self.activate(pre, c_prev)
         return h, c, gates
 
     def forward_sequence(self, x_seq: np.ndarray, at: tuple, offsets: np.ndarray,
@@ -421,7 +459,7 @@ class _Packing:
     reverse: np.ndarray  # (N,)
 
     @classmethod
-    def of(cls, lengths: np.ndarray) -> "_Packing":
+    def of(cls, lengths: np.ndarray) -> _Packing:
         order = np.argsort(-lengths, kind="stable")
         sizes = np.count_nonzero(lengths[:, None] > np.arange(lengths.max()), axis=0)
         offsets = np.concatenate([[0], np.cumsum(sizes)])
@@ -446,13 +484,13 @@ class BiLstmLayer:
     def params(self) -> list[ParameterGroup]:
         return self.fwd.params() + self.bwd.params()
 
-    def _directions(self, pack: "_Packing"):
+    def _directions(self, pack: _Packing):
         """(cell, packed places, output columns) of each direction."""
         hidden = self.hidden_dim
         return [(self.fwd, (pack.rows, pack.steps), slice(0, hidden)),
                 (self.bwd, (pack.rows, pack.reverse), slice(hidden, 2 * hidden))]
 
-    def _run(self, pack: "_Packing", calls, threaded: bool) -> list:
+    def _run(self, pack: _Packing, calls, threaded: bool) -> list:
         """Results of the fwd and bwd calls: the bwd one on the helper thread
         when threaded and a step is worth it, else one after the other."""
         global _helper
@@ -625,11 +663,28 @@ class Decoder:
         h, c, gates = self.cell.step(x, h_prev, c_prev)
         return h, c, gates, att_step
 
+    def context_gates(self, enc_values: np.ndarray) -> np.ndarray:
+        """E W_ctx (..., T, 4 d_h), W_ctx the cell's weight rows for the context:
+        a step's context share of the cell pre-activation is its attention
+        weights times these."""
+        word_dim = self.cfg.word_dim
+        return enc_values @ self.cell.w.value[word_dim:word_dim + self.cfg.enc_out_dim]
+
     def step(self, token, h_prev: np.ndarray, c_prev: np.ndarray, enc: EncoderOutput):
-        """One inference step of one id or a row of ids: (logits, h, c, AttentionStep)."""
+        """One inference step of one id or a row of ids: (logits, h, c, AttentionStep).
+
+        advance's attention read and cell step, but the context enters the
+        cell as weights x enc.context_gates, a (rows, T) x (T, 4 d_h) product,
+        so the step never reads W_ctx."""
         if np.any((np.asarray(token) < 0) | (np.asarray(token) >= self.cfg.vocab_size)):
             raise ValueError(f"token id {token} outside vocabulary of {self.cfg.vocab_size}")
-        h, c, _, att_step = self.advance(token, h_prev, c_prev, enc)
+        att_step = self.attention.forward(enc.values, enc.valid_length, h_prev, enc.keys)
+        weights, context_gates = att_step.weights, enc.context_gates
+        if context_gates.ndim == 2:  # one sequence: every row in one product
+            share = weights @ context_gates
+        else:
+            share = (weights[..., None, :] @ context_gates)[..., 0, :]
+        h, c, _ = self.cell.step(self.embedding.value[token], h_prev, c_prev, share)
         logits = h @ self.w_out.value + self.b_out.value
         return logits, h, c, att_step
 
@@ -657,7 +712,8 @@ class CaptionModel:
         (all by default), or of a padded batch (B, T, F_e) with valid lengths
         (B,). One matrix runs as the batch of one row. Nothing is kept for
         backward, and the input projection is taken a few steps at a time, so
-        a call holds about its E, its keys and two layers' outputs.
+        a call holds about its E, its keys, its context gates and two layers'
+        outputs.
         """
         inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.ndim not in (2, 3):
@@ -669,9 +725,10 @@ class CaptionModel:
                    else np.atleast_1d(np.asarray(valid_length, dtype=np.int64)))
         values, _ = self.encoder.forward(batch, lengths, keep_cache=False)
         keys = self.decoder.attention.keys(values)
+        context_gates = self.decoder.context_gates(values)
         if one:
-            return EncoderOutput(values[0], int(lengths[0]), keys[0])
-        return EncoderOutput(values, lengths, keys)
+            return EncoderOutput(values[0], int(lengths[0]), keys[0], context_gates[0])
+        return EncoderOutput(values, lengths, keys, context_gates)
 
     def decoder_step(self, prev_token, h_prev: np.ndarray, c_prev: np.ndarray,
                      enc: EncoderOutput):
@@ -791,19 +848,21 @@ class CaptionModel:
 
     def save(self, path, extra_config: Optional[dict] = None):
         """Versioned binary checkpoint: a config JSON block naming the arrays,
-        then the float64 arrays back to back. It is written to a temporary
-        file beside `path` and then moved over it, so a save that fails
-        part-way leaves an earlier file whole."""
+        with each one's word sum, then the float64 arrays back to back. It is
+        written to a temporary file beside `path` and then moved over it, so a
+        save that fails part-way leaves an earlier file whole."""
         params = self.parameters()
+        arrays = [group.value.astype("<f8", copy=False) for group in params]
         config = {**(extra_config or {}), "model": self.cfg.to_dict(),
-                  "arrays": [group.name for group in params]}
+                  "arrays": [group.name for group in params],
+                  "sums": [_word_sum(array) for array in arrays]}
         blob = json.dumps(config, sort_keys=True).encode("utf-8")
         tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
         try:
             with open(tmp, "wb") as fh:
                 fh.write(CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob)
-                for group in params:
-                    fh.write(group.value.astype("<f8", copy=False).data)
+                for array in arrays:
+                    fh.write(array.data)
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):
@@ -811,13 +870,14 @@ class CaptionModel:
             raise
 
     @classmethod
-    def load(cls, path) -> tuple["CaptionModel", dict]:
+    def load(cls, path) -> tuple[CaptionModel, dict]:
         """Rebuild a model from a checkpoint; returns (model, full config dict).
 
         Reads the current format only. The file size is checked against the
         config before the model is built, and the model is built without
         random init: every array is then read on its own straight into its
-        parameter, so the file is never held in memory, not even one array.
+        parameter, so the file is never held in memory, not even one array,
+        and checked against its word sum and for non-finite values.
         """
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
@@ -843,12 +903,19 @@ class CaptionModel:
             if config.get("arrays") != [group.name for group in params]:
                 raise CorruptionError(f"{path}: the config block's array names do not "
                                       f"match the model's layout")
-            for group in params:
+            sums = config.get("sums")
+            if not isinstance(sums, list) or len(sums) != len(params):
+                raise CorruptionError(f"{path}: the config block needs one word sum per array")
+            for group, expected in zip(params, sums):
                 target, start = group.value, fh.tell()
                 if fh.readinto(memoryview(target).cast("B")) != target.nbytes:
                     raise CorruptionError(f"{path}: truncated at byte {start} + {target.nbytes}")
+                word_sum = _word_sum(target)
                 if sys.byteorder != "little":
                     target.byteswap(inplace=True)
                 if not np.all(np.isfinite(target)):
                     raise CorruptionError(f"{path}: {group.name} has non-finite values")
+                if word_sum != expected:
+                    raise CorruptionError(f"{path}: {group.name} does not match its word sum "
+                                          f"(the weights at byte {start} are damaged)")
         return model, config

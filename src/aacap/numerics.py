@@ -1,12 +1,10 @@
-"""Parameter arrays, activations, Adam, and a gradient checker.
+"""Parameter arrays, activations and Adam.
 
 Everything runs in float64 on plain numpy arrays: the models here are tiny,
 so determinism and checkable gradients matter more than speed. The model
 floors probabilities at PROB_FLOOR before any log so a pathological output
 can never produce an infinite loss.
 """
-
-from typing import Callable
 
 import numpy as np
 
@@ -126,33 +124,3 @@ def adam_step(group: ParameterGroup, learning_rate: float) -> ParameterGroup:
     group.value -= g
     group.zero_grad()
     return group
-
-
-def finite_diff_check(loss_fn: Callable[[], float], group: ParameterGroup,
-                      epsilon: float = 1e-5) -> float:
-    """Compare group.gradient against central differences of loss_fn.
-
-    Returns max over entries of |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
-    loss_fn must be deterministic; it is evaluated twice up front to verify that.
-    """
-    if not 1e-7 <= epsilon <= 1e-3:
-        raise ValueError(f"epsilon {epsilon} outside [1e-7, 1e-3]")
-    if abs(loss_fn() - loss_fn()) != 0.0:
-        raise ValueError("loss_fn is not deterministic")
-    if group.value.size == 0:
-        return 0.0
-    worst = 0.0
-    flat_value = group.value.ravel()
-    flat_grad = group.gradient.ravel()
-    for idx in range(flat_value.size):
-        saved = flat_value[idx]
-        flat_value[idx] = saved + epsilon
-        loss_plus = loss_fn()
-        flat_value[idx] = saved - epsilon
-        loss_minus = loss_fn()
-        flat_value[idx] = saved
-        numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
-        analytic = flat_grad[idx]
-        rel = abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
-        worst = max(worst, rel)
-    return worst

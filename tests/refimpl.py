@@ -1,4 +1,5 @@
-"""Independent straight-line reimplementation of the model math.
+"""Independent straight-line reimplementation of the model math, and the
+finite-difference gradient checker.
 
 Used as the oracle in tests: same formulas, different code path, no shared
 helpers with the package internals.
@@ -93,3 +94,32 @@ def ref_teacher_forced_loss(model, m, target, valid):
         shifted = logits - logits.max()
         losses.append(math.log(np.exp(shifted).sum()) - shifted[target[s + 1]])
     return sum(losses) / len(losses) if losses else 0.0
+
+
+def finite_diff_check(loss_fn, group, epsilon: float = 1e-5) -> float:
+    """Compare group.gradient against central differences of loss_fn.
+
+    Returns max over entries of |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
+    loss_fn must be deterministic; it is evaluated twice up front to verify that.
+    """
+    if not 1e-7 <= epsilon <= 1e-3:
+        raise ValueError(f"epsilon {epsilon} outside [1e-7, 1e-3]")
+    if abs(loss_fn() - loss_fn()) != 0.0:
+        raise ValueError("loss_fn is not deterministic")
+    if group.value.size == 0:
+        return 0.0
+    worst = 0.0
+    flat_value = group.value.ravel()
+    flat_grad = group.gradient.ravel()
+    for idx in range(flat_value.size):
+        saved = flat_value[idx]
+        flat_value[idx] = saved + epsilon
+        loss_plus = loss_fn()
+        flat_value[idx] = saved - epsilon
+        loss_minus = loss_fn()
+        flat_value[idx] = saved
+        numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
+        analytic = flat_grad[idx]
+        rel = abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
+        worst = max(worst, rel)
+    return worst

@@ -12,15 +12,15 @@ import time
 import numpy as np
 import pytest
 
-from refimpl import ref_log_prob_of_sequence
+from refimpl import finite_diff_check, ref_log_prob_of_sequence
 from test_decoding import brute_force_best, rigged_model
+from test_features import write_wav
 from test_metrics import brute_force_lcs
 
 from aacap.decoding import beam_search, greedy_decode_encoded
 from aacap.features import AugmentConfig, bucket_pad, spec_augment
 from aacap.metrics import EvalInstance, bleu, lcs_length, rouge_l
 from aacap.model import CaptionModel, ModelConfig
-from aacap.numerics import finite_diff_check
 from aacap.pipeline import (
     ManifestEntry,
     TrainConfig,
@@ -32,7 +32,7 @@ from aacap.pipeline import (
     split_entries,
     train,
 )
-from aacap.features import Waveform, write_wav
+from aacap.features import Waveform
 from aacap.text import END, PAD, START
 
 

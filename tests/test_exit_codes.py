@@ -10,8 +10,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from test_features import write_wav
+
 from aacap import cli
-from aacap.features import Waveform, write_wav
+from aacap.features import Waveform
 from aacap.model import CaptionModel, ModelConfig
 from aacap.pipeline import load_manifest, make_toy_dataset
 
@@ -94,6 +96,25 @@ def test_damaged_inputs_exit_0_2_or_3(files, kind, capsys):
         assert code in (0, 2, 3), change
 
     run()
+
+
+def test_every_single_byte_edit_in_the_weights_exits_3(files, capsys):
+    whole_path, argv_for = files["checkpoint"]
+    with open(whole_path, "rb") as fh:
+        whole = fh.read()
+    weights_start = 9 + int.from_bytes(whole[5:9], "little")
+    bad = str(Path(whole_path).with_name("edited-weights.ckpt"))
+    rng = np.random.default_rng(13)
+    positions = rng.integers(weights_start, len(whole), size=2000)
+    flips = rng.integers(1, 256, size=2000)  # xor with a nonzero byte: always an edit
+    for position, flip in zip(positions.tolist(), flips.tolist()):
+        data = bytearray(whole)
+        data[position] ^= flip
+        with open(bad, "wb") as fh:
+            fh.write(data)
+        assert cli.main(argv_for(bad)) == 3, (position, flip)
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
 
 
 @pytest.mark.parametrize("rate", [44100, 16000])

@@ -28,7 +28,6 @@ from aacap.features import (
     spec_augment,
     stft_power,
     wav_to_log_mel,
-    write_wav,
 )
 
 REPO = Path(__file__).resolve().parents[1]
@@ -365,6 +364,17 @@ def test_read_wav_rejects_stereo(tmp_path):
         wav.writeframes(b"\x00\x00" * 64)
     with pytest.raises(DataError):
         read_wav(path)
+
+
+def write_wav(path, w: Waveform):
+    """Write a waveform as mono 16-bit PCM: read_wav's inverse, up to rounding."""
+    clipped = np.clip(w.samples, -1.0, 1.0)
+    pcm = (clipped * 32767.0).astype("<i2")
+    with wave.open(str(path), "wb") as wav:
+        wav.setnchannels(1)
+        wav.setsampwidth(2)
+        wav.setframerate(w.sample_rate)
+        wav.writeframes(pcm.tobytes())
 
 
 def wav_bytes(rate: int, frames: int = 64) -> bytes:

@@ -168,18 +168,6 @@ def test_cider_single_instance_warns():
         cider([inst("a b", "a b")])
 
 
-def test_cider_d_variant_penalizes_length_gap():
-    matched = [inst("a b c d", "a b c d"), inst("e f g h", "e f g h")]
-    stretched = [inst("a b c d", "a b c d x y z w q r s t"),
-                 inst("e f g h", "e f g h")]
-    assert cider_d_score(stretched) < cider(stretched)
-    assert cider_d_score(matched) == pytest.approx(cider(matched))
-
-
-def cider_d_score(instances):
-    return cider(instances, cider_d=True)
-
-
 def test_cider_empty_corpus_rejected():
     with pytest.raises(DataError):
         cider([])
@@ -343,7 +331,7 @@ def _recount_bleu(instances, n):
     return brevity * math.exp(log_precision)
 
 
-def _recount_cider(instances, cider_d):
+def _recount_cider(instances):
     """CIDEr with document frequencies from a per-order recount of every
     reference, and the max(1, df) clamp."""
     log_n = math.log(len(instances))
@@ -374,16 +362,8 @@ def _recount_cider(instances, cider_d):
                 ref_vec, ref_norm = vector(ref, n, idf)
                 if cand_norm == 0.0 or ref_norm == 0.0:
                     continue
-                if cider_d:
-                    dot = sum(min(v, ref_vec.get(g, 0.0)) * ref_vec.get(g, 0.0)
-                              for g, v in cand_vec.items())
-                else:
-                    dot = sum(v * ref_vec.get(g, 0.0) for g, v in cand_vec.items())
-                sim = dot / (cand_norm * ref_norm)
-                if cider_d:
-                    delta = len(instance.candidate) - len(ref)
-                    sim *= math.exp(-delta * delta / (2.0 * 6.0 ** 2))
-                score += sim
+                dot = sum(v * ref_vec.get(g, 0.0) for g, v in cand_vec.items())
+                score += dot / (cand_norm * ref_norm)
             per_n.append(score / len(instance.references))
         total += sum(per_n) / 4
     return total / len(instances)
@@ -402,8 +382,7 @@ def test_bleu_and_cider_equal_the_per_order_recount(instances):
         assert bleu(instances, n) == _recount_bleu(instances, n)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a one-instance corpus warns about its idf
-        for cider_d in (False, True):
-            assert cider(instances, cider_d=cider_d) == _recount_cider(instances, cider_d)
+        assert cider(instances) == _recount_cider(instances)
 
 
 @settings(max_examples=200, deadline=None)
@@ -439,7 +418,6 @@ def test_evaluate_corpus_counts_each_reference_once_per_order(monkeypatch):
     for n in (1, 2, 3, 4):
         bleu(instances, n)
     cider(instances)
-    cider(instances, cider_d=True)
     assert calls == []
     evaluate_corpus(candidates, references)
     assert len(calls) == 3 * (2 + 1) * 4

@@ -8,14 +8,14 @@ import pytest
 from aacap.errors import CorruptionError, FormatError, ShapeError
 from aacap.features import bucket_pad
 from aacap.model import AttentionStep, CaptionModel, EncoderOutput, ModelConfig
-from aacap.numerics import finite_diff_check, softmax
+from aacap.numerics import softmax
 from aacap.text import END, PAD, START
 
 TINY = ModelConfig(embed_dim=8, vocab_size=6, enc_hidden=4, attn_dim=4,
                    dec_hidden=8, word_dim=8)
 
 
-from refimpl import ref_attention, ref_encode, ref_teacher_forced_loss
+from refimpl import finite_diff_check, ref_attention, ref_encode, ref_teacher_forced_loss
 
 # ---------------------------------------------------------------------------
 # LSTM cell
@@ -412,6 +412,34 @@ def test_decoder_step_over_rows_equals_per_row_calls(seed):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=name)
 
 
+@pytest.mark.parametrize("cfg", [TINY, ModelConfig(embed_dim=8, vocab_size=30, enc_hidden=16,
+                                                   attn_dim=12, dec_hidden=24, word_dim=10)])
+def test_decoder_step_equals_teacher_forced_advance_and_projection(cfg):
+    """The inference step takes the context's share of the cell input from the
+    context gates E W_ctx; teacher forcing multiplies the context by W_ctx.
+    They agree within rtol 1e-12 of each array's largest entry, for one
+    sequence with valid < T, rows over it, and a padded batch."""
+    model = CaptionModel(cfg, seed=3)
+    dec, rng = model.decoder, np.random.default_rng(30)
+    w_ctx = dec.cell.w.value[cfg.word_dim:cfg.word_dim + cfg.enc_out_dim]
+    one = model.encode(rng.normal(size=(7, 8)) * 2.0, valid_length=4)
+    batch = model.encode(*bucket_pad([rng.normal(size=(t, 8)) for t in (5, 7, 2)]))
+    for enc in (one, batch):
+        assert np.array_equal(enc.context_gates, enc.values @ w_ctx)
+    cases = [(one, 3, rng.normal(size=cfg.dec_hidden)),
+             (one, rng.integers(0, cfg.vocab_size, size=4), rng.normal(size=(4, cfg.dec_hidden))),
+             (batch, rng.integers(0, cfg.vocab_size, size=3), rng.normal(size=(3, cfg.dec_hidden)))]
+    for enc, tokens, h_prev in cases:
+        c_prev = rng.normal(size=h_prev.shape)
+        logits, h, c, att = model.decoder_step(tokens, h_prev, c_prev, enc)
+        h_tf, c_tf, _, att_tf = dec.advance(tokens, h_prev, c_prev, enc)
+        assert np.array_equal(att.weights, att_tf.weights)
+        for name, got, want in (("logits", logits, h_tf @ dec.w_out.value + dec.b_out.value),
+                                ("h", h, h_tf), ("c", c, c_tf)):
+            assert got.shape == want.shape, name
+            assert_within_policy(got, want, name, rtol=1e-12)
+
+
 def forward_one(model, m, target, valid=None):
     """The teacher-forced forward of one sample: a batch of one encoder row."""
     return model.forward_teacher_forced(m[None], [m.shape[0] if valid is None else valid],
@@ -610,11 +638,12 @@ def run_batch(model, inputs, lengths):
     return result.loss, {g.name: g.gradient.copy() for g in model.parameters()}, d_inputs
 
 
-def assert_within_policy(actual, expected, name=""):
-    """model.py's tolerance policy: rtol 1e-9, taken against the largest entry
-    of the array, since entries that cancel to ~1e-19 carry no relative digits."""
+def assert_within_policy(actual, expected, name="", rtol=1e-9):
+    """model.py's tolerance policy: rtol 1e-9 unless it states another, taken
+    against the largest entry of the array, since entries that cancel to
+    ~1e-19 carry no relative digits."""
     scale = np.max(np.abs(expected))
-    assert np.max(np.abs(actual - expected)) <= 1e-9 * scale, name
+    assert np.max(np.abs(actual - expected)) <= rtol * scale, name
 
 
 def test_batch_loss_and_gradients_equal_per_sample_sums():
@@ -976,11 +1005,11 @@ def _checkpoint_bytes_written_field_by_field(model, extra_config):
                        "enc_hidden": model.cfg.enc_hidden, "attn_dim": model.cfg.attn_dim,
                        "dec_hidden": model.cfg.dec_hidden, "word_dim": model.cfg.word_dim}
     config["arrays"] = [group.name for group in params]
+    packed = [struct.pack(f"<{group.value.size}d", *group.value.ravel()) for group in params]
+    config["sums"] = [sum(struct.unpack(f"<{len(data) // 8}Q", data)) % 2 ** 64
+                      for data in packed]
     blob = json.dumps(config, sort_keys=True).encode("utf-8")
-    out = [b"AACM\x03", struct.pack("<I", len(blob)), blob]
-    for group in params:
-        out += [struct.pack(f"<{group.value.size}d", *group.value.ravel())]
-    return b"".join(out)
+    return b"".join([b"AACM\x04", struct.pack("<I", len(blob)), blob] + packed)
 
 
 @pytest.mark.parametrize("seed", [0, 12])
@@ -1099,20 +1128,27 @@ def test_checkpoint_v2_is_a_format_error_exit_3(tmp_path, capsys):
     _old_version_exits_3(tmp_path, capsys, b"\x02")
 
 
+def test_checkpoint_v3_is_a_format_error_exit_3(tmp_path, capsys):
+    # version 3 had no word sums in its config block
+    _old_version_exits_3(tmp_path, capsys, b"\x03")
+
+
 def _config_block(path) -> dict:
     data = path.read_bytes()
     (blob_len,) = struct.unpack("<I", data[5:9])
     return json.loads(data[9:9 + blob_len])
 
 
-def test_checkpoint_writes_v3_names_then_weights_back_to_back(tmp_path):
+def test_checkpoint_writes_v4_names_sums_then_weights_back_to_back(tmp_path):
     model = CaptionModel(TINY, seed=12)
     path = tmp_path / "model.ckpt"
     model.save(path)
     data = path.read_bytes()
-    assert data[:5] == b"AACM\x03"
+    assert data[:5] == b"AACM\x04"
     config = _config_block(path)
     assert config["arrays"] == [group.name for group in model.parameters()]
+    assert config["sums"] == [int(np.add.reduce(g.value.ravel().view(np.uint64), dtype=np.uint64))
+                              for g in model.parameters()]
     assert "enc.l1.fwd.w" in config["arrays"]  # a fused name
     assert b"w_forget" not in data
     (blob_len,) = struct.unpack("<I", data[5:9])
@@ -1124,7 +1160,8 @@ def test_checkpoint_writes_v3_names_then_weights_back_to_back(tmp_path):
 def test_checkpoint_extra_config_cannot_replace_model_or_arrays(tmp_path):
     model = CaptionModel(TINY, seed=12)
     path = tmp_path / "model.ckpt"
-    model.save(path, extra_config={"model": {"embed_dim": 3}, "arrays": [], "vocab": ["x"]})
+    model.save(path, extra_config={"model": {"embed_dim": 3}, "arrays": [], "sums": [],
+                                   "vocab": ["x"]})
     loaded, config = CaptionModel.load(path)
     assert config["model"] == TINY.to_dict() and config["vocab"] == ["x"]
     for orig, new in zip(model.parameters(), loaded.parameters()):
@@ -1209,6 +1246,31 @@ def test_checkpoint_non_finite_values_rejected(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[:-8] + struct.pack("<d", math.inf))
     with pytest.raises(CorruptionError, match="non-finite"):
+        CaptionModel.load(path)
+
+
+def test_checkpoint_edited_weight_fails_its_word_sum(tmp_path):
+    path = tmp_path / "model.ckpt"
+    CaptionModel(TINY, seed=12).save(path)
+    data = path.read_bytes()
+    (last,) = struct.unpack("<d", data[-8:])
+    path.write_bytes(data[:-8] + struct.pack("<d", last + 1.0))
+    with pytest.raises(CorruptionError, match="attn.w_score does not match its word sum"):
+        CaptionModel.load(path)
+
+
+@pytest.mark.parametrize("edit", [lambda sums: sums[:-1], lambda sums: None,
+                                  lambda sums: "0", lambda sums: sums[:1] + [0] + sums[2:]],
+                         ids=["missing", "absent", "not-a-list", "wrong"])
+def test_checkpoint_word_sums_must_match_the_arrays(tmp_path, edit):
+    path = tmp_path / "model.ckpt"
+    CaptionModel(TINY, seed=12).save(path)
+    config = _config_block(path)
+    config["sums"] = edit(config["sums"])
+    if config["sums"] is None:
+        del config["sums"]
+    _rewrite_config(path, json.dumps(config).encode("utf-8"))
+    with pytest.raises(CorruptionError, match="word sum"):
         CaptionModel.load(path)
 
 

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from refimpl import finite_diff_check
+
 from aacap.errors import ShapeError
 from aacap.numerics import (
     ADAM_BETA1,
@@ -10,7 +12,6 @@ from aacap.numerics import (
     ADAM_EPS,
     ParameterGroup,
     adam_step,
-    finite_diff_check,
     log_softmax,
     sigmoid,
     softmax,

@@ -6,12 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from test_features import wav_bytes
+from test_features import wav_bytes, write_wav
 
 from aacap import cli, pipeline
 from aacap.decoding import beam_search, greedy_decode_encoded
 from aacap.errors import ConfigError, DataError
-from aacap.features import AugmentConfig, Waveform, write_wav
+from aacap.features import AugmentConfig, Waveform
 from aacap.model import CaptionModel, ModelConfig
 from aacap.pipeline import (
     EXPECTED_CAPTIONS,
@@ -830,3 +830,21 @@ def test_cli_huge_config_dim_checkpoint_exits_3(tmp_path, capsys):
     code = cli.main(["caption", "--checkpoint", str(checkpoint), "--input", input_path])
     assert code == 3
     assert "bytes of weights" in capsys.readouterr().err
+
+
+def test_loading_a_checkpoint_imports_no_numpy_random(tmp_path):
+    # a loaded model draws nothing, so its import and load need not pay for numpy.random
+    import os
+    import subprocess
+    import sys
+
+    checkpoint, _ = _cli_checkpoint(tmp_path)
+    script = ("import sys\n"
+              "from aacap.pipeline import load_checkpoint\n"
+              f"load_checkpoint({str(checkpoint)!r})\n"
+              "print('numpy.random' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])},
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
