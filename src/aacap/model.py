@@ -19,9 +19,11 @@ frames cost nothing. The bwd direction reads each row reversed within its
 own length, so its padding also comes last and the same n_t serves both
 directions; the output goes back to the caller's row order. A step costs
 one (n_t, hidden) x (hidden, 4 * hidden) product plus elementwise gates.
-The input projection X W_x + b is taken PROJECTION_CHUNK steps at a time:
-training keeps it whole for backward, and encode keeps only the chunk in
-hand, so an encode call never holds a (frames, 4 * hidden) block.
+Each direction takes its input projection X W_x + b as one product over
+all its packed rows ahead of the loop; training then overwrites each step's
+rows with its gates, kept for backward. In an encode call that is a
+(valid frames, 4 * hidden) block per direction, at the default dims the
+size of the decoder's context gates that encode returns.
 
 A layer's two directions are independent recurrences, so in training
 (forward with the cache kept, and backward) the fwd direction runs on the
@@ -119,7 +121,6 @@ from .numerics import PROB_FLOOR, ParameterGroup, sigmoid, softmax
 from .text import PAD
 
 CHECKPOINT_MAGIC = b"AACM\x04"
-PROJECTION_CHUNK = 8  # encoder steps per input projection product
 # Training runs a layer's two directions on two threads from this much work
 # per step, rows x 4h x h (4 rows at h = 256); below it the handoffs cost more.
 TWO_THREAD_MIN_WORK = 1 << 20
@@ -248,7 +249,7 @@ class LstmCell:
     inference, with the context's share of the input product taken ahead,
     and one (B, hidden) matrix at a time in training; BiLstmLayer
     runs it over the packed rows of a batch of sequences, taking the input
-    projection a chunk of steps ahead and the weight gradients after the loop.
+    projection before the loop and the weight gradients after it.
     """
 
     GATES = ("forget", "input", "output", "cell")
@@ -321,31 +322,27 @@ class LstmCell:
         written to out at the same place. The rows are time-major: step t
         holds rows offsets[t] to offsets[t + 1], no more than the step
         before, and they are the first rows of the step before, in order.
-        They are gathered, and projected, PROJECTION_CHUNK steps at a time.
+        Their input projection is one product ahead of the loop.
         Returns the cache for backward_sequence, or None without keep_cache:
         the (N, 4 hidden) gates and (N, hidden) c, with x_seq and at. h is
         recomputed in backward as o * tanh(c).
         """
         hidden = self.hidden_dim
         w_x, w_h = self.w.value[:self.input_dim], self.w.value[self.input_dim:]
-        gates = np.empty((offsets[-1], 4 * hidden)) if keep_cache else None
+        proj = x_seq[at] @ w_x
+        proj += self.b.value
         c = np.empty((offsets[-1], hidden)) if keep_cache else None
         h_prev = c_prev = np.zeros((offsets[1], hidden))
-        for lo, hi in _chunks(len(offsets) - 1):
-            base, end = offsets[lo], offsets[hi]
-            proj = np.matmul(x_seq[at[0][base:end], at[1][base:end]], w_x,
-                             out=gates[base:end] if keep_cache else None)
-            proj += self.b.value
-            for t in range(lo, hi):
-                rows = slice(offsets[t], offsets[t + 1])
-                local, n = slice(rows.start - base, rows.stop - base), rows.stop - rows.start
-                step_gates, c_prev, h_prev = self.activate(
-                    proj[local] + h_prev[:n] @ w_h, c_prev[:n])
-                out[at[0][rows], at[1][rows]] = h_prev
-                if keep_cache:
-                    proj[local] = step_gates
-                    c[rows] = c_prev
-        return [x_seq, at, offsets, gates, c] if keep_cache else None
+        for t in range(len(offsets) - 1):
+            rows = slice(offsets[t], offsets[t + 1])
+            n = rows.stop - rows.start
+            step_gates, c_prev, h_prev = self.activate(proj[rows] + h_prev[:n] @ w_h,
+                                                       c_prev[:n])
+            out[at[0][rows], at[1][rows]] = h_prev
+            if keep_cache:
+                proj[rows] = step_gates  # kept for backward in place of the projection
+                c[rows] = c_prev
+        return [x_seq, at, offsets, proj, c] if keep_cache else None
 
     def backward_sequence(self, cache, dout: np.ndarray) -> np.ndarray:
         """Backprop of forward_sequence: reads d(loss)/d(h) from dout at the
@@ -429,19 +426,6 @@ def _forget_helper():
 
 
 os.register_at_fork(after_in_child=_forget_helper)  # a forked child has no helper thread
-
-
-def _chunks(steps: int) -> list[tuple[int, int]]:
-    """(first, end) steps of each input projection, PROJECTION_CHUNK steps long.
-
-    A lone last step joins the chunk before it: a one-row product runs as a
-    matrix-vector kernel that rounds differently from the matrix product, so
-    a batch of one would no longer match its unchunked projection bit for bit.
-    """
-    bounds = list(range(0, steps, PROJECTION_CHUNK)) + [steps]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
-    return list(zip(bounds[:-1], bounds[1:]))
 
 
 @dataclass
@@ -711,9 +695,8 @@ class CaptionModel:
         """E of one (T, F_e) matrix, valid for its first valid_length frames
         (all by default), or of a padded batch (B, T, F_e) with valid lengths
         (B,). One matrix runs as the batch of one row. Nothing is kept for
-        backward, and the input projection is taken a few steps at a time, so
-        a call holds about its E, its keys, its context gates and two layers'
-        outputs.
+        backward, so a call holds about its E, its keys, its context gates,
+        two layers' outputs and one direction's input projection at a time.
         """
         inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.ndim not in (2, 3):

@@ -201,8 +201,9 @@ def load_input_file(path, expected_dim: int) -> np.ndarray:
 # ~155 MB whatever the clip length.
 TRAIN_FRAME_BUDGET = 2048
 # Rows times padded frames of one inference encode call. It keeps no backward
-# cache and peaks at about 19 kB per frame at the default dims, 8 kB of it the
-# decoder's context gates E W_ctx, so ~19 MB a call.
+# cache and peaks at about 20.5 kB per frame at the default dims (tracemalloc):
+# 8 kB of it the decoder's context gates E W_ctx and 8 kB one direction's input
+# projection, so ~21 MB a call.
 ENCODE_FRAME_BUDGET = 1024
 
 

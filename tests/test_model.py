@@ -184,8 +184,7 @@ PAPER = ModelConfig(embed_dim=128, vocab_size=40)
 
 @pytest.mark.parametrize("cfg", [TINY, PAPER], ids=["tiny", "paper"])
 def test_one_matrix_encode_is_bit_identical_to_the_unpacked_encoder(cfg):
-    # Lengths on both sides of the projection chunks, a lone last step
-    # included. A single valid frame of a longer matrix is left out: the
+    # A single valid frame of a longer matrix is left out: the
     # unpacked projection then multiplied several rows where the packed one
     # multiplies one, and a one-row product rounds differently (1e-16).
     model = CaptionModel(cfg, seed=3)
@@ -707,11 +706,8 @@ def test_batch_gradients_match_reference_central_differences():
 
 
 def test_packed_batch_across_projection_chunks_matches_references():
-    # rows longer than PROJECTION_CHUNK, ending at different steps, one of a
-    # single frame, and two of the same length
-    from aacap.model import PROJECTION_CHUNK
-
-    lengths = [2 * PROJECTION_CHUNK + 3, 1, PROJECTION_CHUNK + 1, 2 * PROJECTION_CHUNK + 3, 5]
+    # rows ending at different steps, one of a single frame, and two of the same length
+    lengths = [19, 1, 9, 19, 5]
     model = CaptionModel(TINY, seed=6)
     rng = np.random.default_rng(8)
     matrices = [rng.normal(size=(n, 8)) for n in lengths]
