@@ -526,7 +526,7 @@ def test_resample_of_other_sample_layouts_equals_its_float64_form(samples):
     # int16 is PCM: its float64 form is value / 32768
     as_float = samples / 32768.0 if samples.dtype == np.int16 else samples.astype(np.float64)
     out = resample(Waveform(samples, 44100), TARGET_SAMPLE_RATE).samples
-    want = resample(Waveform(np.ascontiguousarray(as_float), 44100), TARGET_SAMPLE_RATE).samples
+    want = resample(Waveform(as_float, 44100), TARGET_SAMPLE_RATE).samples
     assert out.dtype == np.float64
     assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
 
