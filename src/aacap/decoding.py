@@ -24,7 +24,7 @@ another order than teacher forcing's fused product, so its logits match a
 teacher-forced step within rtol 1e-12 (model.py's tolerance policy).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,18 @@ DEFAULT_BEAM = 3
 class Hypothesis:
     tokens: list[int]  # starts with START; ends with END when finished that way
     log_prob: float  # sum of per-step log softmax probabilities
-    attention: list[AttentionStep] = field(default_factory=list)
+    parent: "Hypothesis | None" = None  # the hypothesis this one extends by a token
+    step: AttentionStep | None = None  # the attention read that chose tokens[-1]
+
+    @property
+    def attention(self) -> list[AttentionStep]:
+        """One AttentionStep per emitted token, oldest first, read back
+        through the parents, so an extension copies no trace."""
+        steps, hyp = [], self
+        while hyp.step is not None:
+            steps.append(hyp.step)
+            hyp = hyp.parent
+        return steps[::-1]
 
     @property
     def emitted(self) -> int:
@@ -88,8 +99,7 @@ def _search(model: CaptionModel, enc: EncoderOutput, beam: int, max_tokens: int,
         for row, token in top_candidates(scores, [hyp.tokens for hyp in live], beam):
             hyp = live[row]
             step = AttentionStep(att.weights[row], att.context[row])
-            extended = Hypothesis(hyp.tokens + [token], scores[row, token],
-                                  attention=hyp.attention + [step])
+            extended = Hypothesis(hyp.tokens + [token], scores[row, token], hyp, step)
             if token == END or len(extended.tokens) >= max_tokens:
                 completed.append(extended)
             else:

@@ -27,21 +27,19 @@ size of the decoder's context gates that encode returns.
 
 A layer's two directions are independent recurrences, so in training
 (forward with the cache kept, and backward) the fwd direction runs on the
-caller's thread while the bwd one runs on a helper thread, in the spirit of
-Appleyard et al.'s overlap of independent recurrent work; numpy releases
-the GIL inside its products and ufuncs. There is one daemon helper per
-process, started on first use, and each call waits for it before
-returning; an exception raised there is raised in the caller. Each
-direction runs the same operations as on one thread and writes its own
-output columns, and the caller adds both directions' input gradients into
-d(inputs) after the join, fwd first as before: outputs are bit-identical to
-running one direction after the other. Below TWO_THREAD_MIN_WORK per step
-(rows x 4h x h) the GIL handoffs cost more than they save, and both
-directions run on the caller's thread.
+caller's thread while the bwd one runs on a one-thread ThreadPoolExecutor
+opened and joined within the call, in the spirit of Appleyard et al.'s
+overlap of independent recurrent work; numpy releases the GIL inside its
+products and ufuncs. Each direction runs the same operations as on one
+thread and writes its own output columns, and the caller adds both
+directions' input gradients into d(inputs) after the join, fwd first:
+outputs are bit-identical to running one direction after the other. Below
+TWO_THREAD_MIN_WORK per step (rows x 4h x h) the GIL handoffs cost more
+than they save, and both directions run on the caller's thread.
 CaptionModel.encode (evaluation, validation, caption, attention export)
 stays on one thread: at its few live rows per step the gain was not
-reliable, and a helper's malloc arena costs memory in a process that
-otherwise never needs one.
+reliable, and a second thread's malloc arena costs memory in a process
+that otherwise never needs one.
 
 A decoder step is Decoder.advance: an attention read of the encoder output
 from h_prev, then one decoder cell step on [word embedding, context]. The
@@ -109,7 +107,7 @@ import json
 import os
 import struct
 import sys
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Optional, Sequence
@@ -384,50 +382,6 @@ class LstmCell:
         return d_pre @ w_x.T
 
 
-class _Helper:
-    """One daemon thread that runs one call at a time beside the caller."""
-
-    def __init__(self):
-        self._call = self._outcome = None
-        self._start, self._done = threading.Semaphore(0), threading.Semaphore(0)
-        threading.Thread(target=self._serve, name="aacap-bilstm-helper", daemon=True).start()
-
-    def _serve(self):
-        while True:
-            self._start.acquire()
-            try:
-                self._outcome = (self._call(), None)
-            except BaseException as exc:
-                self._outcome = (None, exc)
-            self._done.release()
-
-    def run_beside(self, here, there) -> tuple:
-        """(here(), there()), there() on the helper thread. The helper is done
-        when this returns or raises; an exception there is raised here."""
-        self._call = there
-        self._start.release()
-        try:
-            mine = here()
-        finally:
-            self._done.acquire()
-        theirs, error = self._outcome
-        self._call = self._outcome = None  # hold no arrays between calls
-        if error is not None:
-            raise error
-        return mine, theirs
-
-
-_helper: Optional[_Helper] = None
-
-
-def _forget_helper():
-    global _helper
-    _helper = None
-
-
-os.register_at_fork(after_in_child=_forget_helper)  # a forked child has no helper thread
-
-
 @dataclass
 class _Packing:
     """Where the rows of a padded batch go in the packed layout, longest row first.
@@ -475,14 +429,15 @@ class BiLstmLayer:
                 (self.bwd, (pack.rows, pack.reverse), slice(hidden, 2 * hidden))]
 
     def _run(self, pack: _Packing, calls, threaded: bool) -> list:
-        """Results of the fwd and bwd calls: the bwd one on the helper thread
-        when threaded and a step is worth it, else one after the other."""
-        global _helper
+        """Results of the fwd and bwd calls: the bwd one on a thread of its own
+        when threaded and a step is worth it, else one after the other. That
+        thread has finished when this returns or raises."""
+        here, there = calls
         if threaded and pack.offsets[1] * 4 * self.hidden_dim ** 2 >= TWO_THREAD_MIN_WORK:
-            if _helper is None:
-                _helper = _Helper()
-            return list(_helper.run_beside(*calls))
-        return [call() for call in calls]
+            with ThreadPoolExecutor(1, thread_name_prefix="aacap-bilstm") as pool:
+                there = pool.submit(there)
+                return [here(), there.result()]
+        return [here(), there()]
 
     def forward(self, x_seq: np.ndarray, lengths: np.ndarray, keep_cache: bool = True):
         """x_seq (B, T, in), rows valid up to lengths (B,); returns (B, T, 2 hidden),

@@ -6,42 +6,15 @@ floors probabilities at PROB_FLOOR before any log so a pathological output
 can never produce an infinite loss.
 """
 
-import numpy as np
+from functools import cached_property
 
-from .errors import ShapeError
+import numpy as np
 
 PROB_FLOOR = 1e-12
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-
-class _ZerosOnFirstRead:
-    """A ParameterGroup array of value's shape, created as zeros when first read.
-
-    Assignment replaces it, after a shape check; that is also what lets the
-    in-place `group.gradient += x` work, since Python stores the result back.
-    """
-
-    def __set_name__(self, owner, name):
-        self.name = name
-        self.slot = "_" + name
-
-    def __get__(self, group, owner=None):
-        if group is None:
-            return self
-        arr = getattr(group, self.slot)
-        if arr is None:
-            arr = np.zeros(group.value.shape)
-            setattr(group, self.slot, arr)
-        return arr
-
-    def __set__(self, group, arr):
-        if arr.shape != group.value.shape:
-            raise ShapeError(
-                f"{group.name}: {self.name} shape {arr.shape} != value shape {group.value.shape}")
-        setattr(group, self.slot, arr)
 
 
 class ParameterGroup:
@@ -51,19 +24,26 @@ class ParameterGroup:
     used only for inference holds its values and nothing else.
     """
 
-    gradient = _ZerosOnFirstRead()
-    adam_m = _ZerosOnFirstRead()
-    adam_v = _ZerosOnFirstRead()
-
     def __init__(self, name: str, value: np.ndarray):
         self.name = name
         self.value = np.asarray(value, dtype=np.float64)
         self.step_count = 0
-        self._gradient = self._adam_m = self._adam_v = None
+
+    @cached_property
+    def gradient(self) -> np.ndarray:
+        return np.zeros(self.value.shape)
+
+    @cached_property
+    def adam_m(self) -> np.ndarray:
+        return np.zeros(self.value.shape)
+
+    @cached_property
+    def adam_v(self) -> np.ndarray:
+        return np.zeros(self.value.shape)
 
     def zero_grad(self):
-        if self._gradient is not None:
-            self._gradient.fill(0.0)
+        if "gradient" in vars(self):
+            self.gradient.fill(0.0)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -73,6 +73,8 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -436,6 +438,8 @@ def make_toy_dataset(out_dir, seed: int = 0, n_items: int = 8,
     items varying lengths. All items land in the dev split; the first two
     double as val and the last one as eval.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if n_items < 2:
         raise ConfigError(f"toy dataset needs n_items >= 2, got {n_items}")
     if not 2 <= n_events <= len(TOY_EVENTS):

@@ -791,30 +791,40 @@ def _paper_batch():
 
 def _layer_run(monkeypatch, min_work):
     """Loss, gradients, d(inputs) and each layer's output of one paper-dims
-    batch, with the two-thread gate at min_work; and the helper's call count."""
+    batch, with the two-thread gate at min_work; and the count of calls
+    submitted to a second thread."""
+    from concurrent.futures import ThreadPoolExecutor
+
     from aacap import model as model_module
 
     monkeypatch.setattr(model_module, "TWO_THREAD_MIN_WORK", min_work)
-    outputs, helper_calls = [], []
-    forward, run_beside = model_module.BiLstmLayer.forward, model_module._Helper.run_beside
+    outputs, submitted = [], []
+    forward = model_module.BiLstmLayer.forward
 
     def keep_output(self, *args, **kwargs):
         out, cache = forward(self, *args, **kwargs)
         outputs.append(out.copy())
         return out, cache
 
-    def count_call(self, *args):
-        helper_calls.append(1)
-        return run_beside(self, *args)
+    class CountingPool(ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            submitted.append(1)
+            return super().submit(*args, **kwargs)
     monkeypatch.setattr(model_module.BiLstmLayer, "forward", keep_output)
-    monkeypatch.setattr(model_module._Helper, "run_beside", count_call)
+    monkeypatch.setattr(model_module, "ThreadPoolExecutor", CountingPool)
     model = CaptionModel(PAPER, seed=5)
     inputs, lengths, targets = _paper_batch()
     result = model.forward_teacher_forced(inputs, lengths, targets)
     d_inputs = model.backward(result.cache)
     grads = {g.name: g.gradient.copy() for g in model.parameters()}
     monkeypatch.undo()
-    return result.loss, grads, d_inputs, outputs, len(helper_calls)
+    return result.loss, grads, d_inputs, outputs, len(submitted)
+
+
+def _bilstm_threads():
+    import threading
+
+    return [t for t in threading.enumerate() if t.name.startswith("aacap-bilstm")]
 
 
 @pytest.mark.parametrize("switch_interval", [None, 1e-6], ids=["default", "1us"])
@@ -858,7 +868,8 @@ def test_an_exception_in_the_helper_direction_reaches_the_caller(monkeypatch, me
     with pytest.raises(RuntimeError) as caught:
         model.backward(model.forward_teacher_forced(inputs, lengths, targets).cache)
     assert caught.value is failure
-    assert ran_on and ran_on[0] is not threading.main_thread()
+    assert ran_on and ran_on[0].name.startswith("aacap-bilstm")
+    assert not _bilstm_threads()
     monkeypatch.undo()
     model.zero_grads()
     result = model.forward_teacher_forced(inputs, lengths, targets)
@@ -867,6 +878,43 @@ def test_an_exception_in_the_helper_direction_reaches_the_caller(monkeypatch, me
     assert result.loss == again.forward_teacher_forced(inputs, lengths, targets).loss
     assert np.array_equal(d_inputs, again.backward(
         again.forward_teacher_forced(inputs, lengths, targets).cache))
+
+
+@pytest.mark.parametrize("method", ["forward_sequence", "backward_sequence"])
+def test_an_exception_in_the_fwd_direction_returns_after_the_bwd_thread_ends(monkeypatch,
+                                                                              method):
+    import threading
+    import time
+
+    model = CaptionModel(PAPER, seed=5)
+    inputs, lengths, targets = _paper_batch()
+    cache = None
+    if method == "backward_sequence":
+        cache = model.forward_teacher_forced(inputs, lengths, targets).cache
+    layer = model.encoder.layer2
+    failure, started, finished = RuntimeError("fwd cell failed"), threading.Event(), []
+    bwd_call = getattr(layer.bwd, method)
+
+    def fail(*args, **kwargs):
+        assert started.wait(30)  # the bwd direction is running on its thread
+        raise failure
+
+    def slow_bwd(*args, **kwargs):
+        started.set()
+        time.sleep(0.2)
+        result = bwd_call(*args, **kwargs)
+        finished.append(threading.current_thread().name)
+        return result
+    monkeypatch.setattr(layer.fwd, method, fail)
+    monkeypatch.setattr(layer.bwd, method, slow_bwd)
+    with pytest.raises(RuntimeError) as caught:
+        if cache is None:
+            model.forward_teacher_forced(inputs, lengths, targets)
+        else:
+            model.backward(cache)
+    assert caught.value is failure
+    assert len(finished) == 1 and finished[0].startswith("aacap-bilstm")
+    assert not _bilstm_threads()
 
 
 def test_a_forked_child_trains_on_a_helper_of_its_own():
@@ -895,8 +943,8 @@ def test_a_forked_child_trains_on_a_helper_of_its_own():
 
 def test_training_at_tier_one_dims_never_starts_the_helper(tmp_path):
     """In a fresh process: training at the dims of the pipeline and acceptance
-    training tests, and any encode, leave one thread; a paper-dims batch
-    above the gate starts one helper, which later batches reuse."""
+    training tests, and any encode, open no second thread; a paper-dims batch
+    above the gate opens one per layer pass, and none is alive after any call."""
     import os
     import subprocess
     import sys
@@ -904,17 +952,29 @@ def test_training_at_tier_one_dims_never_starts_the_helper(tmp_path):
 
     script = f"""
 import threading
+from concurrent.futures import ThreadPoolExecutor
 import numpy as np
+from aacap import model as model_module
 from aacap.model import CaptionModel, ModelConfig
 from aacap.pipeline import TrainConfig, make_toy_dataset, train
 
-def names():
-    return sorted(t.name for t in threading.enumerate())
+opened = []
+
+class CountingPool(ThreadPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        opened.append(1)
+        super().__init__(*args, **kwargs)
+
+model_module.ThreadPoolExecutor = CountingPool
+
+def report():
+    print(len(opened), sorted(t.name for t in threading.enumerate()))
 
 manifest = make_toy_dataset({str(tmp_path / "toy")!r}, seed=0, n_items=4)
 train(TrainConfig(batch_size=4, initial_lr=1e-2, max_epochs=1, seed=0, vocab_min_count=1,
                   enc_hidden=8, attn_dim=8, dec_hidden=8, word_dim=8),
       manifest, {str(tmp_path / "run")!r})
+report()
 rng = np.random.default_rng(0)
 for batch, hidden in [(4, 32), (8, 16), (4, 8)]:
     model = CaptionModel(ModelConfig(embed_dim=16, vocab_size=9, enc_hidden=hidden))
@@ -923,19 +983,19 @@ for batch, hidden in [(4, 32), (8, 16), (4, 8)]:
     model.backward(result.cache)
 paper = CaptionModel(ModelConfig(embed_dim=128, vocab_size=40))
 paper.encode(rng.normal(size=(16, 20, 128)), [20] * 16)
-print(names())
+report()
 for _ in range(2):
     result = paper.forward_teacher_forced(rng.normal(size=(4, 6, 128)), [6] * 4,
                                           [[1, 5, 6, 2]] * 4)
+    report()
     paper.backward(result.cache)
-print(names())
+    report()
 """
     repo = Path(__file__).resolve().parents[1]
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(repo / "src")}, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["['MainThread']",
-                                        "['MainThread', 'aacap-bilstm-helper']"]
+    assert done.stdout.splitlines() == [f"{n} ['MainThread']" for n in (0, 0, 2, 4, 6, 8)]
 
 
 def test_decoder_advance_over_rows_equals_per_row_calls():
@@ -1314,7 +1374,7 @@ def test_loaded_model_holds_no_training_buffers(tmp_path):
     beam_search(loaded, loaded.encode(np.random.default_rng(1).normal(size=(3, 8))),
                 beam=2, max_tokens=4)
     for group in loaded.parameters():
-        assert group._gradient is None and group._adam_m is None and group._adam_v is None
+        assert not {"gradient", "adam_m", "adam_v"} & vars(group).keys()
 
 
 def test_encode_carries_attention_keys():

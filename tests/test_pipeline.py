@@ -544,6 +544,18 @@ def test_cli_train_bad_learning_rate_exits_2(tmp_path, capsys, lr):
     assert "initial_lr" in capsys.readouterr().err
 
 
+def test_cli_negative_seed_exits_2(tmp_path, capsys):
+    toy_dir = tmp_path / "toy"
+    assert cli.main(["make-toy", "--out-dir", str(toy_dir), "--seed", "-1"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not toy_dir.exists()
+    manifest = make_toy_dataset(toy_dir, seed=0, n_items=4)
+    assert cli.main(["train", "--manifest", str(manifest), "--out-dir",
+                     str(tmp_path / "run"), "--seed", "-1"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("command", ["vocab-build", "evaluate", "caption", "attn-export"])
 def test_cli_seed_flag_removed_where_nothing_reads_it(command):
     required = {"vocab-build": ["--manifest", "m", "--out", "o"],
