@@ -18,7 +18,7 @@ from aacap.embeddings import (
     plan_segments,
     save_embedding_file,
 )
-from aacap.features import Waveform, log_mel, stft_power
+from aacap.features import Waveform, log_mel
 
 # --- plan half-overlapped segments over a 3.1 s clip ------------------------
 duration = 3.1
@@ -30,7 +30,7 @@ print("segment starts:", [f"{s:.2f}" for s in plan.starts])
 # --- features for the clip ---------------------------------------------------
 rng = np.random.default_rng(3)
 wave = Waveform(rng.uniform(-0.5, 0.5, int(16000 * duration)), 16000)
-spec = log_mel(stft_power(wave))
+spec = log_mel(wave)  # STFT, mel and log chunk by chunk; no 257-bin power grid
 print(f"spectrogram: {spec.frames} frames x {spec.mel_bins} bins")
 
 # --- mock embedding rows -----------------------------------------------------

@@ -46,15 +46,25 @@ def plan_segments(duration: float, window: float = DEFAULT_SEGMENT_SECONDS) -> S
 
 
 def save_embedding_file(path, matrix: np.ndarray):
-    """Write a (T, F) matrix as magic + version/T/F (u32 LE) + float32 LE rows."""
+    """Write a (T, F) matrix as magic + version/T/F (u32 LE) + float32 LE rows.
+
+    A value that is not finite, or overflows float32, is a DataError raised
+    before the file is opened: load_embedding_file would reject the file.
+    """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or min(matrix.shape) < 1:
         raise DataError(f"embedding matrix must be 2-D with T, F >= 1, got {matrix.shape}")
     t, f = matrix.shape
+    with np.errstate(over="ignore"):
+        values = matrix.astype("<f4")
+    if not np.isfinite(values).all():
+        what = ("non-finite values" if not np.isfinite(matrix).all() else
+                f"values beyond float32's range (±{np.finfo(np.float32).max:.4g})")
+        raise DataError(f"{t}x{f} embedding matrix has {what}")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<III", FORMAT_VERSION, t, f))
-        fh.write(matrix.astype("<f4").tobytes())
+        fh.write(values.tobytes())
 
 
 def load_embedding_file(path) -> np.ndarray:

@@ -2,12 +2,16 @@
 
 The analysis defaults (512-sample window at 16 kHz, 160-sample hop, 64 mel
 bins spanning 125-7500 Hz) give a front end compatible with common audio
-event taggers; everything is configurable.
+event taggers; everything is configurable. `log_mel` of a Waveform (what
+`wav_to_log_mel` runs) takes each STFT chunk straight down to mel bins, so
+the full power grid of `stft_power` is never built on that path.
 """
 
+import functools
+import math
 import wave
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -25,14 +29,15 @@ DEFAULT_FMAX = 7500.0
 LOG_OFFSET = 1e-6
 
 STFT_CHUNK_FRAMES = 256  # frames per rfft call in stft_power
-RESAMPLE_BLOCK = 8192  # output samples per step of resample: 64 kB per scratch array
+RESAMPLE_BLOCK = 8192  # output samples per step of resample, rounded to whole periods
 PCM_SCALE = 2.0 ** -15  # 16-bit PCM value to float sample, exactly
 
 
 @dataclass
 class Waveform:
     """Mono audio: float samples in [-1, 1], or int16 PCM as read_wav passes
-    it to resample, each value standing for value * PCM_SCALE."""
+    it to resample, each value standing for value * PCM_SCALE (resample,
+    stft_power and log_mel read it so)."""
 
     samples: np.ndarray
     sample_rate: int
@@ -118,9 +123,15 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     the difference and its product with r are exact, so only the division
     and the sum round: the output is within 0.75 * 2**-52 of the exact
     rational interpolation. Outputs past the last input take the last
-    sample. Outputs are filled RESAMPLE_BLOCK at a time, each block
-    gathering and scaling only the inputs it reads, so beside its input and
-    output the call holds a few 64 kB scratch arrays at any length.
+    sample. (j, r) repeats every period = rate_out / gcd(rate_in, rate_out)
+    outputs (160 at 44.1 to 16 kHz), with j advanced by rate_in / gcd, so
+    one table of (j, r), made once per call, serves every block of about
+    RESAMPLE_BLOCK outputs (a whole number of periods, at least one); a
+    block adds its start / period * (rate_in / gcd) to the table's j. Each
+    block gathers and scales only the inputs it reads, so beside its input
+    and output the call holds the table and a few scratch arrays of one
+    block each: 64 kB at 44.1 to 16 kHz, or 8 bytes per output of a period
+    longer than RESAMPLE_BLOCK (128 kB at 44.099 to 16 kHz).
     """
     y = np.asarray(w.samples)
     n_in = len(y)
@@ -140,27 +151,44 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     # Outputs from k_edge on have j >= n_in - 1.
     k_edge = min(n_out, -(-(n_in - 1) * rate_out // rate_in))
     out[k_edge:] = y[-1] * scale
-    for start in range(0, k_edge, RESAMPLE_BLOCK):
-        k = np.arange(start, min(start + RESAMPLE_BLOCK, k_edge), dtype=np.int64)
-        j, r = np.divmod(k * rate_in, rate_out)
-        y0 = y[j] * scale
-        step = y[j + 1] * scale - y0
-        step *= r
+    # (j, r) repeats every `period` outputs, with j advanced by rate_in // gcd;
+    # each block starts on a period, so one table serves them all.
+    g = math.gcd(rate_in, rate_out)
+    period = rate_out // g
+    span = period * max(1, RESAMPLE_BLOCK // period)
+    j_table, r = np.divmod(np.arange(min(span, k_edge), dtype=np.int64) * rate_in, rate_out)
+    r = r.astype(np.float64)  # exact: r < rate_out
+    j = np.empty_like(j_table)
+    for start in range(0, k_edge, span):
+        n = min(span, k_edge - start)
+        np.add(j_table[:n], start // period * (rate_in // g), out=j[:n])
+        y0 = y[j[:n]] * scale
+        j[:n] += 1
+        step = y[j[:n]] * scale - y0
+        step *= r[:n]
         step /= rate_out
-        np.add(y0, step, out=out[start:start + len(k)])
+        np.add(y0, step, out=out[start:start + n])
     return Waveform(out, target_rate)
 
 
-def stft_power(w: Waveform, window_size: int = DEFAULT_WINDOW,
-               hop: int = DEFAULT_HOP) -> np.ndarray:
-    """Hann-windowed magnitude-squared STFT, shape (frames, window_size // 2 + 1).
+def stft_power(w: Waveform, window_size: int = DEFAULT_WINDOW, hop: int = DEFAULT_HOP,
+               bank: Optional[np.ndarray] = None) -> np.ndarray:
+    """Hann-windowed magnitude-squared STFT, shape (frames, window_size // 2 + 1);
+    given a filterbank `bank` of shape (k, window_size // 2 + 1), that power
+    times bank.T instead, shape (frames, k).
 
     frames = floor((len - window_size) / hop) + 1; no padding is applied.
-    Frames are read through a strided view of the samples (no copy) and
-    transformed STFT_CHUNK_FRAMES at a time with one rfft per chunk. Beside
-    the returned grid, that holds one chunk's windowed frames and complex
-    spectrum: about 3.2 MB at the default 512-sample window, whatever the
-    clip length.
+    int16 samples are PCM: PCM_SCALE is folded into the window, which is
+    exact, so the result is that of their float form. Frames are read
+    through a strided view of the samples (no copy) and transformed
+    STFT_CHUNK_FRAMES at a time, one rfft per chunk, into buffers allocated
+    once per call. Each chunk's power, np.abs then np.square in place
+    (bit-identical to np.abs(x) ** 2), lands straight in the grid; with a
+    bank it lands in a chunk buffer that one product per chunk takes down to
+    k columns, so the full grid is never built. Beside the result that
+    holds one chunk's windowed frames and spectrum, about 2.1 MB at the
+    default 512-sample window whatever the clip length, and with a bank
+    0.7 MB more for its power and product.
     """
     if window_size <= 0 or window_size & (window_size - 1) != 0:
         raise ConfigError(f"window_size {window_size} is not a power of two")
@@ -171,14 +199,35 @@ def stft_power(w: Waveform, window_size: int = DEFAULT_WINDOW,
         raise DataError(
             f"waveform of {n} samples is shorter than the {window_size}-sample window")
     n_frames = (n - window_size) // hop + 1
+    bins = window_size // 2 + 1
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window_size) / window_size)
+    if w.samples.dtype.kind == "i" and w.samples.dtype.itemsize == 2:
+        window *= PCM_SCALE
     frames = np.lib.stride_tricks.sliding_window_view(w.samples, window_size)[::hop]
-    power = np.empty((n_frames, window_size // 2 + 1))
-    for start in range(0, n_frames, STFT_CHUNK_FRAMES):
-        stop = start + STFT_CHUNK_FRAMES
-        spectrum = np.fft.rfft(frames[start:stop] * window, axis=-1)
-        power[start:stop] = np.abs(spectrum) ** 2
-    return power
+    chunk = min(STFT_CHUNK_FRAMES, n_frames)
+    windowed = np.empty((chunk, window_size))
+    spectrum = np.empty((chunk, bins), dtype=np.complex128)
+    if bank is None:
+        out = np.empty((n_frames, bins))
+    else:
+        out = np.empty((n_frames, bank.shape[0]))
+        power, projected = np.empty((chunk, bins)), np.empty((chunk, bank.shape[0]))
+    for start in range(0, n_frames, chunk):
+        stop = min(start + chunk, n_frames)
+        rows = stop - start
+        np.multiply(frames[start:stop], window, out=windowed[:rows])
+        np.fft.rfft(windowed[:rows], axis=-1, out=spectrum[:rows])
+        chunk_power = out[start:stop] if bank is None else power[:rows]
+        np.abs(spectrum[:rows], out=chunk_power)
+        np.square(chunk_power, out=chunk_power)
+        if bank is not None:
+            # Every product takes all `chunk` rows, a short last chunk's stale
+            # ones too: BLAS may sum a row of a short product in another order
+            # (OpenBLAS has a small-matrix kernel), and at `chunk` rows the
+            # rows matched a one-product grid's on every length tested.
+            np.matmul(power, bank.T, out=projected)
+            out[start:stop] = projected[:rows]
+    return out
 
 
 def hz_to_mel(f):
@@ -189,9 +238,13 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=16)
 def mel_filterbank(mel_bins: int, fft_bins: int, sample_rate: int,
                    f_min: float, f_max: float) -> np.ndarray:
-    """Triangular filters on the 2595*log10(1 + f/700) scale, shape (mel_bins, fft_bins)."""
+    """Triangular filters on the 2595*log10(1 + f/700) scale, shape (mel_bins, fft_bins).
+
+    Built once per argument set and cached; the returned array is read-only.
+    """
     if mel_bins < 2:
         raise ConfigError(f"mel_bins must be >= 2, got {mel_bins}")
     if not 0 <= f_min < f_max <= sample_rate / 2:
@@ -205,23 +258,38 @@ def mel_filterbank(mel_bins: int, fft_bins: int, sample_rate: int,
         rising = (fft_freqs - lo) / (center - lo)
         falling = (hi - fft_freqs) / (hi - center)
         bank[i] = np.maximum(0.0, np.minimum(rising, falling))
+    bank.flags.writeable = False
     return bank
 
 
-def log_mel(power: np.ndarray, mel_bins: int = DEFAULT_MEL_BINS,
+def log_mel(source: Union[Waveform, np.ndarray], mel_bins: int = DEFAULT_MEL_BINS,
             f_min: float = DEFAULT_FMIN, f_max: float = DEFAULT_FMAX) -> Spectrogram:
-    """Apply a mel filterbank to an STFT power grid and take ln(x + 1e-6).
+    """ln(x + LOG_OFFSET) of mel energies, from 16 kHz audio at the default hop.
 
-    The grid is taken to come from 16 kHz audio at the default hop.
+    `source` is a 16 kHz Waveform, or an STFT power grid taken to come from
+    one. A Waveform runs the default STFT with the mel bank as stft_power's
+    bank, so each chunk goes straight into the (frames, mel_bins) result and
+    the 257-bin power grid is never built; its values are bit-identical to
+    log_mel(stft_power(source)). The offset and the log are taken in place.
     """
-    bank = mel_filterbank(mel_bins, power.shape[1], TARGET_SAMPLE_RATE, f_min, f_max)
-    return Spectrogram(np.log(power @ bank.T + LOG_OFFSET),
-                       DEFAULT_HOP / TARGET_SAMPLE_RATE)
+    if isinstance(source, Waveform):
+        if source.sample_rate != TARGET_SAMPLE_RATE:
+            raise DataError(f"log_mel needs {TARGET_SAMPLE_RATE} Hz audio, got "
+                            f"{source.sample_rate} Hz; resample it first")
+        bank = mel_filterbank(mel_bins, DEFAULT_WINDOW // 2 + 1, TARGET_SAMPLE_RATE,
+                              f_min, f_max)
+        mel = stft_power(source, bank=bank)
+    else:
+        bank = mel_filterbank(mel_bins, source.shape[1], TARGET_SAMPLE_RATE, f_min, f_max)
+        mel = source @ bank.T
+    mel += LOG_OFFSET
+    return Spectrogram(np.log(mel, out=mel), DEFAULT_HOP / TARGET_SAMPLE_RATE)
 
 
 def wav_to_log_mel(path) -> Spectrogram:
-    """Full front end at the default analysis settings: read, resample, STFT, mel, log."""
-    return log_mel(stft_power(read_wav(path)))
+    """Full front end at the default analysis settings: read and resample, then
+    log_mel of the waveform (STFT, mel and log chunk by chunk)."""
+    return log_mel(read_wav(path))
 
 
 def spec_augment(values: np.ndarray, cfg: AugmentConfig,

@@ -99,6 +99,31 @@ def test_save_embedding_file_refuses_empty_or_non_matrix(tmp_path, shape):
         save_embedding_file(tmp_path / "bad.aace", np.zeros(shape))
 
 
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.nan, "non-finite"), (np.inf, "non-finite"), (-np.inf, "non-finite"),
+    (1e39, "beyond float32's range"), (-1e300, "beyond float32's range"),
+], ids=["nan", "inf", "-inf", "1e39", "-1e300"])
+def test_save_embedding_file_refuses_what_load_would_reject_and_writes_nothing(
+        tmp_path, bad, message):
+    matrix = np.ones((3, 4))
+    matrix[1, 2] = bad
+    path = tmp_path / "bad.aace"
+    with pytest.raises(DataError, match=message):
+        save_embedding_file(path, matrix)
+    assert not path.exists()
+
+
+def test_save_embedding_file_keeps_values_that_round_to_the_float32_edge(tmp_path):
+    # float32's largest value, and one just above it that rounds down to it
+    matrix = np.array([[F32_MAX, -F32_MAX, np.nextafter(F32_MAX, np.inf)]])
+    path = tmp_path / "edge.aace"
+    save_embedding_file(path, matrix)
+    assert np.array_equal(load_embedding_file(path), [[F32_MAX, -F32_MAX, F32_MAX]])
+
+
 def test_embedding_file_truncated_payload(tmp_path):
     import struct
 
@@ -158,11 +183,20 @@ def test_mock_extract_rejects_overlong_plan():
         mock_extract(spec, plan, dim=3, seed=0)
 
 
+def write_raw_aace(path, matrix):
+    """An AACE file of `matrix` as float32, written byte by byte: unlike
+    save_embedding_file it writes non-finite values too."""
+    import struct
+
+    t, f = matrix.shape
+    path.write_bytes(b"AACE" + struct.pack("<III", 1, t, f) + matrix.astype("<f4").tobytes())
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_embedding_file_non_finite_values_are_corrupt(tmp_path, bad):
     path = tmp_path / "bad.aace"
     matrix = np.zeros((2, 3))
     matrix[1, 2] = bad
-    save_embedding_file(path, matrix)
+    write_raw_aace(path, matrix)
     with pytest.raises(CorruptionError, match="non-finite"):
         load_embedding_file(path)

@@ -149,6 +149,69 @@ def test_stft_extra_memory_is_bounded_on_a_long_clip():
     assert peak <= power.nbytes + 8 * 2**20
 
 
+def assert_same_bits(a: np.ndarray, b: np.ndarray):
+    assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("frames, tail", [(1, 0), (CHUNK, 37), (CHUNK + 1, 0),
+                                          (3 * CHUNK + 17, 159)],
+                         ids=["one-frame", "one-chunk", "one-chunk-plus-one",
+                              "partial-last-chunk"])
+def test_log_mel_of_a_waveform_equals_log_mel_of_its_power_grid(frames, tail):
+    n = 512 + 160 * (frames - 1) + tail
+    w = Waveform(np.random.default_rng(frames).uniform(-1, 1, n), TARGET_SAMPLE_RATE)
+    spec = log_mel(w)
+    assert spec.frames == frames and spec.frame_hop == 160 / TARGET_SAMPLE_RATE
+    assert_same_bits(spec.values, log_mel(stft_power(w)).values)
+
+
+def test_log_mel_of_the_ingest_clips_equals_log_mel_of_their_power_grids(tmp_path):
+    for clip in _ingest_clips(tmp_path):
+        w = read_wav(clip["path"])
+        assert_same_bits(log_mel(w).values, log_mel(stft_power(w)).values)
+
+
+def test_log_mel_of_a_waveform_never_builds_the_power_grid():
+    # The (2997, 257) power grid of 30 s at 16 kHz is 6.2 MB; streaming holds
+    # one chunk's frames, spectrum and power beside the (2997, 64) result.
+    w = Waveform(np.random.default_rng(0).uniform(-1, 1, 30 * TARGET_SAMPLE_RATE),
+                 TARGET_SAMPLE_RATE)
+    log_mel(w)  # the filterbank is cached from here on
+    tracemalloc.start()
+    try:
+        spec = log_mel(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - spec.values.nbytes < 3.5 * 2**20 < spec.frames * 257 * 8
+
+
+def test_stft_and_log_mel_read_int16_samples_as_pcm():
+    # int16 samples are PCM, value * 2**-15, as resample reads them; taken as
+    # raw values the log-mel would come out ln(2**30) ~ 20.79 too high.
+    pcm = np.random.default_rng(2).integers(-32768, 32768, 512 + 160 * (CHUNK + 20),
+                                            dtype=np.int16)
+    w = Waveform(pcm, TARGET_SAMPLE_RATE)
+    as_float = Waveform(pcm / 32768.0, TARGET_SAMPLE_RATE)
+    assert_same_bits(stft_power(w), stft_power(as_float))
+    assert_same_bits(log_mel(w).values, log_mel(as_float).values)
+
+
+def test_log_mel_of_a_waveform_at_another_rate_is_a_data_error():
+    with pytest.raises(DataError, match="needs 16000 Hz audio, got 44100 Hz"):
+        log_mel(Waveform(np.zeros(44100), 44100))
+
+
+def test_mel_filterbank_is_built_once_and_read_only():
+    bank = mel_filterbank(64, 257, 16000, 125.0, 7500.0)
+    assert mel_filterbank(64, 257, 16000, 125.0, 7500.0) is bank
+    with pytest.raises(ValueError, match="read-only"):
+        bank[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        bank *= 2.0
+
+
 def test_log_mel_zero_power_is_constant_floor():
     spec = log_mel(np.zeros((3, 257)))
     assert spec.values.shape == (3, 64)
@@ -495,6 +558,36 @@ def test_resample_of_pcm_is_within_2_52_of_exact_interpolation_and_equals_its_fl
         assert abs(Fraction(out.samples[k]) - exact) <= Fraction(3, 2**54), k
 
 
+def divmod_resample(pcm: np.ndarray, rate_in: int, rate_out: int) -> np.ndarray:
+    """resample's formula with each output's (j, r) from its own int64 divmod."""
+    n_out = int(round(len(pcm) / rate_in * rate_out))
+    j, r = np.divmod(np.arange(n_out, dtype=np.int64) * rate_in, rate_out)
+    past = j >= len(pcm) - 1
+    j[past] = len(pcm) - 2
+    y0 = pcm[j] * 2.0**-15
+    step = pcm[j + 1] * 2.0**-15 - y0
+    step *= r
+    step /= rate_out
+    out = y0 + step
+    out[past] = pcm[-1] * 2.0**-15
+    return out
+
+
+@pytest.mark.parametrize("rate_in, rate_out", [
+    (44100, 16000), (22050, 16000), (48000, 16000), (8000, 16000), (44099, 16000),
+    (16001, 8192)])
+def test_resample_equals_the_per_output_divmod_formula(rate_in, rate_out):
+    # (j, r) repeats every rate_out / gcd outputs: 160, 320, 1, 2 and 16000
+    # outputs here, below and above RESAMPLE_BLOCK, and 8192, equal to it.
+    period = rate_out // math.gcd(rate_in, rate_out)
+    span = period * max(1, BLOCK // period)
+    n_in = round((3 * span + 17) * rate_in / rate_out)
+    pcm = np.random.default_rng(rate_in).integers(-32768, 32768, n_in).astype(np.int16)
+    out = resample(Waveform(pcm, rate_in), rate_out).samples
+    assert len(out) > 3 * span
+    assert_same_bits(out, divmod_resample(pcm, rate_in, rate_out))
+
+
 @pytest.mark.parametrize("rate_in, rate_out", [(44100, 16000), (96000, 44100), (16000, 44100)])
 def test_resample_of_a_30_s_clip_is_within_1e_9_of_np_interp(rate_in, rate_out):
     # np.interp rounds each grid time k / rate, so its error grows with the
@@ -600,3 +693,12 @@ def test_ingest_workload_checksums_match_the_benchmark_reference(tmp_path):
                               inputs.FEATURE_DIM, clip["extract_seed"])
         assert float(spectrogram.values.sum()) == pytest.approx(want_mel, rel=rtol, abs=1e-12)
         assert float(matrix.sum()) == pytest.approx(want_embedding, rel=rtol, abs=1e-12)
+
+
+def _ingest_clips(tmp_path) -> list[dict]:
+    """The benchmark's seed-0 `ingest` clips, written under tmp_path."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs",
+                                                  REPO / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs.make_ingest(0, tmp_path)["clips"]

@@ -759,11 +759,11 @@ def test_cli_non_finite_checkpoint_exits_3(tmp_path, capsys):
 
 
 def test_cli_all_nan_input_exits_3(tmp_path, capsys):
-    from aacap.embeddings import save_embedding_file
+    from test_embeddings import write_raw_aace
 
     checkpoint, _ = _cli_checkpoint(tmp_path)
     bad = tmp_path / "nan.aace"
-    save_embedding_file(bad, np.full((3, 16), np.nan))
+    write_raw_aace(bad, np.full((3, 16), np.nan))
     code = cli.main(["caption", "--checkpoint", str(checkpoint), "--input", str(bad)])
     assert code == 3
     captured = capsys.readouterr()
