@@ -247,6 +247,8 @@ def mel_filterbank(mel_bins: int, fft_bins: int, sample_rate: int,
     """
     if mel_bins < 2:
         raise ConfigError(f"mel_bins must be >= 2, got {mel_bins}")
+    if fft_bins < 2:  # one bin spans no frequencies: the grid below divides by zero
+        raise ConfigError(f"fft_bins must be >= 2, got {fft_bins}")
     if not 0 <= f_min < f_max <= sample_rate / 2:
         raise ConfigError(
             f"need 0 <= f_min < f_max <= {sample_rate / 2}, got ({f_min}, {f_max})")

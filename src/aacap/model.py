@@ -33,13 +33,19 @@ overlap of independent recurrent work; numpy releases the GIL inside its
 products and ufuncs. Each direction runs the same operations as on one
 thread and writes its own output columns, and the caller adds both
 directions' input gradients into d(inputs) after the join, fwd first:
-outputs are bit-identical to running one direction after the other. Below
-TWO_THREAD_MIN_WORK per step (rows x 4h x h) the GIL handoffs cost more
-than they save, and both directions run on the caller's thread.
-CaptionModel.encode (evaluation, validation, caption, attention export)
-stays on one thread: at its few live rows per step the gain was not
-reliable, and a second thread's malloc arena costs memory in a process
-that otherwise never needs one.
+outputs are bit-identical to running one direction after the other.
+Teacher forcing's decoder loops, forward and reverse, are independent per
+sample in the same way: a batch of two or more rows always steps as two
+row halves, [0, B/2) and [B/2, B), the second on such a pool. Each half
+writes its own rows of every per-step array; the loss, the output
+projection and every weight product run once over all rows after the
+loop. Below TWO_THREAD_MIN_WORK per step (rows x 4h x h: a layer's rows at
+enc_hidden, a half's rows at dec_hidden) the GIL handoffs cost more than
+they save, and the two calls run one after the other on the caller's
+thread, in the same row halves. CaptionModel.encode (evaluation,
+validation, caption, attention export) stays on one thread: at its few
+live rows per step the gain was not reliable, and a second thread's
+malloc arena costs memory in a process that otherwise never needs one.
 
 A decoder step is Decoder.advance: an attention read of the encoder output
 from h_prev, then one decoder cell step on [word embedding, context]. The
@@ -67,9 +73,11 @@ read and the decoder cell), then reverse-time through both encoder layers.
 The reverse loops carry only the recurrence and stack the per-step deltas
 into rows; each gradient that does not feed the recurrence (cell weights
 and biases, the output projection, the word embeddings, the attention's
-encoder side and its context read) is then one product over the stacked
-rows. Attention pre-activations are recomputed in backward rather than
-kept per step, and an encoder cell's h is recomputed from its gates and c.
+weights and its context read) is then one product over the stacked rows,
+or for the attention's w_score a sum in row order of per-row
+accumulators, so no gradient depends on how the rows were split.
+Attention pre-activations are recomputed in backward rather than kept per
+step, and an encoder cell's h is recomputed from its gates and c.
 Every learnable array is a numerics.ParameterGroup so the finite
 difference checker can sweep the whole model.
 
@@ -83,7 +91,15 @@ bit for bit. One matrix's E is bit-identical to the unpacked, unchunked
 recurrence. A batch's E equals each row's own encode within 1e-12 absolute
 (E is an LSTM's h, so it lies in (-1, 1)): a step of several rows is a
 matrix product where one row alone is a matrix-vector product, and the two
-round differently. The inference step's logits, h and c equal the
+round differently. For the same reason a teacher-forced batch stepped in
+row halves can differ from one stepped as a single matrix in the last
+bits of the loss and of every gradient, at some row counts; the tests hold
+it to the rtol 1e-9 above. At 20 and 32 rows of paper dims only
+attn.w_hidden and attn.w_score differed from single-matrix stepping with
+per-step weight gradients, within 1e-15 of each array's largest entry,
+because their sums now run in another order. The halves make the same
+calls on one thread and on two, so threaded and one-thread training are
+bit-identical. The inference step's logits, h and c equal the
 teacher-forced step's (Decoder.advance plus the output projection) within
 rtol 1e-12 of each array's largest entry: the context share is summed in
 another order.
@@ -119,8 +135,9 @@ from .numerics import PROB_FLOOR, ParameterGroup, sigmoid, softmax
 from .text import PAD
 
 CHECKPOINT_MAGIC = b"AACM\x04"
-# Training runs a layer's two directions on two threads from this much work
-# per step, rows x 4h x h (4 rows at h = 256); below it the handoffs cost more.
+# Training runs a layer's two directions, or the decoder's two row halves, on
+# two threads from this much work per step, rows x 4h x h (4 rows at h = 256);
+# below it the handoffs cost more.
 TWO_THREAD_MIN_WORK = 1 << 20
 
 
@@ -229,6 +246,31 @@ def _word_sum(file_words: np.ndarray) -> int:
     """Wrapping sum of an array's 8-byte words as the file stores them, little
     endian. Any edit confined to one word changes it."""
     return int(np.add.reduce(file_words.view("<u8"), axis=None, dtype=np.uint64))
+
+
+def _side_by_side(calls, rows: int, hidden: int, name: str) -> list:
+    """Results of two calls: the second on a one-thread pool, its thread named
+    `name`, when a step of `rows` rows at `hidden` units (rows x 4h x h) is at
+    least TWO_THREAD_MIN_WORK, else one after the other. That thread has
+    finished when this returns or raises."""
+    here, there = calls
+    if rows * 4 * hidden ** 2 >= TWO_THREAD_MIN_WORK:
+        with ThreadPoolExecutor(1, thread_name_prefix=name) as pool:
+            there = pool.submit(there)
+            return [here(), there.result()]
+    return [here(), there()]
+
+
+def _by_halves(batch: int, hidden: int, run):
+    """run(rows) over rows [0, batch) of a teacher-forced batch at `hidden`
+    units: as the halves [0, batch/2) and [batch/2, batch), side by side, or
+    as one call for a batch of one row."""
+    if batch < 2:
+        run(slice(0, batch))
+        return
+    half = batch // 2
+    _side_by_side([partial(run, slice(0, half)), partial(run, slice(half, batch))],
+                  half, hidden, "aacap-decoder")
 
 
 def _step_count(target: Sequence[int]) -> int:
@@ -430,14 +472,10 @@ class BiLstmLayer:
 
     def _run(self, pack: _Packing, calls, threaded: bool) -> list:
         """Results of the fwd and bwd calls: the bwd one on a thread of its own
-        when threaded and a step is worth it, else one after the other. That
-        thread has finished when this returns or raises."""
-        here, there = calls
-        if threaded and pack.offsets[1] * 4 * self.hidden_dim ** 2 >= TWO_THREAD_MIN_WORK:
-            with ThreadPoolExecutor(1, thread_name_prefix="aacap-bilstm") as pool:
-                there = pool.submit(there)
-                return [here(), there.result()]
-        return [here(), there()]
+        when threaded and a step is worth it, else one after the other."""
+        if threaded:
+            return _side_by_side(calls, pack.offsets[1], self.hidden_dim, "aacap-bilstm")
+        return [call() for call in calls]
 
     def forward(self, x_seq: np.ndarray, lengths: np.ndarray, keep_cache: bool = True):
         """x_seq (B, T, in), rows valid up to lengths (B,); returns (B, T, 2 hidden),
@@ -541,16 +579,20 @@ class Attention:
         return AttentionStep(weights=weights, context=context)
 
     def backward(self, enc_values: np.ndarray, keys: np.ndarray, h_prev: np.ndarray,
-                 weights: np.ndarray, d_context: np.ndarray,
-                 d_pre_sum: np.ndarray) -> np.ndarray:
-        """One decoder step's backward over a batch: enc_values (B, T, d_e),
-        keys (B, T, d_a), h_prev (B, d_h), weights (B, T) and d_context
-        (B, d_e). Returns dh_prev (B, d_h); parameter grads accumulate in place.
+                 weights: np.ndarray, d_context: np.ndarray, d_pre_sum: np.ndarray,
+                 d_pre_rows: np.ndarray, score_rows: np.ndarray) -> np.ndarray:
+        """One decoder step's backward over rows of a batch: enc_values
+        (B, T, d_e), keys (B, T, d_a), h_prev (B, d_h), weights (B, T) and
+        d_context (B, d_e). Returns dh_prev (B, d_h).
 
         The pre-activations are recomputed here, in one (B, T, d_a) buffer
-        that then holds their gradient, which is added into d_pre_sum. Every
-        step reads the same E and W_enc, so the caller takes the E / W_enc
-        products, and the context read's dE, once for all steps.
+        that then holds their gradient, which is added into d_pre_sum and
+        written, summed over frames, into d_pre_rows (B, d_a); each row's
+        share of the w_score gradient is added into score_rows (B, d_a). No
+        parameter gradient is touched, so two threads may run disjoint rows:
+        finish_backward takes the weight gradients from those arrays once all
+        steps are done. Every step reads the same E and W_enc, so the E /
+        W_enc products, and the context read's dE, are taken there too.
         """
         d_weights = (enc_values @ d_context[..., None])[..., 0]
         # softmax backward; padded entries have weight 0 and drop out
@@ -559,21 +601,26 @@ class Attention:
         pre = self._pre(keys, h_prev)
         active = pre > 0
         alpha = np.maximum(pre, 0.0, out=pre)
-        attn_dim = alpha.shape[-1]
-        self.w_score.gradient += (d_logits.reshape(1, -1) @ alpha.reshape(-1, attn_dim)).T
+        score_rows += (d_logits[..., None, :] @ alpha)[..., 0, :]
         d_pre = np.multiply(d_logits[..., None], self.w_score.value.ravel(), out=alpha)
         d_pre *= active
         d_pre_sum += d_pre
-        d_pre_rows = d_pre.sum(axis=1)
-        self.w_hidden.gradient += h_prev.T @ d_pre_rows
+        d_pre.sum(axis=1, out=d_pre_rows)
         return d_pre_rows @ self.w_hidden.value.T
 
-    def backward_encoder(self, enc_values: np.ndarray, d_pre_sum: np.ndarray) -> np.ndarray:
-        """The E / W_enc part of every step's backward at once, over (B, T, ·);
-        returns its dE."""
+    def finish_backward(self, enc_values: np.ndarray, h_prev: np.ndarray,
+                        d_pre_sum: np.ndarray, d_pre_rows: np.ndarray,
+                        score_rows: np.ndarray) -> np.ndarray:
+        """Adds the weight gradients of every step's backward: w_enc from the
+        (B, T, ·) E and d_pre_sum, w_hidden as one product of the stacked
+        per-step h_prev (..., d_h) and d_pre_rows (..., d_a), and w_score as
+        score_rows summed in row order. Returns the E / W_enc part of dE."""
         attn_dim = d_pre_sum.shape[-1]
         self.w_enc.gradient += (enc_values.reshape(-1, enc_values.shape[-1]).T
                                 @ d_pre_sum.reshape(-1, attn_dim))
+        self.w_hidden.gradient += (h_prev.reshape(-1, h_prev.shape[-1]).T
+                                   @ d_pre_rows.reshape(-1, attn_dim))
+        self.w_score.gradient += score_rows.sum(axis=0)[:, None]
         return d_pre_sum @ self.w_enc.value.T
 
 
@@ -705,9 +752,14 @@ class CaptionModel:
         gates = np.empty((span, batch, 4 * self.cfg.dec_hidden))
         contexts = np.empty((span, batch, self.cfg.enc_out_dim))
         weights = np.empty((span, batch, enc_values.shape[1]))
-        for s in range(span):
-            h[s + 1], c[s + 1], gates[s], att_step = dec.advance(tokens_in[s], h[s], c[s], enc)
-            weights[s], contexts[s] = att_step.weights, att_step.context
+
+        def run(rows: slice):
+            part = EncoderOutput(enc.values[rows], enc.valid_length[rows], enc.keys[rows])
+            for s in range(span):
+                h[s + 1, rows], c[s + 1, rows], gates[s, rows], att_step = dec.advance(
+                    tokens_in[s, rows], h[s, rows], c[s, rows], part)
+                weights[s, rows], contexts[s, rows] = att_step.weights, att_step.context
+        _by_halves(batch, self.cfg.dec_hidden, run)
 
         samples, steps = np.nonzero(np.arange(span) < n_steps[:, None])
         tokens_out = tokens[samples, steps + 1]
@@ -755,16 +807,23 @@ class CaptionModel:
         d_pre = np.empty_like(cache.gates)
         d_contexts = np.empty_like(cache.contexts)
         d_att_pre = np.zeros_like(cache.enc.keys)
-        dh_next = np.zeros((batch, self.cfg.dec_hidden))
-        dc_next = np.zeros((batch, self.cfg.dec_hidden))
-        for s in range(span - 1, -1, -1):
-            dc_next = cell.gate_deltas(cache.gates[s], cache.c[s], cache.c[s + 1],
-                                       dh_out[s] + dh_next, dc_next, d_pre[s])
-            dz = d_pre[s] @ w_rest.T
-            d_contexts[s] = dz[:, :enc_out]
-            dh_next = dz[:, enc_out:] + att.backward(
-                cache.enc.values, cache.enc.keys, cache.h[s], cache.weights[s],
-                d_contexts[s], d_att_pre)
+        d_att_rows = np.empty((span, batch, self.cfg.attn_dim))
+        score_rows = np.zeros((batch, self.cfg.attn_dim))
+
+        def run(rows: slice):
+            values, keys = cache.enc.values[rows], cache.enc.keys[rows]
+            dh_next = np.zeros((rows.stop - rows.start, self.cfg.dec_hidden))
+            dc_next = np.zeros_like(dh_next)
+            for s in range(span - 1, -1, -1):
+                dc_next = cell.gate_deltas(cache.gates[s, rows], cache.c[s, rows],
+                                           cache.c[s + 1, rows], dh_out[s, rows] + dh_next,
+                                           dc_next, d_pre[s, rows])
+                dz = d_pre[s, rows] @ w_rest.T
+                d_contexts[s, rows] = dz[:, :enc_out]
+                dh_next = dz[:, enc_out:] + att.backward(
+                    values, keys, cache.h[s, rows], cache.weights[s, rows], d_contexts[s, rows],
+                    d_att_pre[rows], d_att_rows[s, rows], score_rows[rows])
+        _by_halves(batch, self.cfg.dec_hidden, run)
 
         rows_in = span * batch
         d_pre = d_pre.reshape(rows_in, cell.w.value.shape[1])
@@ -777,7 +836,8 @@ class CaptionModel:
 
         # every step's context read of E: (B, T, S) @ (B, S, d_e)
         d_enc = cache.weights.transpose(1, 2, 0) @ d_contexts.transpose(1, 0, 2)
-        d_enc += att.backward_encoder(cache.enc.values, d_att_pre)
+        d_enc += att.finish_backward(cache.enc.values, cache.h[:-1], d_att_pre, d_att_rows,
+                                     score_rows)
         return d_enc
 
     # ------------------------------------------------------------------

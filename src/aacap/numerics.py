@@ -15,6 +15,8 @@ PROB_FLOOR = 1e-12
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# adam_step's block, in values: a block of each of its five operands fits in L2
+ADAM_BLOCK = 1 << 14
 
 
 class ParameterGroup:
@@ -26,7 +28,7 @@ class ParameterGroup:
 
     def __init__(self, name: str, value: np.ndarray):
         self.name = name
-        self.value = np.asarray(value, dtype=np.float64)
+        self.value = np.asarray(value, dtype=np.float64, order="C")
         self.step_count = 0
 
     @cached_property
@@ -79,28 +81,35 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
 def adam_step(group: ParameterGroup, learning_rate: float) -> ParameterGroup:
     """Standard Adam update in place; increments step_count, clears the gradient.
 
-    Works in one scratch array plus the gradient's own buffer, with the
-    operation order of the textbook formula, so the result is bit-identical
-    to value -= lr * m_hat / (sqrt(v_hat) + eps).
+    Walks the raveled arrays in blocks of ADAM_BLOCK values, each block
+    worked in one block-sized scratch array plus the gradient's own buffer,
+    with the operation order of the textbook formula: the result is
+    bit-identical to value -= lr * m_hat / (sqrt(v_hat) + eps).
     """
     g = group.gradient
     if not np.all(np.isfinite(g)):
         raise FloatingPointError(f"{group.name}: non-finite gradient entries")
     group.step_count += 1
     t = group.step_count
-    scratch = np.multiply(g, 1.0 - ADAM_BETA1)
-    group.adam_m *= ADAM_BETA1
-    group.adam_m += scratch
-    np.multiply(g, 1.0 - ADAM_BETA2, out=scratch)
-    scratch *= g
-    group.adam_v *= ADAM_BETA2
-    group.adam_v += scratch
-    np.divide(group.adam_v, 1.0 - ADAM_BETA2 ** t, out=scratch)  # v_hat
-    np.sqrt(scratch, out=scratch)
-    scratch += ADAM_EPS
-    np.divide(group.adam_m, 1.0 - ADAM_BETA1 ** t, out=g)  # m_hat, over the gradient
-    g *= learning_rate
-    g /= scratch
-    group.value -= g
-    group.zero_grad()
+    bias1, bias2 = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
+    arrays = [a.reshape(-1) for a in (group.value, g, group.adam_m, group.adam_v)]
+    buffer = np.empty(min(ADAM_BLOCK, g.size))
+    for start in range(0, g.size, ADAM_BLOCK):
+        value, grad, m, v = (a[start:start + ADAM_BLOCK] for a in arrays)
+        scratch = buffer[:len(grad)]
+        np.multiply(grad, 1.0 - ADAM_BETA1, out=scratch)
+        m *= ADAM_BETA1
+        m += scratch
+        np.multiply(grad, 1.0 - ADAM_BETA2, out=scratch)
+        scratch *= grad
+        v *= ADAM_BETA2
+        v += scratch
+        np.divide(v, bias2, out=scratch)  # v_hat
+        np.sqrt(scratch, out=scratch)
+        scratch += ADAM_EPS
+        np.divide(m, bias1, out=grad)  # m_hat, over the gradient
+        grad *= learning_rate
+        grad /= scratch
+        value -= grad
+        grad.fill(0.0)
     return group

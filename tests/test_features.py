@@ -255,6 +255,17 @@ def test_log_mel_rejects_single_bin():
         log_mel(np.zeros((2, 257)), mel_bins=1)
 
 
+def test_log_mel_rejects_a_single_fft_bin():
+    # a 1-sample window gives one STFT bin, which has no frequency span
+    power = stft_power(Waveform(np.random.default_rng(0).normal(size=100), 16000),
+                       window_size=1, hop=1)
+    assert power.shape == (100, 1)
+    with pytest.raises(ConfigError):
+        log_mel(power)
+    with pytest.raises(ConfigError):
+        mel_filterbank(64, 1, 16000, 125.0, 7500.0)
+
+
 def test_log_mel_rejects_bad_band_edges():
     with pytest.raises(ConfigError):
         log_mel(np.zeros((2, 257)), f_min=5000.0, f_max=4000.0)

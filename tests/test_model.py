@@ -776,16 +776,18 @@ def test_batch_rejects_mismatched_targets_and_lengths():
 
 
 # ---------------------------------------------------------------------------
-# a training layer's two directions on two threads
+# a training layer's two directions, and the decoder's two row halves, on
+# two threads
 # ---------------------------------------------------------------------------
 
 def _paper_batch():
-    """A paper-dims batch of 6 rows, above the two-thread gate at h = 256."""
+    """A paper-dims batch of 8 rows: above the two-thread gate at h = 256 for
+    an encoder layer's 8 rows and for each 4-row half of the decoder."""
     rng = np.random.default_rng(11)
-    lengths = [21, 9, 17, 21, 2, 14]
+    lengths = [21, 9, 17, 21, 2, 14, 5, 19]
     inputs, _ = bucket_pad([rng.normal(size=(n, PAPER.embed_dim)) for n in lengths])
     targets = [[START] + rng.integers(4, PAPER.vocab_size, size=k).tolist() + [END]
-               + [PAD] * (8 - k) for k in (5, 2, 8, 1, 3, 6)]
+               + [PAD] * (8 - k) for k in (5, 2, 8, 1, 3, 6, 4, 7)]
     return inputs, lengths, targets
 
 
@@ -821,10 +823,10 @@ def _layer_run(monkeypatch, min_work):
     return result.loss, grads, d_inputs, outputs, len(submitted)
 
 
-def _bilstm_threads():
+def _helper_threads():
     import threading
 
-    return [t for t in threading.enumerate() if t.name.startswith("aacap-bilstm")]
+    return [t for t in threading.enumerate() if t.name.startswith("aacap-")]
 
 
 @pytest.mark.parametrize("switch_interval", [None, 1e-6], ids=["default", "1us"])
@@ -834,7 +836,8 @@ def test_two_thread_layers_give_the_same_bits_as_one_thread(monkeypatch, switch_
 
     from aacap.model import TWO_THREAD_MIN_WORK
 
-    assert 6 * 4 * PAPER.enc_hidden ** 2 >= TWO_THREAD_MIN_WORK
+    assert 8 * 4 * PAPER.enc_hidden ** 2 >= TWO_THREAD_MIN_WORK
+    assert 4 * 4 * PAPER.dec_hidden ** 2 >= TWO_THREAD_MIN_WORK
     saved = sys.getswitchinterval()
     try:
         sys.setswitchinterval(switch_interval or saved)
@@ -842,7 +845,8 @@ def test_two_thread_layers_give_the_same_bits_as_one_thread(monkeypatch, switch_
     finally:
         sys.setswitchinterval(saved)
     one_loss, one_grads, one_d_inputs, one_outputs, one_calls = _layer_run(monkeypatch, 1 << 62)
-    assert (calls, one_calls) == (4, 0)  # both layers' forward and backward
+    # both layers' forward and backward, and the decoder's forward and backward
+    assert (calls, one_calls) == (6, 0)
     assert loss == one_loss
     assert grads.keys() == one_grads.keys()
     for name, grad in grads.items():
@@ -853,23 +857,37 @@ def test_two_thread_layers_give_the_same_bits_as_one_thread(monkeypatch, switch_
         assert np.array_equal(out, one_out)
 
 
-@pytest.mark.parametrize("method", ["forward_sequence", "backward_sequence"])
-def test_an_exception_in_the_helper_direction_reaches_the_caller(monkeypatch, method):
+@pytest.mark.parametrize("owner, method, thread", [
+    pytest.param("encoder.layer2.bwd", "forward_sequence", "aacap-bilstm", id="forward_sequence"),
+    pytest.param("encoder.layer2.bwd", "backward_sequence", "aacap-bilstm",
+                 id="backward_sequence"),
+    pytest.param("decoder", "advance", "aacap-decoder", id="decoder-advance"),
+    pytest.param("decoder.attention", "backward", "aacap-decoder", id="decoder-backward"),
+])
+def test_an_exception_in_the_helper_direction_reaches_the_caller(monkeypatch, owner, method,
+                                                                 thread):
+    """A layer's bwd direction, or the decoder's upper row half, failing on
+    its helper thread: the caller gets that exception, no helper thread is
+    left, and the model then trains as a fresh one does."""
+    import functools
     import threading
 
     model = CaptionModel(PAPER, seed=5)
     inputs, lengths, targets = _paper_batch()
-    failure, ran_on = RuntimeError("bwd cell failed"), []
+    target = functools.reduce(getattr, owner.split("."), model)
+    call, failure, ran_on = getattr(target, method), RuntimeError("helper failed"), []
 
-    def fail(*args, **kwargs):
-        ran_on.append(threading.current_thread())
-        raise failure
-    monkeypatch.setattr(model.encoder.layer2.bwd, method, fail)
+    def fail_on_the_helper(*args, **kwargs):
+        if threading.current_thread().name.startswith(thread):
+            ran_on.append(threading.current_thread().name)
+            raise failure
+        return call(*args, **kwargs)
+    monkeypatch.setattr(target, method, fail_on_the_helper)
     with pytest.raises(RuntimeError) as caught:
         model.backward(model.forward_teacher_forced(inputs, lengths, targets).cache)
     assert caught.value is failure
-    assert ran_on and ran_on[0].name.startswith("aacap-bilstm")
-    assert not _bilstm_threads()
+    assert len(ran_on) == 1
+    assert not _helper_threads()
     monkeypatch.undo()
     model.zero_grads()
     result = model.forward_teacher_forced(inputs, lengths, targets)
@@ -914,7 +932,7 @@ def test_an_exception_in_the_fwd_direction_returns_after_the_bwd_thread_ends(mon
             model.backward(cache)
     assert caught.value is failure
     assert len(finished) == 1 and finished[0].startswith("aacap-bilstm")
-    assert not _bilstm_threads()
+    assert not _helper_threads()
 
 
 def test_a_forked_child_trains_on_a_helper_of_its_own():
@@ -943,8 +961,11 @@ def test_a_forked_child_trains_on_a_helper_of_its_own():
 
 def test_training_at_tier_one_dims_never_starts_the_helper(tmp_path):
     """In a fresh process: training at the dims of the pipeline and acceptance
-    training tests, and any encode, open no second thread; a paper-dims batch
-    above the gate opens one per layer pass, and none is alive after any call."""
+    training tests, and any encode, open no second thread. Small encoders open
+    none; the 8-row probe's decoder (dec_hidden 256, halves of 4 rows) opens
+    one in forward and one in backward. A paper-dims batch opens one per layer
+    pass, and from 8 rows one more for the decoder halves in forward and in
+    backward; none is alive after any call."""
     import os
     import subprocess
     import sys
@@ -984,9 +1005,9 @@ for batch, hidden in [(4, 32), (8, 16), (4, 8)]:
 paper = CaptionModel(ModelConfig(embed_dim=128, vocab_size=40))
 paper.encode(rng.normal(size=(16, 20, 128)), [20] * 16)
 report()
-for _ in range(2):
-    result = paper.forward_teacher_forced(rng.normal(size=(4, 6, 128)), [6] * 4,
-                                          [[1, 5, 6, 2]] * 4)
+for batch in (4, 8):
+    result = paper.forward_teacher_forced(rng.normal(size=(batch, 6, 128)), [6] * batch,
+                                          [[1, 5, 6, 2]] * batch)
     report()
     paper.backward(result.cache)
     report()
@@ -995,7 +1016,7 @@ for _ in range(2):
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(repo / "src")}, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == [f"{n} ['MainThread']" for n in (0, 0, 2, 4, 6, 8)]
+    assert done.stdout.splitlines() == [f"{n} ['MainThread']" for n in (0, 2, 4, 6, 9, 12)]
 
 
 def test_decoder_advance_over_rows_equals_per_row_calls():

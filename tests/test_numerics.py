@@ -7,6 +7,7 @@ from refimpl import finite_diff_check
 
 from aacap.numerics import (
     ADAM_BETA1,
+    ADAM_BLOCK,
     ADAM_BETA2,
     ADAM_EPS,
     ParameterGroup,
@@ -144,6 +145,24 @@ def test_adam_in_place_is_bit_identical_to_textbook_formula():
         assert np.array_equal(group.adam_m, m)
         assert np.array_equal(group.adam_v, v)
         assert np.array_equal(group.gradient, np.zeros((7, 5)))
+
+
+def test_adam_over_several_blocks_is_bit_identical_to_textbook_formula():
+    # two whole blocks and a short third, from a transposed (non C-order) array
+    rng = np.random.default_rng(5)
+    shape = (5, (2 * ADAM_BLOCK + 87) // 5)
+    assert 2 * ADAM_BLOCK < shape[0] * shape[1] < 3 * ADAM_BLOCK
+    group = ParameterGroup("w", rng.normal(size=shape[::-1]).T)
+    value, m, v = group.value.copy(), np.zeros(shape), np.zeros(shape)
+    for t in range(1, 6):
+        g = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=shape)
+        group.gradient[...] = g
+        adam_step(group, 3e-3)
+        value, m, v = _textbook_adam(value, m, v, g, t, 3e-3)
+        assert np.array_equal(group.value, value)
+        assert np.array_equal(group.adam_m, m)
+        assert np.array_equal(group.adam_v, v)
+        assert np.array_equal(group.gradient, np.zeros(shape))
 
 
 def test_adam_rejects_non_finite_gradient():

@@ -860,3 +860,26 @@ def test_loading_a_checkpoint_imports_no_numpy_random(tmp_path):
                           timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_train_workload_matches_the_benchmark_reference(tmp_path):
+    """The benchmark's `train` workload, seed 0: one epoch of pipeline.train on
+    its generated paper-dims split, as that workload runs it, against
+    perfbench/expected.json at its rtol."""
+    import importlib.util
+
+    repo = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("perfbench_inputs",
+                                                  repo / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    info = inputs.make_train(0, tmp_path / "inputs")
+    result = pipeline.train(TrainConfig(max_epochs=1, vocab_min_count=1, seed=0),
+                            info["manifest"], tmp_path / "run")
+    expected = json.loads((repo / "perfbench" / "expected.json").read_text())
+    rtol = expected["rtol"]["train"]
+    want = expected["workloads"]["train"]
+    assert want.keys() == {"loss", "val_bleu4", "vocab_size"}
+    assert result.losses[0] == pytest.approx(want["loss"], rel=rtol, abs=1e-12)
+    assert result.val_bleu4[0] == pytest.approx(want["val_bleu4"], rel=rtol, abs=1e-12)
+    assert len(result.vocab) == want["vocab_size"]
