@@ -34,6 +34,8 @@ class SegmentPlan:
 
 def plan_segments(duration: float, window: float = DEFAULT_SEGMENT_SECONDS) -> SegmentPlan:
     """Half-overlapped segment starts 0, w/2, w, ... that fit inside the audio."""
+    if not (np.isfinite(duration) and np.isfinite(window)):
+        raise DataError(f"audio duration {duration} and segment window {window} must be finite")
     if window <= 0:
         raise DataError(f"segment window must be positive, got {window}")
     if duration < window - _TOL:

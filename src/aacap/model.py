@@ -35,20 +35,22 @@ thread and writes its own output columns, and the caller adds both
 directions' input gradients into d(inputs) after the join, fwd first:
 outputs are bit-identical to running one direction after the other.
 Teacher forcing's decoder loops, forward and reverse, are independent per
-sample in the same way: a batch of two or more rows always steps as two
-row halves, [0, B/2) and [B/2, B), the second on such a pool. Each half
-writes its own rows of every per-step array; the loss, the output
-projection and every weight product run once over all rows after the
-loop. Below TWO_THREAD_MIN_WORK per step (rows x 4h x h: a layer's rows at
-enc_hidden, a half's rows at dec_hidden) the GIL handoffs cost more than
-they save, and the two calls run one after the other on the caller's
-thread, in the same row halves. CaptionModel.encode (evaluation,
+sample in the same way, so a batch can step as two row halves, [0, B/2) and
+[B/2, B), the second on such a pool. Each half writes its own rows of every
+per-step array; the loss, the output projection and every weight product
+run once over all rows after the loop. Below TWO_THREAD_MIN_WORK per step
+(rows x 4h x h: a layer's rows at enc_hidden, a half's rows at dec_hidden)
+the GIL handoffs cost more than they save: a layer runs its directions one
+after the other, and the decoder steps the whole batch as one matrix, on
+the caller's thread. CaptionModel.encode (evaluation,
 validation, caption, attention export) stays on one thread: at its few
 live rows per step the gain was not reliable, and a second thread's
 malloc arena costs memory in a process that otherwise never needs one.
 
 A decoder step is Decoder.advance: an attention read of the encoder output
-from h_prev, then one decoder cell step on [word embedding, context]. The
+from h_prev, then one decoder cell step on the word embedding plus the
+context's share of the cell pre-activation. Decoder.step, behind beam
+search and greedy decoding, is advance plus the output projection. The
 same call steps one token or a row of beam hypotheses over one E, and a
 padded batch of B samples in teacher forcing, one encoder row and target
 each, as one (B, d_h) matrix. The logits do not feed the recurrence, so
@@ -60,13 +62,14 @@ depend on the decoder state, so they are taken once per encode and carried
 on EncoderOutput; each decoder step adds only h_prev W_h to them.
 
 Nor do the context gates E W_ctx, W_ctx being the decoder cell's weight
-rows for the context: a step's context share of the cell pre-activation is
-(alpha E) W_ctx = alpha (E W_ctx). encode takes them once beside the keys,
-and the inference step (Decoder.step, behind beam search and greedy
-decoding) reads that share as a (rows, T) x (T, 4 d_h) product instead of
-reading W_ctx, about a quarter of a step's weight traffic at a few rows.
-Teacher forcing keeps the fused [word, context, h] product: at a training
-batch the hoisted product would cost more than the steps it saves.
+rows for the context: a step's context share is (alpha E) W_ctx =
+alpha (E W_ctx). encode takes them once beside the keys, and a step over an
+EncoderOutput that carries them (every search) reads the share as a
+(rows, T) x (T, 4 d_h) product instead of reading W_ctx, about a quarter
+of a step's weight traffic at a few rows. Teacher forcing carries none and
+takes the share as context x W_ctx: a training batch has about three times
+as many frames as target steps, so hoisting E W_ctx would cost about three
+times the per-step products it saves.
 
 Backpropagation is reverse-time over decoder steps (through the attention
 read and the decoder cell), then reverse-time through both encoder layers.
@@ -92,17 +95,13 @@ recurrence. A batch's E equals each row's own encode within 1e-12 absolute
 (E is an LSTM's h, so it lies in (-1, 1)): a step of several rows is a
 matrix product where one row alone is a matrix-vector product, and the two
 round differently. For the same reason a teacher-forced batch stepped in
-row halves can differ from one stepped as a single matrix in the last
-bits of the loss and of every gradient, at some row counts; the tests hold
-it to the rtol 1e-9 above. At 20 and 32 rows of paper dims only
-attn.w_hidden and attn.w_score differed from single-matrix stepping with
-per-step weight gradients, within 1e-15 of each array's largest entry,
-because their sums now run in another order. The halves make the same
-calls on one thread and on two, so threaded and one-thread training are
-bit-identical. The inference step's logits, h and c equal the
-teacher-forced step's (Decoder.advance plus the output projection) within
-rtol 1e-12 of each array's largest entry: the context share is summed in
-another order.
+row halves, above the gate, can differ from the same batch stepped as one
+matrix in the last bits of the loss and of every gradient; the tests hold
+it to the rtol 1e-9 above. The halves make the same calls whichever thread
+runs them, so running the upper half on the caller's thread changes no
+bit. A step over an EncoderOutput with context gates and over the same one
+without them give logits, h and c within rtol 1e-12 of each array's
+largest entry: the context share is summed in another order.
 
 Checkpoints are "AACM" plus version byte 4: a length-prefixed JSON config
 block with the model dims, the parameter names in parameters() order and
@@ -248,29 +247,29 @@ def _word_sum(file_words: np.ndarray) -> int:
     return int(np.add.reduce(file_words.view("<u8"), axis=None, dtype=np.uint64))
 
 
-def _side_by_side(calls, rows: int, hidden: int, name: str) -> list:
-    """Results of two calls: the second on a one-thread pool, its thread named
-    `name`, when a step of `rows` rows at `hidden` units (rows x 4h x h) is at
-    least TWO_THREAD_MIN_WORK, else one after the other. That thread has
-    finished when this returns or raises."""
+def _two_threads(rows: int, hidden: int) -> bool:
+    """Whether a step of rows x 4h x h at h = hidden reaches TWO_THREAD_MIN_WORK."""
+    return rows * 4 * hidden ** 2 >= TWO_THREAD_MIN_WORK
+
+
+def _side_by_side(calls, name: str) -> list:
+    """Results of two calls, the second on a one-thread pool whose thread is
+    named `name`. That thread has finished when this returns or raises."""
     here, there = calls
-    if rows * 4 * hidden ** 2 >= TWO_THREAD_MIN_WORK:
-        with ThreadPoolExecutor(1, thread_name_prefix=name) as pool:
-            there = pool.submit(there)
-            return [here(), there.result()]
-    return [here(), there()]
+    with ThreadPoolExecutor(1, thread_name_prefix=name) as pool:
+        there = pool.submit(there)
+        return [here(), there.result()]
 
 
 def _by_halves(batch: int, hidden: int, run):
     """run(rows) over rows [0, batch) of a teacher-forced batch at `hidden`
-    units: as the halves [0, batch/2) and [batch/2, batch), side by side, or
-    as one call for a batch of one row."""
-    if batch < 2:
-        run(slice(0, batch))
-        return
+    units: as the halves [0, batch/2) and [batch/2, batch) side by side when
+    a half's step is worth two threads, else as one call over every row."""
     half = batch // 2
+    if not _two_threads(half, hidden):
+        return run(slice(0, batch))
     _side_by_side([partial(run, slice(0, half)), partial(run, slice(half, batch))],
-                  half, hidden, "aacap-decoder")
+                  "aacap-decoder")
 
 
 def _step_count(target: Sequence[int]) -> int:
@@ -285,9 +284,8 @@ class LstmCell:
     """Single LSTM cell with one fused weight (input_dim + hidden_dim, 4 * hidden_dim)
     and one bias (4 * hidden_dim); gate column blocks follow GATES order.
 
-    The decoder steps the cell through step, a few rows at a time in
-    inference, with the context's share of the input product taken ahead,
-    and one (B, hidden) matrix at a time in training; BiLstmLayer
+    The decoder steps the cell through step on its word embedding, the
+    context's share of the input product taken by the caller; BiLstmLayer
     runs it over the packed rows of a batch of sequences, taking the input
     projection before the loop and the weight gradients after it.
     """
@@ -335,22 +333,18 @@ class LstmCell:
         return dc_total * f
 
     def step(self, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
-             share: Optional[np.ndarray] = None):
-        """One step over rows x (..., input_dim); returns (h, c, gates).
-        h = o * tanh(f * c_prev + i * g_candidate).
+             share: np.ndarray):
+        """One step over rows x (..., width) of the input's leading columns;
+        returns (h, c, gates). h = o * tanh(f * c_prev + i * g_candidate).
 
-        With share, x holds only the input's leading columns, and share
-        (..., 4 hidden) is the product of the rest of the input with the
-        weight rows that follow, taken by the caller."""
+        share (..., 4 hidden) is the product of the rest of the input with the
+        weight rows that follow, taken by the caller: zero for a whole input."""
         width = x.shape[-1]
-        if width != self.input_dim and (share is None or width > self.input_dim):
+        if width > self.input_dim:
             raise ShapeError(
-                f"{self.name}: input shape {x.shape}, expected (..., {self.input_dim})")
+                f"{self.name}: input shape {x.shape}, expected (..., {self.input_dim}) at most")
         w = self.w.value
-        if share is None:
-            pre = np.concatenate([x, h_prev], axis=-1) @ w + self.b.value
-        else:
-            pre = x @ w[:width] + h_prev @ w[self.input_dim:] + share + self.b.value
+        pre = x @ w[:width] + h_prev @ w[self.input_dim:] + share + self.b.value
         gates, c, h = self.activate(pre, c_prev)
         return h, c, gates
 
@@ -473,8 +467,8 @@ class BiLstmLayer:
     def _run(self, pack: _Packing, calls, threaded: bool) -> list:
         """Results of the fwd and bwd calls: the bwd one on a thread of its own
         when threaded and a step is worth it, else one after the other."""
-        if threaded:
-            return _side_by_side(calls, pack.offsets[1], self.hidden_dim, "aacap-bilstm")
+        if threaded and _two_threads(pack.offsets[1], self.hidden_dim):
+            return _side_by_side(calls, "aacap-bilstm")
         return [call() for call in calls]
 
     def forward(self, x_seq: np.ndarray, lengths: np.ndarray, keep_cache: bool = True):
@@ -641,38 +635,37 @@ class Decoder:
                 + self.attention.params())
 
     def advance(self, tokens, h_prev: np.ndarray, c_prev: np.ndarray, enc: EncoderOutput):
-        """The attention read from h_prev, then the cell step on [embedding, context],
-        for one token id with 1-D states or (B,) ids with (B, d_h) states, and
-        enc of one sequence or a batch of B. Returns (h, c, gates, AttentionStep)."""
+        """The attention read from h_prev, then the cell step on the embedding
+        plus the context's share of the pre-activation: weights x
+        enc.context_gates when enc carries them, which never reads W_ctx, else
+        context x W_ctx. For one token id with 1-D states or (B,) ids with
+        (B, d_h) states, and enc of one sequence or a batch of B; returns
+        (h, c, gates, AttentionStep)."""
         att_step = self.attention.forward(enc.values, enc.valid_length, h_prev, enc.keys)
-        x = np.concatenate([self.embedding.value[tokens], att_step.context], axis=-1)
-        h, c, gates = self.cell.step(x, h_prev, c_prev)
+        weights, context_gates = att_step.weights, enc.context_gates
+        if context_gates is None:
+            share = self.context_gates(att_step.context)
+        elif context_gates.ndim == 2:  # one sequence: every row in one product
+            share = weights @ context_gates
+        else:
+            share = (weights[..., None, :] @ context_gates)[..., 0, :]
+        h, c, gates = self.cell.step(self.embedding.value[tokens], h_prev, c_prev, share)
         return h, c, gates, att_step
 
     def context_gates(self, enc_values: np.ndarray) -> np.ndarray:
         """E W_ctx (..., T, 4 d_h), W_ctx the cell's weight rows for the context:
         a step's context share of the cell pre-activation is its attention
-        weights times these."""
+        weights times these, or its context (..., d_e) times W_ctx."""
         word_dim = self.cfg.word_dim
         return enc_values @ self.cell.w.value[word_dim:word_dim + self.cfg.enc_out_dim]
 
     def step(self, token, h_prev: np.ndarray, c_prev: np.ndarray, enc: EncoderOutput):
-        """One inference step of one id or a row of ids: (logits, h, c, AttentionStep).
-
-        advance's attention read and cell step, but the context enters the
-        cell as weights x enc.context_gates, a (rows, T) x (T, 4 d_h) product,
-        so the step never reads W_ctx."""
+        """One inference step of one id or a row of ids, advance and then the
+        output projection: (logits, h, c, AttentionStep)."""
         if np.any((np.asarray(token) < 0) | (np.asarray(token) >= self.cfg.vocab_size)):
             raise ValueError(f"token id {token} outside vocabulary of {self.cfg.vocab_size}")
-        att_step = self.attention.forward(enc.values, enc.valid_length, h_prev, enc.keys)
-        weights, context_gates = att_step.weights, enc.context_gates
-        if context_gates.ndim == 2:  # one sequence: every row in one product
-            share = weights @ context_gates
-        else:
-            share = (weights[..., None, :] @ context_gates)[..., 0, :]
-        h, c, _ = self.cell.step(self.embedding.value[token], h_prev, c_prev, share)
-        logits = h @ self.w_out.value + self.b_out.value
-        return logits, h, c, att_step
+        h, c, _, att_step = self.advance(token, h_prev, c_prev, enc)
+        return h @ self.w_out.value + self.b_out.value, h, c, att_step
 
 
 class CaptionModel:

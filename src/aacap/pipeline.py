@@ -75,6 +75,8 @@ class TrainConfig:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.vocab_min_count < 1:
+            raise ConfigError(f"vocab_min_count must be >= 1, got {self.vocab_min_count}")
 
 
 @dataclass

@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 PAD, START, END, UNK = 0, 1, 2, 3
 RESERVED = ["<PAD>", "<START>", "<END>", "<UNK>"]
@@ -67,6 +67,8 @@ def build_vocab(captions: Iterable[str], min_count: int) -> Vocabulary:
     Index order is deterministic: reserved tokens, then descending frequency
     with lexicographic tie-breaks.
     """
+    if min_count < 1:
+        raise ConfigError(f"min_count must be >= 1, got {min_count}")
     counts = Counter()
     saw_any = False
     for caption in captions:

@@ -36,6 +36,15 @@ def test_plan_segments_too_short_audio():
     assert "pad" in str(exc.value)
 
 
+@pytest.mark.parametrize("duration, window", [
+    (float("nan"), 0.96), (float("inf"), 0.96), (2.4, float("nan")), (2.4, float("inf")),
+    (float("-inf"), 0.96),
+])
+def test_plan_segments_rejects_non_finite_times(duration, window):
+    with pytest.raises(DataError, match="must be finite"):
+        plan_segments(duration, window)
+
+
 @given(st.floats(0.2, 2.0), st.floats(1.0, 20.0))
 @settings(max_examples=100)
 def test_plan_segments_spacing_and_fit(window, extra):

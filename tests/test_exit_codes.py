@@ -126,3 +126,18 @@ def test_a_wav_with_no_samples_exits_3(files, tmp_path, rate, capsys):
     assert out == ""
     assert "has no samples" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("min_count", ["0", "-5"])
+@pytest.mark.parametrize("command", ["vocab-build", "train"])
+def test_a_min_count_below_one_exits_2(files, tmp_path, command, min_count, capsys):
+    manifest = files["manifest-train"][0]
+    argv = (["vocab-build", "--manifest", manifest, "--out", str(tmp_path / "vocab.txt")]
+            if command == "vocab-build" else
+            ["train", "--manifest", manifest, "--out-dir", str(tmp_path / "run"), "--epochs",
+             "1", *TINY_DIMS])
+    assert cli.main([*argv, "--min-count", min_count]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "min_count must be >= 1" in err
+    assert not (tmp_path / "vocab.txt").exists() and not (tmp_path / "run").exists()

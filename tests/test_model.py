@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import struct
@@ -33,7 +34,7 @@ def _zeroed_cell(input_dim=3, hidden_dim=2):
 def test_lstm_cell_all_zero_parameters():
     # gates sit at 0.5, the candidate at 0, so the state never moves
     cell = _zeroed_cell()
-    h, c, _ = cell.step(np.zeros(3), np.zeros(2), np.zeros(2))
+    h, c, _ = cell.step(np.zeros(3), np.zeros(2), np.zeros(2), np.zeros(8))
     assert np.array_equal(h, np.zeros(2))
     assert np.array_equal(c, np.zeros(2))
 
@@ -51,7 +52,7 @@ def test_lstm_cell_scalar_oracle():
     g = math.tanh(0.5 * x + 0.1)
     c_expect = i * g  # c_prev = 0
     h_expect = o * math.tanh(c_expect)
-    h, c, _ = cell.step(np.array([x]), np.zeros(1), np.zeros(1))
+    h, c, _ = cell.step(np.array([x]), np.zeros(1), np.zeros(1), np.zeros(4))
     assert c[0] == pytest.approx(c_expect, abs=1e-12)
     assert h[0] == pytest.approx(h_expect, abs=1e-12)
 
@@ -63,14 +64,14 @@ def test_lstm_cell_outputs_bounded():
     cell = LstmCell("t", 5, 7, rng)
     h = c = np.zeros(7)
     for _ in range(50):
-        h, c, _ = cell.step(rng.uniform(-3, 3, 5), h, c)
+        h, c, _ = cell.step(rng.uniform(-3, 3, 5), h, c, np.zeros(28))
         assert np.all(np.abs(h) < 1.0)
 
 
 def test_lstm_cell_shape_error():
     cell = _zeroed_cell(input_dim=3, hidden_dim=2)
     with pytest.raises(ShapeError):
-        cell.step(np.zeros(4), np.zeros(2), np.zeros(2))
+        cell.step(np.zeros(4), np.zeros(2), np.zeros(2), np.zeros(8))
 
 
 def test_lstm_cell_fused_init_matches_per_gate_glorot_draws():
@@ -415,9 +416,10 @@ def test_decoder_step_over_rows_equals_per_row_calls(seed):
                                                    attn_dim=12, dec_hidden=24, word_dim=10)])
 def test_decoder_step_equals_teacher_forced_advance_and_projection(cfg):
     """The inference step takes the context's share of the cell input from the
-    context gates E W_ctx; teacher forcing multiplies the context by W_ctx.
-    They agree within rtol 1e-12 of each array's largest entry, for one
-    sequence with valid < T, rows over it, and a padded batch."""
+    context gates E W_ctx; teacher forcing, on an encoding without them,
+    multiplies the context by W_ctx. They agree within rtol 1e-12 of each
+    array's largest entry, for one sequence with valid < T, rows over it, and
+    a padded batch."""
     model = CaptionModel(cfg, seed=3)
     dec, rng = model.decoder, np.random.default_rng(30)
     w_ctx = dec.cell.w.value[cfg.word_dim:cfg.word_dim + cfg.enc_out_dim]
@@ -431,7 +433,8 @@ def test_decoder_step_equals_teacher_forced_advance_and_projection(cfg):
     for enc, tokens, h_prev in cases:
         c_prev = rng.normal(size=h_prev.shape)
         logits, h, c, att = model.decoder_step(tokens, h_prev, c_prev, enc)
-        h_tf, c_tf, _, att_tf = dec.advance(tokens, h_prev, c_prev, enc)
+        h_tf, c_tf, _, att_tf = dec.advance(tokens, h_prev, c_prev,
+                                            dataclasses.replace(enc, context_gates=None))
         assert np.array_equal(att.weights, att_tf.weights)
         for name, got, want in (("logits", logits, h_tf @ dec.w_out.value + dec.b_out.value),
                                 ("h", h, h_tf), ("c", c, c_tf)):
@@ -791,15 +794,15 @@ def _paper_batch():
     return inputs, lengths, targets
 
 
-def _layer_run(monkeypatch, min_work):
+def _layer_run(monkeypatch, inline):
     """Loss, gradients, d(inputs) and each layer's output of one paper-dims
-    batch, with the two-thread gate at min_work; and the count of calls
-    submitted to a second thread."""
-    from concurrent.futures import ThreadPoolExecutor
+    batch; and the count of calls submitted to a second thread. With inline,
+    each submitted call runs on the caller's thread and returns a finished
+    Future, so the same calls run without a second thread."""
+    from concurrent.futures import Future, ThreadPoolExecutor
 
     from aacap import model as model_module
 
-    monkeypatch.setattr(model_module, "TWO_THREAD_MIN_WORK", min_work)
     outputs, submitted = [], []
     forward = model_module.BiLstmLayer.forward
 
@@ -809,9 +812,13 @@ def _layer_run(monkeypatch, min_work):
         return out, cache
 
     class CountingPool(ThreadPoolExecutor):
-        def submit(self, *args, **kwargs):
+        def submit(self, fn, /, *args, **kwargs):
             submitted.append(1)
-            return super().submit(*args, **kwargs)
+            if not inline:
+                return super().submit(fn, *args, **kwargs)
+            done = Future()
+            done.set_result(fn(*args, **kwargs))
+            return done
     monkeypatch.setattr(model_module.BiLstmLayer, "forward", keep_output)
     monkeypatch.setattr(model_module, "ThreadPoolExecutor", CountingPool)
     model = CaptionModel(PAPER, seed=5)
@@ -841,12 +848,13 @@ def test_two_thread_layers_give_the_same_bits_as_one_thread(monkeypatch, switch_
     saved = sys.getswitchinterval()
     try:
         sys.setswitchinterval(switch_interval or saved)
-        loss, grads, d_inputs, outputs, calls = _layer_run(monkeypatch, TWO_THREAD_MIN_WORK)
+        loss, grads, d_inputs, outputs, calls = _layer_run(monkeypatch, inline=False)
     finally:
         sys.setswitchinterval(saved)
-    one_loss, one_grads, one_d_inputs, one_outputs, one_calls = _layer_run(monkeypatch, 1 << 62)
+    one_loss, one_grads, one_d_inputs, one_outputs, one_calls = _layer_run(monkeypatch,
+                                                                           inline=True)
     # both layers' forward and backward, and the decoder's forward and backward
-    assert (calls, one_calls) == (6, 0)
+    assert (calls, one_calls) == (6, 6)
     assert loss == one_loss
     assert grads.keys() == one_grads.keys()
     for name, grad in grads.items():
@@ -855,6 +863,39 @@ def test_two_thread_layers_give_the_same_bits_as_one_thread(monkeypatch, switch_
     assert len(outputs) == len(one_outputs) == 2
     for out, one_out in zip(outputs, one_outputs):
         assert np.array_equal(out, one_out)
+
+
+@pytest.mark.parametrize("cfg, batch, per_step", [
+    pytest.param(TINY, 4, 1, id="tiny-4"),
+    pytest.param(PAPER, 4, 1, id="paper-4"),
+    pytest.param(PAPER, 8, 2, id="paper-8"),
+])
+def test_a_teacher_forced_batch_steps_whole_below_the_gate_and_by_halves_above(
+        monkeypatch, cfg, batch, per_step):
+    """Below the two-thread gate, a half of 2 rows at d_h = 256 or any half at
+    tier-1 dims, the batch makes one advance call and one attention backward
+    per step; a paper-dims batch of 8 makes two, one per 4-row half."""
+    from aacap.model import Attention, Decoder
+
+    advance, backward, calls = Decoder.advance, Attention.backward, []
+
+    def counted(method):
+        def call(*args, **kwargs):
+            calls.append(method.__name__)
+            return method(*args, **kwargs)
+        return call
+    monkeypatch.setattr(Decoder, "advance", counted(advance))
+    monkeypatch.setattr(Attention, "backward", counted(backward))
+    rng = np.random.default_rng(12)
+    lengths = rng.integers(2, 10, size=batch).tolist()
+    inputs, _ = bucket_pad([rng.normal(size=(n, cfg.embed_dim)) for n in lengths])
+    targets = [[START] + rng.integers(4, cfg.vocab_size, size=k).tolist() + [END]
+               for k in rng.integers(1, 6, size=batch).tolist()]
+    model = CaptionModel(cfg, seed=5)
+    result = model.forward_teacher_forced(inputs, lengths, targets)
+    span = len(result.cache.decoder.tokens_in)
+    model.backward(result.cache)
+    assert calls.count("advance") == calls.count("backward") == per_step * span
 
 
 @pytest.mark.parametrize("owner, method, thread", [
