@@ -117,14 +117,14 @@ def _run(args) -> int:
         vocab.save(args.out)
         print(f"{len(vocab)} tokens -> {args.out}")
     elif args.command == "train":
-        augment = None
-        if args.augment:
-            augment = AugmentConfig(max_time_mask=args.max_time_mask,
-                                    max_freq_mask=args.max_freq_mask,
-                                    apply_probability=args.augment_prob)
+        # built with or without --augment, so that a bad masking flag exits 2 either way
+        augment = AugmentConfig(max_time_mask=args.max_time_mask,
+                                max_freq_mask=args.max_freq_mask,
+                                apply_probability=args.augment_prob)
         config = TrainConfig(batch_size=args.batch_size, initial_lr=args.lr,
                              plateau_patience=args.patience, lr_factor=args.lr_factor,
-                             max_epochs=args.epochs, seed=args.seed, augment=augment,
+                             max_epochs=args.epochs, seed=args.seed,
+                             augment=augment if args.augment else None,
                              vocab_min_count=args.min_count, enc_hidden=args.enc_hidden,
                              attn_dim=args.attn_dim, dec_hidden=args.dec_hidden,
                              word_dim=args.word_dim)

@@ -97,6 +97,17 @@ def mock_extract(s: Spectrogram, plan: SegmentPlan, dim: int, seed: int) -> np.n
     Each segment is summarised by its per-mel-band mean and variance, then
     pushed through a fixed random projection drawn from `seed`. Identical
     segments therefore produce identical rows.
+
+    Segment k spans frames [round(start / hop), round((start + window) / hop)),
+    clipped to the spectrogram and at least one frame wide. Segments of one
+    width are pooled together: a strided (frames - width + 1, width,
+    mel_bins) view of the spectrogram picks their frames in one gather, and
+    the mean and variance over its width axis add frames in the order that
+    chunk.mean(axis=0) and chunk.var(axis=0) of each segment alone do, so
+    the statistics are bit-identical to those. The gather is one copy of
+    the segments' frames, about twice the spectrogram. All rows then take
+    the projection in one (segments, 2 mel_bins) x (2 mel_bins, dim)
+    product, which BLAS may sum in another order than one row at a time.
     """
     frame_hop = s.frame_hop
     spectrogram_duration = s.frames * frame_hop
@@ -107,12 +118,19 @@ def mock_extract(s: Spectrogram, plan: SegmentPlan, dim: int, seed: int) -> np.n
             f"{spectrogram_duration:.3f}s")
     rng = np.random.default_rng(seed)
     projection = rng.standard_normal((2 * s.mel_bins, dim)) / np.sqrt(2 * s.mel_bins)
-    rows = np.empty((plan.count, dim))
-    for i, start in enumerate(plan.starts):
-        lo = int(round(start / frame_hop))
-        hi = max(lo + 1, min(int(round((start + plan.window) / frame_hop)), s.frames))
-        lo = min(lo, s.frames - 1)
-        chunk = s.values[lo:hi]
-        stats = np.concatenate([chunk.mean(axis=0), chunk.var(axis=0)])
-        rows[i] = stats @ projection
-    return rows
+    starts = np.asarray(plan.starts, dtype=np.float64)
+    lo = np.rint(starts / frame_hop).astype(np.int64)
+    hi = np.maximum(lo + 1, np.rint((starts + plan.window) / frame_hop).astype(np.int64))
+    lo = np.minimum(lo, s.frames - 1)
+    widths = np.minimum(hi, s.frames) - lo
+    stats = np.empty((plan.count, 2 * s.mel_bins))
+    for width in np.unique(widths).tolist():
+        which = np.flatnonzero(widths == width)
+        windows = np.lib.stride_tricks.sliding_window_view(s.values, width, axis=0)
+        chunks = windows.swapaxes(1, 2)[lo[which]]  # (segments, width, mel_bins)
+        mean = np.add.reduce(chunks, axis=1) / width
+        chunks -= mean[:, None, :]
+        np.square(chunks, out=chunks)
+        stats[which, :s.mel_bins] = mean
+        stats[which, s.mel_bins:] = np.add.reduce(chunks, axis=1) / width
+    return stats @ projection

@@ -5,6 +5,18 @@ bins spanning 125-7500 Hz) give a front end compatible with common audio
 event taggers; everything is configurable. `log_mel` of a Waveform (what
 `wav_to_log_mel` runs) takes each STFT chunk straight down to mel bins, so
 the full power grid of `stft_power` is never built on that path.
+
+`stft_power`'s chunks are independent, and numpy releases the interpreter
+lock inside the rfft and the mel product that take most of a chunk's time
+(0.1-0.5 ms each at STFT_CHUNK_FRAMES). So a call splits its chunks in two:
+the first half runs on the caller's thread, the second on an
+`aacap-features` helper thread (numerics.side_by_side) started and joined
+within the call, each half with buffers of its own. With one chunk there is
+no helper. Each chunk runs the same operations on either thread, so the
+outputs are those of one thread, bit for bit. `resample` stays on one
+thread: its blocks' gathers and ufuncs take 2-10 us each, and two threads
+made it about 10 % slower, the lock's handoffs costing more than the
+overlap saved.
 """
 
 import functools
@@ -16,6 +28,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
+from .numerics import side_by_side
 
 TARGET_SAMPLE_RATE = 16000
 MIN_SAMPLE_RATE = 1000  # lower rates would expand more than 16x in resample
@@ -28,7 +41,9 @@ DEFAULT_FMAX = 7500.0
 
 LOG_OFFSET = 1e-6
 
-STFT_CHUNK_FRAMES = 256  # frames per rfft call in stft_power
+# frames per rfft call in stft_power; the buffers of its two threads hold
+# what those of one 256-frame chunk did
+STFT_CHUNK_FRAMES = 128
 RESAMPLE_BLOCK = 8192  # output samples per step of resample, rounded to whole periods
 PCM_SCALE = 2.0 ** -15  # 16-bit PCM value to float sample, exactly
 
@@ -131,7 +146,8 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     block gathers and scales only the inputs it reads, so beside its input
     and output the call holds the table and a few scratch arrays of one
     block each: 64 kB at 44.1 to 16 kHz, or 8 bytes per output of a period
-    longer than RESAMPLE_BLOCK (128 kB at 44.099 to 16 kHz).
+    longer than RESAMPLE_BLOCK (128 kB at 44.099 to 16 kHz). The blocks
+    run on the caller's thread; the module docstring says why.
     """
     y = np.asarray(w.samples)
     n_in = len(y)
@@ -181,14 +197,17 @@ def stft_power(w: Waveform, window_size: int = DEFAULT_WINDOW, hop: int = DEFAUL
     int16 samples are PCM: PCM_SCALE is folded into the window, which is
     exact, so the result is that of their float form. Frames are read
     through a strided view of the samples (no copy) and transformed
-    STFT_CHUNK_FRAMES at a time, one rfft per chunk, into buffers allocated
-    once per call. Each chunk's power, np.abs then np.square in place
-    (bit-identical to np.abs(x) ** 2), lands straight in the grid; with a
-    bank it lands in a chunk buffer that one product per chunk takes down to
-    k columns, so the full grid is never built. Beside the result that
-    holds one chunk's windowed frames and spectrum, about 2.1 MB at the
-    default 512-sample window whatever the clip length, and with a bank
-    0.7 MB more for its power and product.
+    STFT_CHUNK_FRAMES at a time, one rfft per chunk. The first half of the
+    chunks runs on the caller's thread and the rest on a helper, each
+    thread with buffers of its own, allocated once per call. Each chunk's
+    power, np.abs then np.square in place (bit-identical to
+    np.abs(x) ** 2), lands straight in the grid; with a bank it lands in a
+    chunk buffer that one product per chunk takes down to k columns, so the
+    full grid is never built. Beside the result each thread holds one
+    chunk's windowed frames and spectrum, about 1.05 MB at the default
+    512-sample window whatever the clip length, and with a bank 0.33 MB
+    more for its power and product: 2.1 MB, or 2.8 MB with a bank, for the
+    two threads.
     """
     if window_size <= 0 or window_size & (window_size - 1) != 0:
         raise ConfigError(f"window_size {window_size} is not a power of two")
@@ -205,28 +224,38 @@ def stft_power(w: Waveform, window_size: int = DEFAULT_WINDOW, hop: int = DEFAUL
         window *= PCM_SCALE
     frames = np.lib.stride_tricks.sliding_window_view(w.samples, window_size)[::hop]
     chunk = min(STFT_CHUNK_FRAMES, n_frames)
-    windowed = np.empty((chunk, window_size))
-    spectrum = np.empty((chunk, bins), dtype=np.complex128)
-    if bank is None:
-        out = np.empty((n_frames, bins))
-    else:
-        out = np.empty((n_frames, bank.shape[0]))
-        power, projected = np.empty((chunk, bins)), np.empty((chunk, bank.shape[0]))
-    for start in range(0, n_frames, chunk):
-        stop = min(start + chunk, n_frames)
-        rows = stop - start
-        np.multiply(frames[start:stop], window, out=windowed[:rows])
-        np.fft.rfft(windowed[:rows], axis=-1, out=spectrum[:rows])
-        chunk_power = out[start:stop] if bank is None else power[:rows]
-        np.abs(spectrum[:rows], out=chunk_power)
-        np.square(chunk_power, out=chunk_power)
+    out = np.empty((n_frames, bins if bank is None else bank.shape[0]))
+
+    def run(starts: range):
+        windowed = np.empty((chunk, window_size))
+        spectrum = np.empty((chunk, bins), dtype=np.complex128)
         if bank is not None:
-            # Every product takes all `chunk` rows, a short last chunk's stale
-            # ones too: BLAS may sum a row of a short product in another order
-            # (OpenBLAS has a small-matrix kernel), and at `chunk` rows the
-            # rows matched a one-product grid's on every length tested.
-            np.matmul(power, bank.T, out=projected)
-            out[start:stop] = projected[:rows]
+            # zeros: a thread whose first chunk is a clip's short last one
+            # never writes the rest, and its product reads them (see below)
+            power, projected = np.zeros((chunk, bins)), np.empty((chunk, bank.shape[0]))
+        for start in starts:
+            stop = min(start + chunk, n_frames)
+            rows = stop - start
+            np.multiply(frames[start:stop], window, out=windowed[:rows])
+            np.fft.rfft(windowed[:rows], axis=-1, out=spectrum[:rows])
+            chunk_power = out[start:stop] if bank is None else power[:rows]
+            np.abs(spectrum[:rows], out=chunk_power)
+            np.square(chunk_power, out=chunk_power)
+            if bank is not None:
+                # Every product takes all `chunk` rows, a short last chunk's
+                # stale ones too: BLAS may sum a row of a short product in
+                # another order (OpenBLAS has a small-matrix kernel), and at
+                # `chunk` rows the rows matched a one-product grid's on every
+                # length tested.
+                np.matmul(power, bank.T, out=projected)
+                out[start:stop] = projected[:rows]
+    starts = range(0, n_frames, chunk)
+    if len(starts) < 2:
+        run(starts)
+    else:
+        half = (len(starts) + 1) // 2
+        side_by_side([functools.partial(run, starts[:half]),
+                      functools.partial(run, starts[half:])], "aacap-features")
     return out
 
 

@@ -27,19 +27,20 @@ size of the decoder's context gates that encode returns.
 
 A layer's two directions are independent recurrences, so in training
 (forward with the cache kept, and backward) the fwd direction runs on the
-caller's thread while the bwd one runs on a one-thread ThreadPoolExecutor
-opened and joined within the call, in the spirit of Appleyard et al.'s
-overlap of independent recurrent work; numpy releases the GIL inside its
-products and ufuncs. Each direction runs the same operations as on one
+caller's thread while the bwd one runs on a helper thread that
+numerics.side_by_side starts and joins within the call (features.stft_power
+uses the same helper), in the spirit of Appleyard et al.'s overlap of
+independent recurrent work; numpy releases the GIL inside its products and
+ufuncs. Each direction runs the same operations as on one
 thread and writes its own output columns, and the caller adds both
 directions' input gradients into d(inputs) after the join, fwd first:
 outputs are bit-identical to running one direction after the other.
 Teacher forcing's decoder loops, forward and reverse, are independent per
 sample in the same way, so a batch can step as two row halves, [0, B/2) and
-[B/2, B), the second on such a pool. Each half writes its own rows of every
-per-step array; the loss, the output projection and every weight product
-run once over all rows after the loop. Below TWO_THREAD_MIN_WORK per step
-(rows x 4h x h: a layer's rows at enc_hidden, a half's rows at dec_hidden)
+[B/2, B), the second on the same helper. Each half writes its own rows of
+every per-step array; the loss, the output projection and every weight
+product run once over all rows after the loop. Below TWO_THREAD_MIN_WORK per
+step (rows x 4h x h: a layer's rows at enc_hidden, a half's rows at dec_hidden)
 the GIL handoffs cost more than they save: a layer runs its directions one
 after the other, and the decoder steps the whole batch as one matrix, on
 the caller's thread. CaptionModel.encode (evaluation,
@@ -122,7 +123,6 @@ import json
 import os
 import struct
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Optional, Sequence
@@ -130,7 +130,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, CorruptionError, FormatError, ShapeError
-from .numerics import PROB_FLOOR, ParameterGroup, sigmoid, softmax
+from .numerics import PROB_FLOOR, ParameterGroup, side_by_side, sigmoid, softmax
 from .text import PAD
 
 CHECKPOINT_MAGIC = b"AACM\x04"
@@ -252,15 +252,6 @@ def _two_threads(rows: int, hidden: int) -> bool:
     return rows * 4 * hidden ** 2 >= TWO_THREAD_MIN_WORK
 
 
-def _side_by_side(calls, name: str) -> list:
-    """Results of two calls, the second on a one-thread pool whose thread is
-    named `name`. That thread has finished when this returns or raises."""
-    here, there = calls
-    with ThreadPoolExecutor(1, thread_name_prefix=name) as pool:
-        there = pool.submit(there)
-        return [here(), there.result()]
-
-
 def _by_halves(batch: int, hidden: int, run):
     """run(rows) over rows [0, batch) of a teacher-forced batch at `hidden`
     units: as the halves [0, batch/2) and [batch/2, batch) side by side when
@@ -268,8 +259,8 @@ def _by_halves(batch: int, hidden: int, run):
     half = batch // 2
     if not _two_threads(half, hidden):
         return run(slice(0, batch))
-    _side_by_side([partial(run, slice(0, half)), partial(run, slice(half, batch))],
-                  "aacap-decoder")
+    side_by_side([partial(run, slice(0, half)), partial(run, slice(half, batch))],
+                 "aacap-decoder")
 
 
 def _step_count(target: Sequence[int]) -> int:
@@ -468,7 +459,7 @@ class BiLstmLayer:
         """Results of the fwd and bwd calls: the bwd one on a thread of its own
         when threaded and a step is worth it, else one after the other."""
         if threaded and _two_threads(pack.offsets[1], self.hidden_dim):
-            return _side_by_side(calls, "aacap-bilstm")
+            return side_by_side(calls, "aacap-bilstm")
         return [call() for call in calls]
 
     def forward(self, x_seq: np.ndarray, lengths: np.ndarray, keep_cache: bool = True):

@@ -1,4 +1,4 @@
-"""Parameter arrays, activations and Adam.
+"""Parameter arrays, activations, Adam, and the two-thread helper.
 
 Everything runs in float64 on plain numpy arrays: the models here are tiny,
 so determinism and checkable gradients matter more than speed. The model
@@ -6,6 +6,7 @@ floors probabilities at PROB_FLOOR before any log so a pathological output
 can never produce an infinite loss.
 """
 
+import threading
 from functools import cached_property
 
 import numpy as np
@@ -113,3 +114,29 @@ def adam_step(group: ParameterGroup, learning_rate: float) -> ParameterGroup:
         value -= grad
         grad.fill(0.0)
     return group
+
+
+def side_by_side(calls, name: str) -> list:
+    """Results of two calls, the second on a helper thread named `name`,
+    started and joined within this call; numpy releases the GIL inside its
+    products, FFTs and ufuncs, so the two can overlap there. The helper
+    has finished when this returns or raises. An exception from the
+    caller's call wins; else one from the helper's call is raised here."""
+    here, there = calls
+    outcome = []
+
+    def run():
+        try:
+            outcome.append((there(), None))
+        except BaseException as exc:  # raised on the caller's thread below
+            outcome.append((None, exc))
+    helper = threading.Thread(target=run, name=name)
+    helper.start()
+    try:
+        mine = here()
+    finally:
+        helper.join()
+    theirs, failure = outcome[0]
+    if failure is not None:
+        raise failure
+    return [mine, theirs]

@@ -209,3 +209,54 @@ def test_embedding_file_non_finite_values_are_corrupt(tmp_path, bad):
     write_raw_aace(path, matrix)
     with pytest.raises(CorruptionError, match="non-finite"):
         load_embedding_file(path)
+
+
+# mock_extract takes the projection of every row in one product, where the
+# per-segment loop took one vector-matrix product per row: BLAS sums each
+# 2 * mel_bins-term dot product in another order, so an entry may move by a
+# few ulps of the row's largest partial sums. On the benchmark's eight
+# seed-0 clips the rows moved by at most 1.4e-15 of their largest |entry|
+# (5.3e-15 absolute), and in the cases below by at most 7.3e-16.
+POOLED_PROJECTION_RTOL = 1e-14  # of the largest |entry| of the rows
+
+
+def _per_segment_stats(s: Spectrogram, plan) -> np.ndarray:
+    """The per-segment loop mock_extract replaced: each segment's frames
+    [round(start / hop), round(end / hop)), clipped to the spectrogram and
+    at least one frame wide, summarised by their mean and variance."""
+    stats = []
+    for start in plan.starts:
+        lo = int(round(start / s.frame_hop))
+        hi = max(lo + 1, min(int(round((start + plan.window) / s.frame_hop)), s.frames))
+        lo = min(lo, s.frames - 1)
+        chunk = s.values[lo:hi]
+        stats.append(np.concatenate([chunk.mean(axis=0), chunk.var(axis=0)]))
+    return np.array(stats)
+
+
+@pytest.mark.parametrize("frames, duration, window, widths", [
+    # 0.335 s at a 0.01 s hop: starts at 16.75 k frames, segments 33 or 34 wide
+    (200, 2.0, 0.335, {33, 34}),
+    # the plan runs past the 2 s of frames: the last segment, frames
+    # [168, 201), is clipped at s.frames to 32
+    (200, 2.15, 0.335, {32, 33, 34}),
+    # the default 0.96 s window over 30 s, as the benchmark clips have
+    (2997, 29.97, 0.96, {96}),
+    # 0.015 s hops round half to even: frames [0, 3), [2, 4), [3, 6)
+    (7, 0.07, 0.03, {2, 3}),
+], ids=["rounding", "clipped-last", "default-window", "short"])
+def test_mock_extract_pools_as_the_per_segment_loop_did(frames, duration, window, widths):
+    rng = np.random.default_rng(frames)
+    spec = Spectrogram(rng.normal(size=(frames, 64)) * 3.0 - 4.0, 0.01)
+    plan = plan_segments(duration, window)
+    stats = _per_segment_stats(spec, plan)
+    lo = np.rint(np.array(plan.starts) / 0.01).astype(int)
+    assert set((np.minimum(np.rint((np.array(plan.starts) + window) / 0.01), frames)
+                - lo).astype(int).tolist()) == widths
+    projection = (np.random.default_rng(3).standard_normal((128, 16)) / np.sqrt(128))
+    rows = mock_extract(spec, plan, dim=16, seed=3)
+    # the pooled statistics are the loop's bit for bit: the same one product
+    # over them gives the same rows
+    assert np.array_equal(rows, stats @ projection)
+    per_row = np.array([row @ projection for row in stats])
+    assert np.max(np.abs(rows - per_row)) <= POOLED_PROJECTION_RTOL * np.max(np.abs(per_row))

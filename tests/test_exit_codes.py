@@ -141,3 +141,20 @@ def test_a_min_count_below_one_exits_2(files, tmp_path, command, min_count, caps
     assert out == ""
     assert "min_count must be >= 1" in err
     assert not (tmp_path / "vocab.txt").exists() and not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--max-time-mask", "-1", "mask lengths must be non-negative"),
+    ("--max-freq-mask", "-5", "mask lengths must be non-negative"),
+    ("--augment-prob", "2", "apply_probability 2.0 outside [0, 1]"),
+])
+@pytest.mark.parametrize("augment", [[], ["--augment"]], ids=["without-augment", "augment"])
+def test_a_bad_masking_flag_exits_2_with_or_without_augment(files, tmp_path, flag, value,
+                                                            message, augment, capsys):
+    argv = ["train", "--manifest", files["manifest-train"][0], "--out-dir",
+            str(tmp_path / "run"), "--epochs", "1", *TINY_DIMS, *augment, flag, value]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+    assert not (tmp_path / "run").exists()

@@ -136,6 +136,53 @@ def test_stft_of_a_strided_input_equals_the_per_frame_loop():
     assert np.array_equal(power, per_frame_stft_power(samples, 512, 160))
 
 
+@pytest.mark.parametrize("frames, chunks", [
+    (CHUNK - 28, 1),
+    (2 * CHUNK, 2),
+    (CHUNK + 5, 2),  # the helper's one chunk is short
+    (2 * CHUNK + 17, 3),  # the helper's first and only chunk is the short last one
+    (4 * CHUNK + 60, 5),
+], ids=["one", "two", "two-short-last", "three-short-last", "five"])
+@pytest.mark.parametrize("mel", [False, True], ids=["grid", "mel"])
+def test_threaded_stft_power_equals_one_thread_bit_for_bit(monkeypatch, frames, chunks, mel):
+    """The chunks split over two threads, each with buffers of its own, at
+    the default switch interval and at 1 us (which interleaves the threads
+    finely), give the bits of the same halves run one after the other on
+    the caller's thread. A thread whose first chunk is a clip's short last
+    one never writes the rest of its power buffer, and its product still
+    reads them. With one chunk no helper starts."""
+    import sys
+
+    from aacap import features
+
+    samples = np.random.default_rng(frames).uniform(-1, 1, 512 + 160 * (frames - 1) + 90)
+    w = Waveform(samples, TARGET_SAMPLE_RATE)
+    call = (lambda: log_mel(w).values) if mel else (lambda: stft_power(w))
+    side_by_side, helpers = features.side_by_side, []
+
+    def counted(calls, name):
+        helpers.append(name)
+        return side_by_side(calls, name)
+    monkeypatch.setattr(features, "side_by_side", counted)
+    threaded = call()
+    assert helpers == ["aacap-features"] * (chunks > 1)
+    saved = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        interleaved = call()
+    finally:
+        sys.setswitchinterval(saved)
+    monkeypatch.setattr(features, "side_by_side", lambda calls, name: [c() for c in calls])
+    inline = call()
+    monkeypatch.undo()
+    assert_same_bits(threaded, inline)
+    assert_same_bits(interleaved, inline)
+    if mel:
+        assert_same_bits(threaded, log_mel(stft_power(w)).values)
+    else:
+        assert np.array_equal(threaded, per_frame_stft_power(samples, 512, 160))
+
+
 def test_stft_extra_memory_is_bounded_on_a_long_clip():
     # One rfft over all frames of 30 s would hold ~25 MB of windowed frames
     # and spectrum beside the grid; chunks keep that to a few MB.

@@ -796,31 +796,24 @@ def _paper_batch():
 
 def _layer_run(monkeypatch, inline):
     """Loss, gradients, d(inputs) and each layer's output of one paper-dims
-    batch; and the count of calls submitted to a second thread. With inline,
-    each submitted call runs on the caller's thread and returns a finished
-    Future, so the same calls run without a second thread."""
-    from concurrent.futures import Future, ThreadPoolExecutor
-
+    batch; and the count of calls handed to a second thread. With inline,
+    the helper runs its two calls on the caller's thread, one after the
+    other, so the same calls run without a second thread."""
     from aacap import model as model_module
 
     outputs, submitted = [], []
-    forward = model_module.BiLstmLayer.forward
+    forward, side_by_side = model_module.BiLstmLayer.forward, model_module.side_by_side
 
     def keep_output(self, *args, **kwargs):
         out, cache = forward(self, *args, **kwargs)
         outputs.append(out.copy())
         return out, cache
 
-    class CountingPool(ThreadPoolExecutor):
-        def submit(self, fn, /, *args, **kwargs):
-            submitted.append(1)
-            if not inline:
-                return super().submit(fn, *args, **kwargs)
-            done = Future()
-            done.set_result(fn(*args, **kwargs))
-            return done
+    def counting(calls, name):
+        submitted.append(name)
+        return [call() for call in calls] if inline else side_by_side(calls, name)
     monkeypatch.setattr(model_module.BiLstmLayer, "forward", keep_output)
-    monkeypatch.setattr(model_module, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(model_module, "side_by_side", counting)
     model = CaptionModel(PAPER, seed=5)
     inputs, lengths, targets = _paper_batch()
     result = model.forward_teacher_forced(inputs, lengths, targets)
@@ -904,18 +897,30 @@ def test_a_teacher_forced_batch_steps_whole_below_the_gate_and_by_halves_above(
                  id="backward_sequence"),
     pytest.param("decoder", "advance", "aacap-decoder", id="decoder-advance"),
     pytest.param("decoder.attention", "backward", "aacap-decoder", id="decoder-backward"),
+    # stft_power of 3 s at 16 kHz: the helper's half is one of 3 chunks
+    pytest.param("stft_power", "rfft", "aacap-features", id="stft_power"),
 ])
 def test_an_exception_in_the_helper_direction_reaches_the_caller(monkeypatch, owner, method,
                                                                  thread):
-    """A layer's bwd direction, or the decoder's upper row half, failing on
-    its helper thread: the caller gets that exception, no helper thread is
-    left, and the model then trains as a fresh one does."""
+    """A layer's bwd direction, the decoder's upper row half, or the second
+    half of stft_power's chunks failing on its helper thread: the caller
+    gets that exception, no helper thread is left, and the model then
+    trains, or stft_power runs, as a fresh call does."""
     import functools
     import threading
 
-    model = CaptionModel(PAPER, seed=5)
-    inputs, lengths, targets = _paper_batch()
-    target = functools.reduce(getattr, owner.split("."), model)
+    from aacap.features import Waveform, stft_power
+
+    if owner == "stft_power":
+        w = Waveform(np.random.default_rng(3).uniform(-1, 1, 3 * 16000), 16000)
+        run, want, target = (lambda: stft_power(w)), stft_power(w), np.fft
+    else:
+        model = CaptionModel(PAPER, seed=5)
+        inputs, lengths, targets = _paper_batch()
+        target = functools.reduce(getattr, owner.split("."), model)
+
+        def run():
+            model.backward(model.forward_teacher_forced(inputs, lengths, targets).cache)
     call, failure, ran_on = getattr(target, method), RuntimeError("helper failed"), []
 
     def fail_on_the_helper(*args, **kwargs):
@@ -925,11 +930,14 @@ def test_an_exception_in_the_helper_direction_reaches_the_caller(monkeypatch, ow
         return call(*args, **kwargs)
     monkeypatch.setattr(target, method, fail_on_the_helper)
     with pytest.raises(RuntimeError) as caught:
-        model.backward(model.forward_teacher_forced(inputs, lengths, targets).cache)
+        run()
     assert caught.value is failure
     assert len(ran_on) == 1
     assert not _helper_threads()
     monkeypatch.undo()
+    if owner == "stft_power":
+        assert np.array_equal(run(), want)
+        return
     model.zero_grads()
     result = model.forward_teacher_forced(inputs, lengths, targets)
     d_inputs = model.backward(result.cache)
@@ -1014,20 +1022,18 @@ def test_training_at_tier_one_dims_never_starts_the_helper(tmp_path):
 
     script = f"""
 import threading
-from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from aacap import model as model_module
 from aacap.model import CaptionModel, ModelConfig
 from aacap.pipeline import TrainConfig, make_toy_dataset, train
 
-opened = []
+opened, side_by_side = [], model_module.side_by_side
 
-class CountingPool(ThreadPoolExecutor):
-    def __init__(self, *args, **kwargs):
-        opened.append(1)
-        super().__init__(*args, **kwargs)
+def counting(calls, name):
+    opened.append(name)
+    return side_by_side(calls, name)
 
-model_module.ThreadPoolExecutor = CountingPool
+model_module.side_by_side = counting
 
 def report():
     print(len(opened), sorted(t.name for t in threading.enumerate()))
