@@ -6,6 +6,7 @@ Run with: python3 demos/explore_features.py
 import numpy as np
 
 from aacap.features import (
+    WINDOW_SIZE,
     AugmentConfig,
     Waveform,
     log_mel,
@@ -23,17 +24,17 @@ print(f"waveform: {len(wave.samples)} samples at {wave.sample_rate} Hz "
       f"({wave.duration:.2f} s)")
 
 # --- short-time Fourier transform ------------------------------------------
-power = stft_power(wave, window_size=512, hop=160)
+power = stft_power(wave)
 print(f"STFT power grid: {power.shape[0]} frames x {power.shape[1]} bins")
 
 # the tone should dominate one narrow band in the first half
 first_half = power[:power.shape[0] // 2]
 peak_bin = int(first_half.mean(axis=0).argmax())
-peak_hz = peak_bin * rate / 512
+peak_hz = peak_bin * rate / WINDOW_SIZE
 print(f"strongest bin in the tonal half: {peak_bin} (~{peak_hz:.0f} Hz)")
 
 # --- mel compression --------------------------------------------------------
-spec = log_mel(power, mel_bins=64)
+spec = log_mel(power)
 print(f"log-mel spectrogram: {spec.frames} frames x {spec.mel_bins} mel bins, "
       f"values in [{spec.values.min():.2f}, {spec.values.max():.2f}]")
 

@@ -1,7 +1,8 @@
 """Command line front end: vocab-build, train, evaluate, caption, attn-export, make-toy.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, including a
-non-finite loss or gradient in training.
+Exit codes: 0 success, 2 configuration error, including a model or toy
+size too large to allocate, 3 data error, including a non-finite loss or
+gradient in training.
 """
 
 import argparse
@@ -159,6 +160,10 @@ def main(argv=None) -> int:
         return _run(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # sizes read from files are checked against them: a flag set it
+        print(f"configuration error: a requested size is too large to allocate ({exc})",
+              file=sys.stderr)
         return 2
     except (DataError, ShapeError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

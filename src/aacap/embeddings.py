@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorruptionError, DataError, FormatError
-from .features import Spectrogram
+from .features import FRAME_HOP, Spectrogram
 
 MAGIC = b"AACE"
 FORMAT_VERSION = 1
@@ -98,7 +98,7 @@ def mock_extract(s: Spectrogram, plan: SegmentPlan, dim: int, seed: int) -> np.n
     pushed through a fixed random projection drawn from `seed`. Identical
     segments therefore produce identical rows.
 
-    Segment k spans frames [round(start / hop), round((start + window) / hop)),
+    Segment k spans frames [round(start / FRAME_HOP), round((start + window) / FRAME_HOP)),
     clipped to the spectrogram and at least one frame wide. Segments of one
     width are pooled together: a strided (frames - width + 1, width,
     mel_bins) view of the spectrogram picks their frames in one gather, and
@@ -109,8 +109,7 @@ def mock_extract(s: Spectrogram, plan: SegmentPlan, dim: int, seed: int) -> np.n
     the projection in one (segments, 2 mel_bins) x (2 mel_bins, dim)
     product, which BLAS may sum in another order than one row at a time.
     """
-    frame_hop = s.frame_hop
-    spectrogram_duration = s.frames * frame_hop
+    spectrogram_duration = s.frames * FRAME_HOP
     last_end = plan.starts[-1] + plan.window if plan.starts else 0.0
     if last_end > spectrogram_duration + plan.window / 2.0 + _TOL:
         raise DataError(
@@ -119,8 +118,8 @@ def mock_extract(s: Spectrogram, plan: SegmentPlan, dim: int, seed: int) -> np.n
     rng = np.random.default_rng(seed)
     projection = rng.standard_normal((2 * s.mel_bins, dim)) / np.sqrt(2 * s.mel_bins)
     starts = np.asarray(plan.starts, dtype=np.float64)
-    lo = np.rint(starts / frame_hop).astype(np.int64)
-    hi = np.maximum(lo + 1, np.rint((starts + plan.window) / frame_hop).astype(np.int64))
+    lo = np.rint(starts / FRAME_HOP).astype(np.int64)
+    hi = np.maximum(lo + 1, np.rint((starts + plan.window) / FRAME_HOP).astype(np.int64))
     lo = np.minimum(lo, s.frames - 1)
     widths = np.minimum(hi, s.frames) - lo
     stats = np.empty((plan.count, 2 * s.mel_bins))

@@ -1,10 +1,12 @@
 """Waveform to log-mel-spectrogram front end, SpecAugment, and bucket padding.
 
-The analysis defaults (512-sample window at 16 kHz, 160-sample hop, 64 mel
-bins spanning 125-7500 Hz) give a front end compatible with common audio
-event taggers; everything is configurable. `log_mel` of a Waveform (what
-`wav_to_log_mel` runs) takes each STFT chunk straight down to mel bins, so
-the full power grid of `stft_power` is never built on that path.
+The front end has one analysis setting, the VGGish-style one of common
+audio event taggers, held in module constants rather than parameters:
+16 kHz audio, a Hann window of WINDOW_SIZE = 512 samples (FFT_BINS = 257),
+a hop of HOP = 160 samples (FRAME_HOP = 10 ms), and MEL_BINS = 64 mel
+bands over F_MIN to F_MAX, 125 to 7500 Hz. `log_mel` of a Waveform
+(what `wav_to_log_mel` runs) takes each STFT chunk straight down to mel
+bins, so the full power grid of `stft_power` is never built on that path.
 
 `stft_power`'s chunks are independent, and numpy releases the interpreter
 lock inside the rfft and the mel product that take most of a chunk's time
@@ -33,11 +35,13 @@ from .numerics import side_by_side
 TARGET_SAMPLE_RATE = 16000
 MIN_SAMPLE_RATE = 1000  # lower rates would expand more than 16x in resample
 
-DEFAULT_WINDOW = 512
-DEFAULT_HOP = 160
-DEFAULT_MEL_BINS = 64
-DEFAULT_FMIN = 125.0
-DEFAULT_FMAX = 7500.0
+WINDOW_SIZE = 512
+HOP = 160
+FFT_BINS = WINDOW_SIZE // 2 + 1
+FRAME_HOP = HOP / TARGET_SAMPLE_RATE  # seconds between frame starts
+MEL_BINS = 64
+F_MIN = 125.0
+F_MAX = 7500.0
 
 LOG_OFFSET = 1e-6
 
@@ -64,8 +68,7 @@ class Waveform:
 
 @dataclass
 class Spectrogram:
-    values: np.ndarray  # (frames, mel_bins) log energies
-    frame_hop: float  # seconds between frame starts
+    values: np.ndarray  # (frames, mel_bins) log energies, FRAME_HOP apart
 
     @property
     def frames(self) -> int:
@@ -187,13 +190,12 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     return Waveform(out, target_rate)
 
 
-def stft_power(w: Waveform, window_size: int = DEFAULT_WINDOW, hop: int = DEFAULT_HOP,
-               bank: Optional[np.ndarray] = None) -> np.ndarray:
-    """Hann-windowed magnitude-squared STFT, shape (frames, window_size // 2 + 1);
-    given a filterbank `bank` of shape (k, window_size // 2 + 1), that power
-    times bank.T instead, shape (frames, k).
+def stft_power(w: Waveform, bank: Optional[np.ndarray] = None) -> np.ndarray:
+    """Hann-windowed magnitude-squared STFT, shape (frames, FFT_BINS); given a
+    filterbank `bank` of shape (k, FFT_BINS), that power times bank.T
+    instead, shape (frames, k).
 
-    frames = floor((len - window_size) / hop) + 1; no padding is applied.
+    frames = floor((len - WINDOW_SIZE) / HOP) + 1; no padding is applied.
     int16 samples are PCM: PCM_SCALE is folded into the window, which is
     exact, so the result is that of their float form. Frames are read
     through a strided view of the samples (no copy) and transformed
@@ -204,35 +206,29 @@ def stft_power(w: Waveform, window_size: int = DEFAULT_WINDOW, hop: int = DEFAUL
     np.abs(x) ** 2), lands straight in the grid; with a bank it lands in a
     chunk buffer that one product per chunk takes down to k columns, so the
     full grid is never built. Beside the result each thread holds one
-    chunk's windowed frames and spectrum, about 1.05 MB at the default
-    512-sample window whatever the clip length, and with a bank 0.33 MB
-    more for its power and product: 2.1 MB, or 2.8 MB with a bank, for the
-    two threads.
+    chunk's windowed frames and spectrum, about 1.05 MB whatever the clip
+    length, and with a bank 0.33 MB more for its power and product: 2.1 MB,
+    or 2.8 MB with a bank, for the two threads.
     """
-    if window_size <= 0 or window_size & (window_size - 1) != 0:
-        raise ConfigError(f"window_size {window_size} is not a power of two")
-    if hop <= 0 or hop > window_size:
-        raise ConfigError(f"hop {hop} must be in 1..window_size ({window_size})")
     n = len(w.samples)
-    if n < window_size:
+    if n < WINDOW_SIZE:
         raise DataError(
-            f"waveform of {n} samples is shorter than the {window_size}-sample window")
-    n_frames = (n - window_size) // hop + 1
-    bins = window_size // 2 + 1
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window_size) / window_size)
+            f"waveform of {n} samples is shorter than the {WINDOW_SIZE}-sample window")
+    n_frames = (n - WINDOW_SIZE) // HOP + 1
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(WINDOW_SIZE) / WINDOW_SIZE)
     if w.samples.dtype.kind == "i" and w.samples.dtype.itemsize == 2:
         window *= PCM_SCALE
-    frames = np.lib.stride_tricks.sliding_window_view(w.samples, window_size)[::hop]
+    frames = np.lib.stride_tricks.sliding_window_view(w.samples, WINDOW_SIZE)[::HOP]
     chunk = min(STFT_CHUNK_FRAMES, n_frames)
-    out = np.empty((n_frames, bins if bank is None else bank.shape[0]))
+    out = np.empty((n_frames, FFT_BINS if bank is None else bank.shape[0]))
 
     def run(starts: range):
-        windowed = np.empty((chunk, window_size))
-        spectrum = np.empty((chunk, bins), dtype=np.complex128)
+        windowed = np.empty((chunk, WINDOW_SIZE))
+        spectrum = np.empty((chunk, FFT_BINS), dtype=np.complex128)
         if bank is not None:
             # zeros: a thread whose first chunk is a clip's short last one
             # never writes the rest, and its product reads them (see below)
-            power, projected = np.zeros((chunk, bins)), np.empty((chunk, bank.shape[0]))
+            power, projected = np.zeros((chunk, FFT_BINS)), np.empty((chunk, bank.shape[0]))
         for start in starts:
             stop = min(start + chunk, n_frames)
             rows = stop - start
@@ -267,24 +263,18 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-@functools.lru_cache(maxsize=16)
-def mel_filterbank(mel_bins: int, fft_bins: int, sample_rate: int,
-                   f_min: float, f_max: float) -> np.ndarray:
-    """Triangular filters on the 2595*log10(1 + f/700) scale, shape (mel_bins, fft_bins).
+@functools.cache
+def mel_filterbank() -> np.ndarray:
+    """Triangular filters on the 2595*log10(1 + f/700) scale, MEL_BINS of them
+    spaced evenly in mel over F_MIN-F_MAX, on the STFT's FFT_BINS bins at
+    16 kHz: shape (MEL_BINS, FFT_BINS).
 
-    Built once per argument set and cached; the returned array is read-only.
+    Built once and cached; the returned array is read-only.
     """
-    if mel_bins < 2:
-        raise ConfigError(f"mel_bins must be >= 2, got {mel_bins}")
-    if fft_bins < 2:  # one bin spans no frequencies: the grid below divides by zero
-        raise ConfigError(f"fft_bins must be >= 2, got {fft_bins}")
-    if not 0 <= f_min < f_max <= sample_rate / 2:
-        raise ConfigError(
-            f"need 0 <= f_min < f_max <= {sample_rate / 2}, got ({f_min}, {f_max})")
-    edges = mel_to_hz(np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), mel_bins + 2))
-    fft_freqs = np.arange(fft_bins) * sample_rate / (2.0 * (fft_bins - 1))
-    bank = np.zeros((mel_bins, fft_bins))
-    for i in range(mel_bins):
+    edges = mel_to_hz(np.linspace(hz_to_mel(F_MIN), hz_to_mel(F_MAX), MEL_BINS + 2))
+    fft_freqs = np.arange(FFT_BINS) * TARGET_SAMPLE_RATE / (2.0 * (FFT_BINS - 1))
+    bank = np.zeros((MEL_BINS, FFT_BINS))
+    for i in range(MEL_BINS):
         lo, center, hi = edges[i], edges[i + 1], edges[i + 2]
         rising = (fft_freqs - lo) / (center - lo)
         falling = (hi - fft_freqs) / (hi - center)
@@ -293,33 +283,33 @@ def mel_filterbank(mel_bins: int, fft_bins: int, sample_rate: int,
     return bank
 
 
-def log_mel(source: Union[Waveform, np.ndarray], mel_bins: int = DEFAULT_MEL_BINS,
-            f_min: float = DEFAULT_FMIN, f_max: float = DEFAULT_FMAX) -> Spectrogram:
-    """ln(x + LOG_OFFSET) of mel energies, from 16 kHz audio at the default hop.
+def log_mel(source: Union[Waveform, np.ndarray]) -> Spectrogram:
+    """ln(x + LOG_OFFSET) of mel energies, shape (frames, MEL_BINS).
 
-    `source` is a 16 kHz Waveform, or an STFT power grid taken to come from
-    one. A Waveform runs the default STFT with the mel bank as stft_power's
-    bank, so each chunk goes straight into the (frames, mel_bins) result and
-    the 257-bin power grid is never built; its values are bit-identical to
+    `source` is a 16 kHz Waveform, or an stft_power grid (frames, FFT_BINS)
+    taken to come from one; a grid of another width is a ShapeError. A
+    Waveform runs the STFT with the mel bank as stft_power's bank, so each
+    chunk goes straight into the (frames, MEL_BINS) result and the power
+    grid is never built; its values are bit-identical to
     log_mel(stft_power(source)). The offset and the log are taken in place.
     """
     if isinstance(source, Waveform):
         if source.sample_rate != TARGET_SAMPLE_RATE:
             raise DataError(f"log_mel needs {TARGET_SAMPLE_RATE} Hz audio, got "
                             f"{source.sample_rate} Hz; resample it first")
-        bank = mel_filterbank(mel_bins, DEFAULT_WINDOW // 2 + 1, TARGET_SAMPLE_RATE,
-                              f_min, f_max)
-        mel = stft_power(source, bank=bank)
+        mel = stft_power(source, bank=mel_filterbank())
     else:
-        bank = mel_filterbank(mel_bins, source.shape[1], TARGET_SAMPLE_RATE, f_min, f_max)
-        mel = source @ bank.T
+        if source.shape[1] != FFT_BINS:
+            raise ShapeError(f"log_mel needs a power grid {FFT_BINS} bins wide (the STFT's), "
+                             f"got {source.shape[1]}")
+        mel = source @ mel_filterbank().T
     mel += LOG_OFFSET
-    return Spectrogram(np.log(mel, out=mel), DEFAULT_HOP / TARGET_SAMPLE_RATE)
+    return Spectrogram(np.log(mel, out=mel))
 
 
 def wav_to_log_mel(path) -> Spectrogram:
-    """Full front end at the default analysis settings: read and resample, then
-    log_mel of the waveform (STFT, mel and log chunk by chunk)."""
+    """The whole front end: read and resample, then log_mel of the waveform
+    (STFT, mel and log chunk by chunk)."""
     return log_mel(read_wav(path))
 
 

@@ -104,16 +104,20 @@ bit. A step over an EncoderOutput with context gates and over the same one
 without them give logits, h and c within rtol 1e-12 of each array's
 largest entry: the context share is summed in another order.
 
-Checkpoints are "AACM" plus version byte 4: a length-prefixed JSON config
-block with the model dims, the parameter names in parameters() order and
-each parameter's word sum, then the parameters as float64 LE, back to back.
-The dims fix every shape, so a load checks the file size exactly, and the
-names against the model's, before it reads each array straight into a
-model built without random init. A word sum is the wrapping uint64 sum of
-the array's 8-byte words as stored; load checks it after reading the array,
-so an edit inside the weights is a CorruptionError rather than a model that
-loads. Version 1 (an array per LSTM gate), version 2 (a header before each
-array) and version 3 (no word sums) are no longer read.
+Checkpoints are "AACM" plus version byte 5: the JSON config block's length
+and zlib.crc32 (u32 LE each), the block with the model dims, the parameter
+names in parameters() order, each parameter's word sum and the caller's
+extra config (the vocabulary), then the parameters as float64 LE, back to
+back. A load checks the block against its CRC before it parses it, so an
+edit inside the block is a CorruptionError rather than a model that
+captions with another vocabulary. The dims fix every shape, so a load
+checks the file size exactly, and the names against the model's, before it
+reads each array straight into a model built without random init. A word
+sum is the wrapping uint64 sum of the array's 8-byte words as stored; load
+checks it after reading the array, so an edit inside the weights is a
+CorruptionError too. Version 1 (an array per LSTM gate), version 2 (a
+header before each array), version 3 (no word sums) and version 4 (no
+config CRC) are no longer read.
 """
 
 from __future__ import annotations
@@ -123,6 +127,7 @@ import json
 import os
 import struct
 import sys
+import zlib
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Optional, Sequence
@@ -133,7 +138,7 @@ from .errors import ConfigError, CorruptionError, FormatError, ShapeError
 from .numerics import PROB_FLOOR, ParameterGroup, side_by_side, sigmoid, softmax
 from .text import PAD
 
-CHECKPOINT_MAGIC = b"AACM\x04"
+CHECKPOINT_MAGIC = b"AACM\x05"
 # Training runs a layer's two directions, or the decoder's two row halves, on
 # two threads from this much work per step, rows x 4h x h (4 rows at h = 256);
 # below it the handoffs cost more.
@@ -829,10 +834,11 @@ class CaptionModel:
     # ------------------------------------------------------------------
 
     def save(self, path, extra_config: Optional[dict] = None):
-        """Versioned binary checkpoint: a config JSON block naming the arrays,
-        with each one's word sum, then the float64 arrays back to back. It is
-        written to a temporary file beside `path` and then moved over it, so a
-        save that fails part-way leaves an earlier file whole."""
+        """Versioned binary checkpoint: a config JSON block, behind its length
+        and CRC, naming the arrays with each one's word sum, then the float64
+        arrays back to back. It is written to a temporary file beside `path`
+        and then moved over it, so a save that fails part-way leaves an
+        earlier file whole."""
         params = self.parameters()
         arrays = [group.value.astype("<f8", copy=False) for group in params]
         config = {**(extra_config or {}), "model": self.cfg.to_dict(),
@@ -842,7 +848,8 @@ class CaptionModel:
         tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
         try:
             with open(tmp, "wb") as fh:
-                fh.write(CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob)
+                fh.write(CHECKPOINT_MAGIC + struct.pack("<II", len(blob), zlib.crc32(blob))
+                         + blob)
                 for array in arrays:
                     fh.write(array.data)
             os.replace(tmp, path)
@@ -855,23 +862,31 @@ class CaptionModel:
     def load(cls, path) -> tuple[CaptionModel, dict]:
         """Rebuild a model from a checkpoint; returns (model, full config dict).
 
-        Reads the current format only. The file size is checked against the
-        config before the model is built, and the model is built without
-        random init: every array is then read on its own straight into its
-        parameter, so the file is never held in memory, not even one array,
-        and checked against its word sum and for non-finite values.
+        Reads the current format only. The config block is checked against
+        its CRC before it is parsed, the file size against the config before
+        the model is built, and the model is built without random init:
+        every array is then read on its own straight into its parameter, so
+        the file is never held in memory, not even one array, and checked
+        against its word sum and for non-finite values.
         """
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
             if fh.read(5) != CHECKPOINT_MAGIC:
                 raise FormatError(f"{path}: not a model checkpoint (bad magic/version)")
-            prefix = fh.read(4)
-            offset = 9 + int.from_bytes(prefix, "little")
-            if len(prefix) < 4 or offset > size:
+            prefix = fh.read(8)
+            if len(prefix) < 8:
+                raise CorruptionError(f"{path}: bad config block (the file ends inside "
+                                      f"its length and CRC)")
+            length, crc = struct.unpack("<II", prefix)
+            offset = 13 + length
+            if offset > size:
                 raise CorruptionError(f"{path}: bad config block (its length runs past "
                                       f"the end of the file)")
+            blob = fh.read(length)
+            if zlib.crc32(blob) != crc:
+                raise CorruptionError(f"{path}: bad config block (it does not match its CRC)")
             try:
-                config = json.loads(fh.read(offset - 9).decode("utf-8"))
+                config = json.loads(blob.decode("utf-8"))
                 model_cfg = ModelConfig(**config["model"])
             except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError,
                     ConfigError) as exc:

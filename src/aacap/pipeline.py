@@ -126,8 +126,8 @@ def load_manifest(path) -> list[ManifestEntry]:
     base = Path(path).parent
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
+            try:  # utf-8-sig drops a byte-order mark, which may open the file only
+                line = raw.decode("utf-8-sig" if line_no == 1 else "utf-8").strip()
             except UnicodeDecodeError as exc:
                 raise DataError(f"{path}:{line_no}: not UTF-8 text ({exc})") from exc
             if not line:

@@ -2,7 +2,7 @@
 
 Captions are lowercased, punctuation-stripped (apostrophes kept), and
 whitespace-split. Encoded sequences always start with <START>, end with
-<END>, and are padded with <PAD> to exactly max_tokens entries; words below
+<END>, and are padded with <PAD> to exactly MAX_TOKENS entries; words below
 the frequency threshold map to <UNK>.
 """
 
@@ -81,15 +81,14 @@ def build_vocab(captions: Iterable[str], min_count: int) -> Vocabulary:
     return Vocabulary(RESERVED + kept)
 
 
-def encode(caption: str, vocab: Vocabulary, max_tokens: int = MAX_TOKENS) -> list[int]:
-    """<START> + word ids + <END>, truncated to max_tokens and PAD-filled.
+def encode(caption: str, vocab: Vocabulary) -> list[int]:
+    """<START> + word ids + <END>, truncated to MAX_TOKENS and PAD-filled.
 
     Truncation drops trailing words so <END> is always the last content token.
     """
     word_ids = [vocab.word_to_id(w) for w in normalize(caption)]
-    word_ids = word_ids[:max_tokens - 2]
-    ids = [START] + word_ids + [END]
-    return ids + [PAD] * (max_tokens - len(ids))
+    ids = [START] + word_ids[:MAX_TOKENS - 2] + [END]
+    return ids + [PAD] * (MAX_TOKENS - len(ids))
 
 
 def decode(ids: Iterable[int], vocab: Vocabulary) -> str:

@@ -10,7 +10,7 @@ from aacap.embeddings import (
     save_embedding_file,
 )
 from aacap.errors import CorruptionError, DataError, FormatError
-from aacap.features import Spectrogram
+from aacap.features import FRAME_HOP, Spectrogram
 
 
 def test_plan_segments_enumeration():
@@ -146,7 +146,7 @@ def test_embedding_file_truncated_payload(tmp_path):
 
 def _repeating_spectrogram(repeats=4, frames_per_segment=10, bins=8):
     block = np.random.default_rng(5).normal(size=(frames_per_segment, bins))
-    return Spectrogram(np.tile(block, (repeats, 1)), 0.01)
+    return Spectrogram(np.tile(block, (repeats, 1)))
 
 
 def test_mock_extract_identical_segments_identical_rows():
@@ -186,7 +186,7 @@ def test_mock_extract_deterministic():
 
 
 def test_mock_extract_rejects_overlong_plan():
-    spec = Spectrogram(np.zeros((10, 4)), 0.01)  # 0.1 s of frames
+    spec = Spectrogram(np.zeros((10, 4)))  # 0.1 s of frames
     plan = plan_segments(1.0, 0.2)
     with pytest.raises(DataError):
         mock_extract(spec, plan, dim=3, seed=0)
@@ -222,12 +222,13 @@ POOLED_PROJECTION_RTOL = 1e-14  # of the largest |entry| of the rows
 
 def _per_segment_stats(s: Spectrogram, plan) -> np.ndarray:
     """The per-segment loop mock_extract replaced: each segment's frames
-    [round(start / hop), round(end / hop)), clipped to the spectrogram and
-    at least one frame wide, summarised by their mean and variance."""
+    [round(start / FRAME_HOP), round(end / FRAME_HOP)), clipped to the
+    spectrogram and at least one frame wide, summarised by their mean and
+    variance."""
     stats = []
     for start in plan.starts:
-        lo = int(round(start / s.frame_hop))
-        hi = max(lo + 1, min(int(round((start + plan.window) / s.frame_hop)), s.frames))
+        lo = int(round(start / FRAME_HOP))
+        hi = max(lo + 1, min(int(round((start + plan.window) / FRAME_HOP)), s.frames))
         lo = min(lo, s.frames - 1)
         chunk = s.values[lo:hi]
         stats.append(np.concatenate([chunk.mean(axis=0), chunk.var(axis=0)]))
@@ -247,7 +248,7 @@ def _per_segment_stats(s: Spectrogram, plan) -> np.ndarray:
 ], ids=["rounding", "clipped-last", "default-window", "short"])
 def test_mock_extract_pools_as_the_per_segment_loop_did(frames, duration, window, widths):
     rng = np.random.default_rng(frames)
-    spec = Spectrogram(rng.normal(size=(frames, 64)) * 3.0 - 4.0, 0.01)
+    spec = Spectrogram(rng.normal(size=(frames, 64)) * 3.0 - 4.0)
     plan = plan_segments(duration, window)
     stats = _per_segment_stats(spec, plan)
     lo = np.rint(np.array(plan.starts) / 0.01).astype(int)

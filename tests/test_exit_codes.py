@@ -102,7 +102,7 @@ def test_every_single_byte_edit_in_the_weights_exits_3(files, capsys):
     whole_path, argv_for = files["checkpoint"]
     with open(whole_path, "rb") as fh:
         whole = fh.read()
-    weights_start = 9 + int.from_bytes(whole[5:9], "little")
+    weights_start = 13 + int.from_bytes(whole[5:9], "little")
     bad = str(Path(whole_path).with_name("edited-weights.ckpt"))
     rng = np.random.default_rng(13)
     positions = rng.integers(weights_start, len(whole), size=2000)
@@ -113,6 +113,25 @@ def test_every_single_byte_edit_in_the_weights_exits_3(files, capsys):
         with open(bad, "wb") as fh:
             fh.write(data)
         assert cli.main(argv_for(bad)) == 3, (position, flip)
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+
+
+def test_every_single_byte_edit_in_the_config_block_exits_3(files, capsys):
+    # from the block's length prefix through its CRC and JSON (model dims,
+    # array names, word sums, vocabulary) to its last byte
+    whole_path, argv_for = files["checkpoint"]
+    with open(whole_path, "rb") as fh:
+        whole = fh.read()
+    weights_start = 13 + int.from_bytes(whole[5:9], "little")
+    bad = str(Path(whole_path).with_name("edited-config.ckpt"))
+    flips = np.random.default_rng(17).integers(1, 256, size=weights_start)
+    for position in range(5, weights_start):
+        data = bytearray(whole)
+        data[position] ^= int(flips[position])
+        with open(bad, "wb") as fh:
+            fh.write(data)
+        assert cli.main(argv_for(bad)) == 3, (position, int(flips[position]))
         out, err = capsys.readouterr()
         assert out == "" and "Traceback" not in err
 
@@ -158,3 +177,18 @@ def test_a_bad_masking_flag_exits_2_with_or_without_augment(files, tmp_path, fla
     assert out == ""
     assert message in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "make-toy"])
+def test_a_size_too_large_to_allocate_exits_2(files, tmp_path, command, capsys):
+    # each asks for more than 2**47 bytes at once, which fails before any
+    # memory is touched, whatever the system's overcommit setting
+    argv = (["train", "--manifest", files["manifest-train"][0], "--out-dir",
+             str(tmp_path / "run"), "--epochs", "1", "--enc-hidden", "10000000"]
+            if command == "train" else
+            ["make-toy", "--out-dir", str(tmp_path / "toy"), "--dim", "100000000000000"])
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("configuration error: ") and "allocate" in err
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from aacap.errors import ConfigError, DataError, ShapeError
 from aacap.features import (
+    FRAME_HOP,
     LOG_OFFSET,
     MIN_SAMPLE_RATE,
     RESAMPLE_BLOCK,
@@ -46,22 +47,22 @@ def naive_windowed_dft_power(frame: np.ndarray) -> np.ndarray:
 
 def test_stft_matches_naive_dft_oracle():
     rng = np.random.default_rng(7)
-    samples = rng.uniform(-1, 1, 640)
-    power = stft_power(Waveform(samples, 16000), window_size=256, hop=128)
-    assert power.shape == (4, 129)
+    samples = rng.uniform(-1, 1, 512 + 3 * 160)
+    power = stft_power(Waveform(samples, 16000))
+    assert power.shape == (4, 257)
     for t in range(4):
-        oracle = naive_windowed_dft_power(samples[t * 128:t * 128 + 256])
+        oracle = naive_windowed_dft_power(samples[t * 160:t * 160 + 512])
         assert np.allclose(power[t], oracle, atol=1e-9)
 
 
 def test_stft_bin_centered_sine_concentrates_energy():
-    # 10 cycles over a 256-sample window = exactly bin 10. The Hann window
+    # 20 cycles over the 512-sample window = exactly bin 20. The Hann window
     # leaks a quarter of the amplitude into each neighbour, so the center
-    # bin alone carries 2/3 of the energy and bins 9..11 carry ~all of it.
-    n = 256
-    k = 10
+    # bin alone carries 2/3 of the energy and bins 19..21 carry ~all of it.
+    n = 512
+    k = 20
     samples = np.sin(2 * np.pi * k * np.arange(n) / n)
-    power = stft_power(Waveform(samples, 16000), window_size=n, hop=n)
+    power = stft_power(Waveform(samples, 16000))
     frame = power[0]
     total = frame.sum()
     assert frame[k] == frame.max()
@@ -71,37 +72,28 @@ def test_stft_bin_centered_sine_concentrates_energy():
 
 
 def test_stft_zero_waveform_zero_power():
-    power = stft_power(Waveform(np.zeros(1024), 16000), window_size=512, hop=256)
+    power = stft_power(Waveform(np.zeros(1024), 16000))
     assert np.array_equal(power, np.zeros_like(power))
 
 
 def test_stft_exact_window_gives_one_frame():
-    power = stft_power(Waveform(np.ones(512), 16000), window_size=512, hop=128)
+    power = stft_power(Waveform(np.ones(512), 16000))
     assert power.shape[0] == 1
 
 
 def test_stft_too_short_waveform():
     with pytest.raises(DataError):
-        stft_power(Waveform(np.zeros(100), 16000), window_size=512, hop=256)
+        stft_power(Waveform(np.zeros(100), 16000))
 
 
-def test_stft_rejects_non_power_of_two_window():
-    with pytest.raises(ConfigError):
-        stft_power(Waveform(np.zeros(1000), 16000), window_size=400, hop=100)
-
-
-def test_stft_rejects_hop_above_window():
-    with pytest.raises(ConfigError):
-        stft_power(Waveform(np.zeros(1000), 16000), window_size=256, hop=512)
-
-
-def per_frame_stft_power(samples: np.ndarray, window_size: int, hop: int) -> np.ndarray:
-    """The STFT one frame at a time, one rfft each; stft_power must equal it bit for bit."""
-    n_frames = (len(samples) - window_size) // hop + 1
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window_size) / window_size)
-    power = np.empty((n_frames, window_size // 2 + 1))
+def per_frame_stft_power(samples: np.ndarray) -> np.ndarray:
+    """The 512/160 STFT one frame at a time, one rfft each; stft_power must
+    equal it bit for bit."""
+    n_frames = (len(samples) - 512) // 160 + 1
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(512) / 512)
+    power = np.empty((n_frames, 257))
     for t in range(n_frames):
-        frame = samples[t * hop:t * hop + window_size] * window
+        frame = samples[t * 160:t * 160 + 512] * window
         power[t] = np.abs(np.fft.rfft(frame)) ** 2
     return power
 
@@ -109,23 +101,21 @@ def per_frame_stft_power(samples: np.ndarray, window_size: int, hop: int) -> np.
 CHUNK = STFT_CHUNK_FRAMES
 
 
-@pytest.mark.parametrize("frames, window_size, hop, tail", [
-    (1, 512, 160, 0),
-    (1, 512, 160, 159),
-    (CHUNK, 512, 160, 0),
-    (CHUNK + 1, 512, 160, 0),
-    (3 * CHUNK + 17, 512, 160, 5),
-    (2 * CHUNK + 9, 64, 1, 0),
-    (CHUNK + 3, 256, 256, 100),
+@pytest.mark.parametrize("frames, tail", [
+    (1, 0),
+    (1, 159),
+    (CHUNK, 0),
+    (CHUNK + 1, 0),
+    (3 * CHUNK + 17, 5),
 ], ids=["one-frame", "one-frame-with-tail", "one-chunk", "one-chunk-plus-one",
-        "partial-last-chunk", "hop-1", "hop-window"])
-def test_stft_equals_the_per_frame_loop(frames, window_size, hop, tail):
-    n = window_size + hop * (frames - 1) + tail
+        "partial-last-chunk"])
+def test_stft_equals_the_per_frame_loop(frames, tail):
+    n = 512 + 160 * (frames - 1) + tail
     samples = np.random.default_rng(frames).uniform(-1, 1, n)
     w = Waveform(samples, 16000)
-    power = stft_power(w, window_size=window_size, hop=hop)
-    assert power.shape == (frames, window_size // 2 + 1)
-    assert np.array_equal(power, per_frame_stft_power(samples, window_size, hop))
+    power = stft_power(w)
+    assert power.shape == (frames, 257)
+    assert np.array_equal(power, per_frame_stft_power(samples))
     assert not np.shares_memory(power, w.samples)
 
 
@@ -133,7 +123,7 @@ def test_stft_of_a_strided_input_equals_the_per_frame_loop():
     samples = np.random.default_rng(5).uniform(-1, 1, 2 * (512 + 160 * (CHUNK + 40)))[::2]
     assert not samples.flags.c_contiguous
     power = stft_power(Waveform(samples, 16000))
-    assert np.array_equal(power, per_frame_stft_power(samples, 512, 160))
+    assert np.array_equal(power, per_frame_stft_power(samples))
 
 
 @pytest.mark.parametrize("frames, chunks", [
@@ -180,7 +170,7 @@ def test_threaded_stft_power_equals_one_thread_bit_for_bit(monkeypatch, frames, 
     if mel:
         assert_same_bits(threaded, log_mel(stft_power(w)).values)
     else:
-        assert np.array_equal(threaded, per_frame_stft_power(samples, 512, 160))
+        assert np.array_equal(threaded, per_frame_stft_power(samples))
 
 
 def test_stft_extra_memory_is_bounded_on_a_long_clip():
@@ -209,7 +199,7 @@ def test_log_mel_of_a_waveform_equals_log_mel_of_its_power_grid(frames, tail):
     n = 512 + 160 * (frames - 1) + tail
     w = Waveform(np.random.default_rng(frames).uniform(-1, 1, n), TARGET_SAMPLE_RATE)
     spec = log_mel(w)
-    assert spec.frames == frames and spec.frame_hop == 160 / TARGET_SAMPLE_RATE
+    assert spec.values.shape == (frames, 64) and FRAME_HOP == 160 / TARGET_SAMPLE_RATE
     assert_same_bits(spec.values, log_mel(stft_power(w)).values)
 
 
@@ -251,8 +241,8 @@ def test_log_mel_of_a_waveform_at_another_rate_is_a_data_error():
 
 
 def test_mel_filterbank_is_built_once_and_read_only():
-    bank = mel_filterbank(64, 257, 16000, 125.0, 7500.0)
-    assert mel_filterbank(64, 257, 16000, 125.0, 7500.0) is bank
+    bank = mel_filterbank()
+    assert mel_filterbank() is bank
     with pytest.raises(ValueError, match="read-only"):
         bank[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
@@ -266,7 +256,7 @@ def test_log_mel_zero_power_is_constant_floor():
 
 
 def test_filterbank_rows_positive_and_triangular():
-    bank = mel_filterbank(64, 257, 16000, 125.0, 7500.0)
+    bank = mel_filterbank()
     assert bank.shape == (64, 257)
     for row in bank:
         assert row.sum() > 0
@@ -290,32 +280,19 @@ def test_log_mel_doubling_power_bounded_by_ln2():
 
 def test_log_mel_monotone_in_power():
     rng = np.random.default_rng(4)
-    power = rng.uniform(0.0, 1.0, (5, 129))
+    power = rng.uniform(0.0, 1.0, (5, 257))
     bumped = power + rng.uniform(0.0, 0.5, power.shape)
-    lo = log_mel(power, mel_bins=16).values
-    hi = log_mel(bumped, mel_bins=16).values
+    lo = log_mel(power).values
+    hi = log_mel(bumped).values
     assert np.all(hi >= lo - 1e-12)
 
 
-def test_log_mel_rejects_single_bin():
-    with pytest.raises(ConfigError):
-        log_mel(np.zeros((2, 257)), mel_bins=1)
-
-
 def test_log_mel_rejects_a_single_fft_bin():
-    # a 1-sample window gives one STFT bin, which has no frequency span
-    power = stft_power(Waveform(np.random.default_rng(0).normal(size=100), 16000),
-                       window_size=1, hop=1)
-    assert power.shape == (100, 1)
-    with pytest.raises(ConfigError):
-        log_mel(power)
-    with pytest.raises(ConfigError):
-        mel_filterbank(64, 1, 16000, 125.0, 7500.0)
-
-
-def test_log_mel_rejects_bad_band_edges():
-    with pytest.raises(ConfigError):
-        log_mel(np.zeros((2, 257)), f_min=5000.0, f_max=4000.0)
+    # the mel bank spans the STFT's 257 bins; a grid of any other width, one
+    # bin wide (no frequency span) included, is a shape error naming both
+    for bins in (1, 129, 256, 258):
+        with pytest.raises(ShapeError, match=f"257 bins wide .*, got {bins}$"):
+            log_mel(np.ones((2, bins)))
 
 
 def _toy_grid(frames=220, bins=64, seed=0) -> np.ndarray:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -1133,7 +1134,8 @@ def _checkpoint_bytes_written_field_by_field(model, extra_config):
     config["sums"] = [sum(struct.unpack(f"<{len(data) // 8}Q", data)) % 2 ** 64
                       for data in packed]
     blob = json.dumps(config, sort_keys=True).encode("utf-8")
-    return b"".join([b"AACM\x04", struct.pack("<I", len(blob)), blob] + packed)
+    return b"".join([b"AACM\x05", struct.pack("<I", len(blob)),
+                     struct.pack("<I", zlib.crc32(blob)), blob] + packed)
 
 
 @pytest.mark.parametrize("seed", [0, 12])
@@ -1257,27 +1259,33 @@ def test_checkpoint_v3_is_a_format_error_exit_3(tmp_path, capsys):
     _old_version_exits_3(tmp_path, capsys, b"\x03")
 
 
+def test_checkpoint_v4_is_a_format_error_exit_3(tmp_path, capsys):
+    # version 4 had no CRC of its config block
+    _old_version_exits_3(tmp_path, capsys, b"\x04")
+
+
 def _config_block(path) -> dict:
     data = path.read_bytes()
     (blob_len,) = struct.unpack("<I", data[5:9])
-    return json.loads(data[9:9 + blob_len])
+    return json.loads(data[13:13 + blob_len])
 
 
-def test_checkpoint_writes_v4_names_sums_then_weights_back_to_back(tmp_path):
+def test_checkpoint_writes_v5_names_sums_then_weights_back_to_back(tmp_path):
     model = CaptionModel(TINY, seed=12)
     path = tmp_path / "model.ckpt"
     model.save(path)
     data = path.read_bytes()
-    assert data[:5] == b"AACM\x04"
+    assert data[:5] == b"AACM\x05"
+    (blob_len, crc) = struct.unpack("<II", data[5:13])
+    assert crc == zlib.crc32(data[13:13 + blob_len])
     config = _config_block(path)
     assert config["arrays"] == [group.name for group in model.parameters()]
     assert config["sums"] == [int(np.add.reduce(g.value.ravel().view(np.uint64), dtype=np.uint64))
                               for g in model.parameters()]
     assert "enc.l1.fwd.w" in config["arrays"]  # a fused name
     assert b"w_forget" not in data
-    (blob_len,) = struct.unpack("<I", data[5:9])
-    assert len(data) == 9 + blob_len + 8 * TINY.parameter_count
-    weights = np.frombuffer(data[9 + blob_len:], dtype="<f8")
+    assert len(data) == 13 + blob_len + 8 * TINY.parameter_count
+    weights = np.frombuffer(data[13 + blob_len:], dtype="<f8")
     assert np.array_equal(weights, np.concatenate([g.value.ravel() for g in model.parameters()]))
 
 
@@ -1304,10 +1312,12 @@ def test_checkpoint_round_trip_at_paper_dims(tmp_path):
 
 
 def _rewrite_config(path, config_bytes):
+    """Replace the config block with `config_bytes`, behind their own length
+    and CRC, so that a load reaches the checks past the CRC."""
     data = path.read_bytes()
     (old_len,) = struct.unpack("<I", data[5:9])
-    path.write_bytes(data[:5] + struct.pack("<I", len(config_bytes)) + config_bytes
-                     + data[9 + old_len:])
+    path.write_bytes(data[:5] + struct.pack("<II", len(config_bytes), zlib.crc32(config_bytes))
+                     + config_bytes + data[13 + old_len:])
 
 
 @pytest.mark.parametrize("config_bytes", [
@@ -1353,7 +1363,7 @@ def test_checkpoint_array_names_must_match_the_layout(tmp_path, edit):
     (lambda data: data + b"\x00", "bytes of weights"),
     (lambda data: data[:-1], "bytes of weights"),
     (lambda data: data[:-8], "bytes of weights"),
-    (lambda data: data[:12], "config block"),
+    (lambda data: data[:16], "config block"),
     (lambda data: data[:7], "config block"),
 ], ids=["one-trailing-byte", "one-byte-short", "one-value-short", "in-config", "in-prefix"])
 def test_checkpoint_size_must_equal_config_plus_weights(tmp_path, cut, message):

@@ -136,6 +136,18 @@ def test_manifest_rejects_garbage_line(tmp_path):
         load_manifest(path)
 
 
+def test_manifest_may_open_with_a_byte_order_mark_but_no_later_line_may(tmp_path):
+    manifest = make_toy_dataset(tmp_path, seed=0, n_items=3)
+    lines = manifest.read_bytes().splitlines(keepends=True)
+    bom = "\ufeff".encode("utf-8")
+    marked = tmp_path / "marked.jsonl"
+    marked.write_bytes(bom + b"".join(lines))
+    assert load_manifest(marked) == load_manifest(manifest)
+    marked.write_bytes(bom + lines[0] + bom + b"".join(lines[1:]))
+    with pytest.raises(DataError, match=f"{marked}:2: bad manifest record"):
+        load_manifest(marked)
+
+
 # ---------------------------------------------------------------------------
 # toy dataset
 # ---------------------------------------------------------------------------
@@ -829,16 +841,12 @@ def test_cli_wrong_feature_dim_input_exits_3(tmp_path, capsys):
 
 
 def test_cli_huge_config_dim_checkpoint_exits_3(tmp_path, capsys):
-    import struct
+    from test_model import _config_block, _rewrite_config
 
     checkpoint, input_path = _cli_checkpoint(tmp_path)
-    data = checkpoint.read_bytes()
-    (old_len,) = struct.unpack("<I", data[5:9])
-    config = json.loads(data[9:9 + old_len])
+    config = _config_block(checkpoint)
     config["model"]["vocab_size"] = 10 ** 12
-    blob = json.dumps(config).encode("utf-8")
-    checkpoint.write_bytes(data[:5] + struct.pack("<I", len(blob)) + blob
-                           + data[9 + old_len:])
+    _rewrite_config(checkpoint, json.dumps(config).encode("utf-8"))
     code = cli.main(["caption", "--checkpoint", str(checkpoint), "--input", input_path])
     assert code == 3
     assert "bytes of weights" in capsys.readouterr().err
