@@ -13,12 +13,15 @@ Each LSTM cell holds one fused weight (input_dim + hidden_dim, 4 * hidden)
 and one bias (4 * hidden), gate column blocks in LstmCell.GATES order
 (forget, input, output, cell candidate). The encoder runs its rows packed,
 the layout of Appleyard et al. 2016 (arXiv:1604.01946) that cuDNN uses:
-a layer sorts its rows longest first and lays their valid frames out
-time-major, so step t holds only the n_t rows still valid at t and padded
-frames cost nothing. The bwd direction reads each row reversed within its
-own length, so its padding also comes last and the same n_t serves both
-directions; the output goes back to the caller's row order. A step costs
-one (n_t, hidden) x (hidden, 4 * hidden) product plus elementwise gates.
+Encoder.forward sorts the rows longest first and gathers their valid
+frames once, time-major, so step t holds only the n_t rows still valid at
+t and padded frames cost nothing. Layers and cells pass these (N, ·) row
+matrices: padding exists only at the encoder's edges, where E is
+scattered once, and dE gathered and d(inputs) scattered once. The bwd
+direction runs on x[mirror], each row reversed within its own length
+(_Packing.mirror, its own inverse), so its padding also comes last and
+the same n_t serves both directions. A step costs one
+(n_t, hidden) x (hidden, 4 * hidden) product plus elementwise gates.
 Each direction takes its input projection X W_x + b as one product over
 all its packed rows ahead of the loop; training then overwrites each step's
 rows with its gates, kept for backward. In an encode call that is a
@@ -145,6 +148,13 @@ CHECKPOINT_MAGIC = b"AACM\x05"
 TWO_THREAD_MIN_WORK = 1 << 20
 
 
+def check_dims(**dims):
+    """Raises ConfigError naming the first model dim that is not a positive integer."""
+    for name, value in dims.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise ConfigError(f"model {name} must be a positive integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     embed_dim: int  # F_e of the input matrix
@@ -155,9 +165,7 @@ class ModelConfig:
     word_dim: int = 128  # d_w
 
     def __post_init__(self):
-        for name, value in self.to_dict().items():
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ConfigError(f"model {name} must be a positive integer, got {value!r}")
+        check_dims(**self.to_dict())
 
     @property
     def enc_out_dim(self) -> int:
@@ -230,7 +238,7 @@ class _DecoderCache:
 class _BatchCache:
     """Backward drops each part once it has used it, so a cache is used once."""
 
-    encoder: list  # per-layer caches
+    encoder: list  # Encoder.forward's
     decoder: Optional[_DecoderCache]
 
 
@@ -344,70 +352,64 @@ class LstmCell:
         gates, c, h = self.activate(pre, c_prev)
         return h, c, gates
 
-    def forward_sequence(self, x_seq: np.ndarray, at: tuple, offsets: np.ndarray,
-                         out: np.ndarray, keep_cache: bool = True):
-        """Runs the cell from zero state over packed rows of a padded batch.
+    def forward_sequence(self, x: np.ndarray, offsets: np.ndarray, out: np.ndarray,
+                         keep_cache: bool = True):
+        """Runs the cell from zero state over packed rows x (N, input_dim) and
+        writes each row's h to the same row of out (N, hidden).
 
-        Packed row j is x_seq[at[0][j], at[1][j]] (input_dim,), and its h is
-        written to out at the same place. The rows are time-major: step t
-        holds rows offsets[t] to offsets[t + 1], no more than the step
-        before, and they are the first rows of the step before, in order.
-        Their input projection is one product ahead of the loop.
-        Returns the cache for backward_sequence, or None without keep_cache:
-        the (N, 4 hidden) gates and (N, hidden) c, with x_seq and at. h is
-        recomputed in backward as o * tanh(c).
+        The rows are time-major: step t holds rows offsets[t] to offsets[t + 1],
+        no more than the step before, and they are the first rows of the step
+        before, in order. Their input projection is one product ahead of the
+        loop. Returns the cache for backward_sequence, or None without
+        keep_cache: the (N, 4 hidden) gates and (N, hidden) c. h is recomputed
+        in backward as o * tanh(c).
         """
         hidden = self.hidden_dim
         w_x, w_h = self.w.value[:self.input_dim], self.w.value[self.input_dim:]
-        proj = x_seq[at] @ w_x
+        proj = x @ w_x
         proj += self.b.value
-        c = np.empty((offsets[-1], hidden)) if keep_cache else None
+        c = np.empty((len(x), hidden)) if keep_cache else None
         h_prev = c_prev = np.zeros((offsets[1], hidden))
         for t in range(len(offsets) - 1):
             rows = slice(offsets[t], offsets[t + 1])
             n = rows.stop - rows.start
             step_gates, c_prev, h_prev = self.activate(proj[rows] + h_prev[:n] @ w_h,
                                                        c_prev[:n])
-            out[at[0][rows], at[1][rows]] = h_prev
+            out[rows] = h_prev
             if keep_cache:
                 proj[rows] = step_gates  # kept for backward in place of the projection
                 c[rows] = c_prev
-        return [x_seq, at, offsets, proj, c] if keep_cache else None
+        return [offsets, proj, c] if keep_cache else None
 
-    def backward_sequence(self, cache, dout: np.ndarray) -> np.ndarray:
-        """Backprop of forward_sequence: reads d(loss)/d(h) from dout at the
-        packed places of the forward, and returns d(loss)/d(x_seq) there, one
-        (input_dim,) row per packed row.
+    def backward_sequence(self, cache, x: np.ndarray, dh: np.ndarray) -> np.ndarray:
+        """Backprop of forward_sequence over the same input rows x, from
+        d(loss)/d(h) rows dh (N, hidden); returns d(loss)/d(x) (N, input_dim).
 
         Accumulates the parameter gradients with one product each after the
         reverse-time loop. Each cached array is freed once it is no longer
         needed.
         """
-        x_seq, at, offsets, gates, c = cache
+        offsets, gates, c = cache
         cache.clear()
         hidden = self.hidden_dim
         w_x, w_h = self.w.value[:self.input_dim], self.w.value[self.input_dim:]
         sizes = np.diff(offsets)
-        dh = dout[at]
         d_pre = np.empty_like(gates)
         # a row's carries are zero until the reverse loop reaches its last step
-        dh_carry = np.zeros((sizes[0], hidden))
-        dc_carry = np.zeros((sizes[0], hidden))
-        zero_state = np.zeros((sizes[0], hidden))
+        dh_carry, dc_carry = np.zeros((2, sizes[0], hidden))
         for t in range(len(sizes) - 1, -1, -1):
             n, rows = sizes[t], slice(offsets[t], offsets[t + 1])
-            c_prev = c[offsets[t - 1]:offsets[t - 1] + n] if t else zero_state
+            c_prev = c[offsets[t - 1]:offsets[t - 1] + n] if t else 0.0
             dc_carry[:n] = self.gate_deltas(gates[rows], c_prev, c[rows],
                                             dh[rows] + dh_carry[:n], dc_carry[:n], d_pre[rows])
             dh_carry[:n] = d_pre[rows] @ w_h.T
-        del dh
         # the state before each step: zero at t = 0, else row j - sizes[t-1]'s h
         h_prev = np.zeros((len(d_pre), hidden))
         source = np.arange(sizes[0], len(d_pre)) - np.repeat(sizes[:-1], sizes[1:])
-        np.multiply(gates[source, 2 * hidden:3 * hidden], np.tanh(c[source]),
-                    out=h_prev[sizes[0]:])
+        np.tanh(c[source], out=h_prev[sizes[0]:])
+        h_prev[sizes[0]:] *= gates[source, 2 * hidden:3 * hidden]
         del gates, c
-        self.w.gradient[:self.input_dim] += x_seq[at].T @ d_pre
+        self.w.gradient[:self.input_dim] += x.T @ d_pre
         self.w.gradient[self.input_dim:] += h_prev.T @ d_pre
         del h_prev
         self.b.gradient += d_pre.sum(axis=0)
@@ -416,33 +418,43 @@ class LstmCell:
 
 @dataclass
 class _Packing:
-    """Where the rows of a padded batch go in the packed layout, longest row first.
+    """Where the frames of a padded batch go in the packed layout, longest row first.
 
-    Packed row j is batch row `rows[j]` at step `steps[j]`; the fwd direction
-    reads frame `steps[j]` of it and the bwd direction frame `reverse[j]`,
-    its frames counted back from its last valid one.
+    Packed row j is batch row `rows[j]` at step `steps[j]`. Its `mirror[j]`
+    is the packed row of the same batch row at step length - 1 - steps[j],
+    its frame counted back from the row's last valid one; mirror is its own
+    inverse, so x[mirror] is x with each row reversed within its length.
     """
 
     offsets: np.ndarray  # (T_valid + 1,) first packed row of each step, then N
     rows: np.ndarray  # (N,)
     steps: np.ndarray  # (N,)
-    reverse: np.ndarray  # (N,)
+    mirror: np.ndarray  # (N,)
 
     @classmethod
     def of(cls, lengths: np.ndarray) -> _Packing:
         order = np.argsort(-lengths, kind="stable")
-        sizes = np.count_nonzero(lengths[:, None] > np.arange(lengths.max()), axis=0)
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
-        steps = np.repeat(np.arange(len(sizes)), sizes)
-        rows = order[np.arange(offsets[-1]) - offsets[steps]]
-        return cls(offsets, rows, steps, lengths[rows] - 1 - steps)
+        # the valid cells of the (step, place in order) grid, in row-major order
+        steps, rank = np.nonzero(np.arange(lengths.max())[:, None] < lengths[order])
+        offsets = np.concatenate([[0], np.cumsum(np.bincount(steps))])
+        return cls(offsets, order[rank], steps, offsets[lengths[order][rank] - 1 - steps] + rank)
+
+    def pad(self, packed: np.ndarray, frames: int) -> np.ndarray:
+        """(B, frames, ·): each packed row at its frame, zeros elsewhere."""
+        padded = np.zeros((self.offsets[1], frames) + packed.shape[1:])
+        padded[self.rows, self.steps] = packed
+        return padded
 
 
 class BiLstmLayer:
-    """Forward and backward LSTM passes over a padded batch, states concatenated per step.
+    """Forward and backward LSTM passes over the packed rows of a _Packing,
+    states concatenated per row.
 
-    Both directions run on the packed rows of _Packing: step t of either
-    steps only the rows still valid at t, so padded frames cost nothing.
+    The fwd direction runs on the rows as they are, the bwd one on x[mirror]:
+    each row reversed within its own length, so its padding also comes last
+    and the same offsets serve both. Its h and its input gradient come back
+    through the same index. backward takes the forward's x and pack again,
+    so a layer keeps no copy of its input.
     """
 
     def __init__(self, name: str, input_dim: int, hidden_dim: int,
@@ -454,12 +466,6 @@ class BiLstmLayer:
     def params(self) -> list[ParameterGroup]:
         return self.fwd.params() + self.bwd.params()
 
-    def _directions(self, pack: _Packing):
-        """(cell, packed places, output columns) of each direction."""
-        hidden = self.hidden_dim
-        return [(self.fwd, (pack.rows, pack.steps), slice(0, hidden)),
-                (self.bwd, (pack.rows, pack.reverse), slice(hidden, 2 * hidden))]
-
     def _run(self, pack: _Packing, calls, threaded: bool) -> list:
         """Results of the fwd and bwd calls: the bwd one on a thread of its own
         when threaded and a step is worth it, else one after the other."""
@@ -467,34 +473,35 @@ class BiLstmLayer:
             return side_by_side(calls, "aacap-bilstm")
         return [call() for call in calls]
 
-    def forward(self, x_seq: np.ndarray, lengths: np.ndarray, keep_cache: bool = True):
-        """x_seq (B, T, in), rows valid up to lengths (B,); returns (B, T, 2 hidden),
-        zero on padded frames, and the cache for backward (None without
-        keep_cache). Padded frames of x_seq are never read. Each direction
-        writes its own columns of the output."""
-        pack = _Packing.of(lengths)
-        out = np.zeros(x_seq.shape[:2] + (2 * self.hidden_dim,))
-        calls = [partial(cell.forward_sequence, x_seq, at, pack.offsets, out[..., cols],
-                         keep_cache) for cell, at, cols in self._directions(pack)]
-        caches = self._run(pack, calls, threaded=keep_cache)
-        return out, ([caches, pack] if keep_cache else None)
+    def forward(self, x: np.ndarray, pack: _Packing, keep_cache: bool = True):
+        """x (N, in), the packed rows of pack; returns (N, 2 hidden) and the
+        cache for backward (None without keep_cache). Each direction writes
+        its own columns of the output."""
+        hidden, mirror, offsets = self.hidden_dim, pack.mirror, pack.offsets
+        out = np.empty((len(x), 2 * hidden))
+        caches = self._run(pack, [
+            partial(self.fwd.forward_sequence, x, offsets, out[:, :hidden], keep_cache),
+            partial(self.bwd.forward_sequence, x[mirror], offsets, out[:, hidden:], keep_cache),
+        ], threaded=keep_cache)
+        out[:, hidden:] = out[mirror, hidden:]
+        return out, (caches if keep_cache else None)
 
-    def backward(self, cache, dout: np.ndarray) -> np.ndarray:
-        """Empties cache; each direction's arrays are freed by its own backward.
-        Padded frames of dout are never read, and get zero input gradient."""
-        caches, pack = cache
-        cache.clear()
-        directions = self._directions(pack)
-        calls = [partial(cell.backward_sequence, cell_cache, dout[..., cols])
-                 for (cell, _, cols), cell_cache in zip(directions, caches)]
-        dx = np.zeros(dout.shape[:2] + (self.fwd.input_dim,))
-        for (_, at, _), d_in in zip(directions, self._run(pack, calls, threaded=True)):
-            dx[at] += d_in
+    def backward(self, cache, x: np.ndarray, pack: _Packing, dout: np.ndarray) -> np.ndarray:
+        """d(loss)/d(x) (N, in) from dout (N, 2 hidden), x and pack those of the
+        forward. Each direction's cached arrays are freed by its own backward."""
+        hidden, mirror = self.hidden_dim, pack.mirror
+        dx, d_bwd = self._run(pack, [
+            partial(self.fwd.backward_sequence, cache[0], x, dout[:, :hidden]),
+            partial(self.bwd.backward_sequence, cache[1], x[mirror], dout[mirror, hidden:]),
+        ], threaded=True)
+        dx += d_bwd[mirror]
         return dx
 
 
 class Encoder:
-    """Two stacked Bi-LSTM layers; per-step outputs of the second layer feed attention."""
+    """Two stacked Bi-LSTM layers; per-step outputs of the second layer feed
+    attention. It packs a batch once per call and runs both layers on the
+    packed rows, so padding begins and ends here."""
 
     def __init__(self, cfg: ModelConfig, rng: Optional[np.random.Generator]):
         self.cfg = cfg
@@ -507,29 +514,35 @@ class Encoder:
     def forward(self, inputs: np.ndarray, lengths: Sequence[int], keep_cache: bool = True):
         """inputs (B, T, F_e), row b valid for its first lengths[b] frames.
 
-        Returns (E (B, T, d_e), cache, or None without keep_cache). Padded
-        frames are never read, so their values never reach E, the loss or a
-        gradient.
+        Returns (E (B, T, d_e), zero on padded frames, and the cache, or None
+        without keep_cache): the packing, the inputs, layer 1's cell caches,
+        layer 2's input rows and its cell caches. Padded frames are never
+        read, so their values never reach E, the loss or a gradient.
         """
         inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.ndim != 3 or inputs.shape[0] == 0 or inputs.shape[2] != self.cfg.embed_dim:
             raise ShapeError(
                 f"encoder input shape {inputs.shape}, expected (B, T, {self.cfg.embed_dim})")
         lengths = np.asarray(lengths, dtype=np.int64)
-        frames = inputs.shape[1]
         if lengths.shape != inputs.shape[:1]:
             raise ShapeError(f"valid lengths of shape {lengths.shape} for "
                              f"{inputs.shape[0]} encoder rows")
-        if lengths.min() < 1 or lengths.max() > frames:
-            raise ValueError(f"valid_length {lengths.tolist()} outside 1..{frames}")
-        mid, cache1 = self.layer1.forward(inputs, lengths, keep_cache)
-        out, cache2 = self.layer2.forward(mid, lengths, keep_cache)
-        return out, ([cache1, cache2] if keep_cache else None)
+        if lengths.min() < 1 or lengths.max() > inputs.shape[1]:
+            raise ValueError(f"valid_length {lengths.tolist()} outside 1..{inputs.shape[1]}")
+        pack = _Packing.of(lengths)
+        mid, cache1 = self.layer1.forward(inputs[pack.rows, pack.steps], pack, keep_cache)
+        out, cache2 = self.layer2.forward(mid, pack, keep_cache)
+        cache = [pack, inputs, cache1, mid, cache2] if keep_cache else None
+        return pack.pad(out, inputs.shape[1]), cache
 
     def backward(self, cache: list, d_out: np.ndarray) -> np.ndarray:
-        """Returns d(loss)/d(inputs); each layer's cache is dropped once used."""
-        d_mid = self.layer2.backward(cache.pop(), d_out)
-        return self.layer1.backward(cache.pop(), d_mid)
+        """Returns d(loss)/d(inputs), zero on padded frames; each layer's cache
+        is emptied once used."""
+        pack, inputs, cache1, mid, cache2 = cache
+        cache.clear()
+        d_mid = self.layer2.backward(cache2, mid, pack, d_out[pack.rows, pack.steps])
+        d_x = self.layer1.backward(cache1, inputs[pack.rows, pack.steps], pack, d_mid)
+        return pack.pad(d_x, d_out.shape[1])
 
 
 class Attention:
@@ -686,8 +699,10 @@ class CaptionModel:
         """E of one (T, F_e) matrix, valid for its first valid_length frames
         (all by default), or of a padded batch (B, T, F_e) with valid lengths
         (B,). One matrix runs as the batch of one row. Nothing is kept for
-        backward, so a call holds about its E, its keys, its context gates,
-        two layers' outputs and one direction's input projection at a time.
+        backward, so a call holds at most, in the second layer, that layer's
+        packed input and output, the bwd direction's mirrored copy of the
+        input and one direction's input projection; then its E, its keys and
+        its context gates.
         """
         inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.ndim not in (2, 3):

@@ -8,6 +8,7 @@ eval}. Training is fully reproducible from (seed, config, manifest).
 
 import json
 import math
+import shutil
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -20,7 +21,7 @@ from .embeddings import load_embedding_file, save_embedding_file
 from .errors import ConfigError, CorruptionError, DataError
 from .features import AugmentConfig, bucket_pad, spec_augment, wav_to_log_mel
 from .metrics import EvalInstance, MetricReport, bleu, evaluate_corpus
-from .model import CaptionModel, EncoderOutput, ModelConfig
+from .model import CaptionModel, EncoderOutput, ModelConfig, check_dims
 from .numerics import adam_step
 from .text import END, PAD, START, Vocabulary, build_vocab, decode, encode, normalize
 
@@ -77,6 +78,8 @@ class TrainConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.vocab_min_count < 1:
             raise ConfigError(f"vocab_min_count must be >= 1, got {self.vocab_min_count}")
+        check_dims(enc_hidden=self.enc_hidden, attn_dim=self.attn_dim,
+                   dec_hidden=self.dec_hidden, word_dim=self.word_dim)
 
 
 @dataclass
@@ -201,13 +204,17 @@ def load_input_file(path, expected_dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # Rows times padded frames of one training forward/backward call. A call holds
-# about 75 kB per frame at the default dims, so this bounds its memory to
-# ~155 MB whatever the clip length.
+# about 80 kB per frame at the default dims when no frame is padded (tracemalloc
+# peak of forward plus backward at 32 x 64 frames: 164-172 MB, as the two
+# threads interleave), and less per padded frame when rows are padded, since
+# the encoder keeps only valid frames; so this bounds its memory to ~170 MB
+# whatever the clip length.
 TRAIN_FRAME_BUDGET = 2048
 # Rows times padded frames of one inference encode call. It keeps no backward
-# cache and peaks at about 20.5 kB per frame at the default dims (tracemalloc):
-# 8 kB of it the decoder's context gates E W_ctx and 8 kB one direction's input
-# projection, so ~21 MB a call.
+# cache and peaks in the second encoder layer at about 21.4 kB per frame at the
+# default dims when no frame is padded (tracemalloc): 8 kB one direction's input
+# projection, and 4 kB each the layer's packed input, its output and the bwd
+# direction's mirrored copy of the input, so ~22 MB a call.
 ENCODE_FRAME_BUDGET = 1024
 
 
@@ -261,8 +268,6 @@ def train(config: TrainConfig, manifest_path, out_dir) -> TrainResult:
     (best validation BLEU-4) and a machine parseable <out_dir>/train.log with
     one epoch per line.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     entries = load_manifest(manifest_path)
     dev = split_entries(entries, "dev")
     val = split_entries(entries, "val")
@@ -292,6 +297,8 @@ def train(config: TrainConfig, manifest_path, out_dir) -> TrainResult:
     rng = np.random.default_rng(config.seed)
     samples = [(i, j) for i in range(len(dev)) for j in range(len(dev[i].captions))]
 
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint_path = out_dir / "model.ckpt"
     log_path = out_dir / "train.log"
     losses, val_scores, lrs = [], [], []
@@ -456,23 +463,31 @@ def make_toy_dataset(out_dir, seed: int = 0, n_items: int = 8,
     if dim < n_events:
         raise ConfigError(f"dim must be >= {n_events}, got {dim}")
     out_dir = Path(out_dir)
-    (out_dir / "embeddings").mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(seed)
-    entries = []
-    for i in range(n_items):
-        segments = int(rng.integers(seg_lo, seg_hi + 1))
-        events = rng.choice(n_events, size=segments, replace=False)
-        matrix = rng.normal(scale=0.05, size=(segments, dim))
-        for t, event in enumerate(events):
-            matrix[t, event] += 3.0
-        rel_path = f"embeddings/item_{i:03d}.aace"
-        save_embedding_file(out_dir / rel_path, matrix)
-        caption = " ".join(TOY_EVENTS[e] for e in events)
-        entries.append(ManifestEntry(f"toy_{i:03d}", rel_path,
-                                     [caption] * EXPECTED_CAPTIONS, "dev"))
-    for k in range(min(2, n_items)):
-        entries.append(replace(entries[k], id=f"toy_val_{k}", split="val"))
-    entries.append(replace(entries[n_items - 1], id="toy_eval_0", split="eval"))
-    manifest_path = out_dir / "manifest.jsonl"
-    save_manifest(manifest_path, entries)
+    embeddings = out_dir / "embeddings"
+    # the outermost directory this call makes, removed again if the call fails
+    made = next((d for d in [*reversed(embeddings.parents), embeddings] if not d.exists()), None)
+    embeddings.mkdir(parents=True, exist_ok=True)
+    try:
+        rng = np.random.default_rng(seed)
+        entries = []
+        for i in range(n_items):
+            segments = int(rng.integers(seg_lo, seg_hi + 1))
+            events = rng.choice(n_events, size=segments, replace=False)
+            matrix = rng.normal(scale=0.05, size=(segments, dim))
+            for t, event in enumerate(events):
+                matrix[t, event] += 3.0
+            rel_path = f"embeddings/item_{i:03d}.aace"
+            save_embedding_file(out_dir / rel_path, matrix)
+            caption = " ".join(TOY_EVENTS[e] for e in events)
+            entries.append(ManifestEntry(f"toy_{i:03d}", rel_path,
+                                         [caption] * EXPECTED_CAPTIONS, "dev"))
+        for k in range(min(2, n_items)):
+            entries.append(replace(entries[k], id=f"toy_val_{k}", split="val"))
+        entries.append(replace(entries[n_items - 1], id="toy_eval_0", split="eval"))
+        manifest_path = out_dir / "manifest.jsonl"
+        save_manifest(manifest_path, entries)
+    except BaseException:
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
     return manifest_path

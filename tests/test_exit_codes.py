@@ -162,6 +162,43 @@ def test_a_min_count_below_one_exits_2(files, tmp_path, command, min_count, caps
     assert not (tmp_path / "vocab.txt").exists() and not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command, code, message", [
+    (["--enc-hidden", "0"], 2, "model enc_hidden must be a positive integer, got 0"),
+    (["--word-dim", "-3"], 2, "model word_dim must be a positive integer, got -3"),
+    (["--manifest", "absent.jsonl"], 3, "absent.jsonl"),
+    (["--enc-hidden", "10000000"], 2, "allocate"),
+], ids=["enc-hidden-0", "word-dim-negative", "missing-manifest", "too-large"])
+def test_a_train_that_fails_leaves_no_out_dir(files, tmp_path, command, code, message, capsys):
+    argv = ["train", "--manifest", files["manifest-train"][0], "--out-dir",
+            str(tmp_path / "run"), "--epochs", "1", *TINY_DIMS, *command]
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("out_dir", ["toy", "new/parents/toy"])
+def test_a_make_toy_that_fails_leaves_no_directory_it_made(tmp_path, out_dir, capsys):
+    argv = ["make-toy", "--out-dir", str(tmp_path / out_dir), "--dim", "100000000000000"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "allocate" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_bad_model_dim_exits_2_before_any_feature_file_is_read(tmp_path, capsys):
+    manifest = make_toy_dataset(tmp_path / "toy", seed=0, n_items=3)
+    Path(load_manifest(manifest)[1].path).write_bytes(b"junk")
+    argv = ["train", "--manifest", str(manifest), "--out-dir", str(tmp_path / "run"),
+            "--epochs", "1", *TINY_DIMS]
+    assert cli.main(argv) == 3  # the junk file is a data error once the dims are fine
+    capsys.readouterr()
+    assert cli.main([*argv, "--enc-hidden", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "enc_hidden" in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--max-time-mask", "-1", "mask lengths must be non-negative"),
     ("--max-freq-mask", "-5", "mask lengths must be non-negative"),

@@ -6,6 +6,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aacap.errors import CorruptionError, FormatError, ShapeError
 from aacap.features import bucket_pad
@@ -234,6 +236,39 @@ def test_batch_encode_keeps_no_backward_cache(monkeypatch):
     model.encode(np.zeros((2, 5, 8)), [5, 3])
     model.encode(np.zeros((4, 8)))
     assert seen == [None] * 4
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=8))
+def test_packing_mirror_reverses_each_row_within_its_length(lengths):
+    # ties and one-frame rows included: lengths repeat and may be 1
+    from aacap.model import _Packing
+
+    lengths = np.array(lengths)
+    pack = _Packing.of(lengths)
+    valid = [(b, t) for b in range(len(lengths)) for t in range(lengths[b])]
+    assert sorted(zip(pack.rows.tolist(), pack.steps.tolist())) == valid
+    assert np.array_equal(np.diff(pack.offsets), np.bincount(pack.steps))
+    assert np.array_equal(pack.mirror[pack.mirror], np.arange(len(valid)))
+    assert np.array_equal(pack.rows[pack.mirror], pack.rows)
+    assert np.array_equal(pack.steps[pack.mirror], lengths[pack.rows] - 1 - pack.steps)
+
+
+def test_the_encoder_packs_its_batch_once_per_call(monkeypatch):
+    from aacap.model import _Packing
+
+    of, calls = _Packing.of, []
+
+    def counting(cls, lengths):
+        calls.append(len(lengths))
+        return of(lengths)
+    monkeypatch.setattr(_Packing, "of", classmethod(counting))
+    model = CaptionModel(TINY, seed=1)
+    inputs = np.random.default_rng(2).normal(size=(3, 5, 8))
+    model.encoder.forward(inputs, [5, 2, 4])
+    assert calls == [3]
+    model.encode(inputs, [5, 2, 4])
+    assert calls == [3, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -633,10 +668,12 @@ def batch_fixture(seed):
     return model, matrices, valids, inputs, lengths
 
 
-def run_batch(model, inputs, lengths):
-    """Loss, every parameter's gradient and d(inputs) of BATCH_SAMPLES as one batch."""
+def run_batch(model, inputs, lengths, targets=None):
+    """Loss, every parameter's gradient and d(inputs) of one batch, by
+    default the targets of BATCH_SAMPLES."""
     model.zero_grads()
-    result = model.forward_teacher_forced(inputs, lengths, [t for _, t in BATCH_SAMPLES])
+    targets = [t for _, t in BATCH_SAMPLES] if targets is None else targets
+    result = model.forward_teacher_forced(inputs, lengths, targets)
     d_inputs = model.backward(result.cache)
     return result.loss, {g.name: g.gradient.copy() for g in model.parameters()}, d_inputs
 
@@ -749,23 +786,34 @@ def test_packed_batch_across_projection_chunks_matches_references():
                                                    rel=1e-5, abs=1e-9), group.name
 
 
-@pytest.mark.parametrize("fill", ["noise", "non-finite"])
-def test_batch_padded_frame_values_change_nothing(fill):
-    model, _, _, inputs, lengths = batch_fixture(seed=4)
-    loss, grads, d_inputs = run_batch(model, inputs, lengths)
+@pytest.mark.parametrize("dims, fill", [
+    pytest.param("tiny", "noise", id="noise"),
+    pytest.param("tiny", "non-finite", id="non-finite"),
+    # 8 rows: both encoder layers and the decoder step on two threads
+    pytest.param("paper", "noise", id="paper-noise"),
+    pytest.param("paper", "non-finite", id="paper-non-finite"),
+])
+def test_batch_padded_frame_values_change_nothing(dims, fill):
+    if dims == "tiny":
+        model, _, _, inputs, lengths = batch_fixture(seed=4)
+        targets = [t for _, t in BATCH_SAMPLES]
+    else:
+        model = CaptionModel(PAPER, seed=5)
+        inputs, lengths, targets = _paper_batch()
+    loss, grads, d_inputs = run_batch(model, inputs, lengths, targets)
     noisy = inputs.copy()
     padded = np.arange(inputs.shape[1])[None, :] >= np.array(lengths)[:, None]
-    count = int(padded.sum())
+    count, width = int(padded.sum()), inputs.shape[2]
     if fill == "noise":
-        noisy[padded] = np.random.default_rng(9).normal(scale=1e3, size=(count, 8))
+        noisy[padded] = np.random.default_rng(9).normal(scale=1e3, size=(count, width))
     else:
-        noisy[padded] = np.resize([np.nan, np.inf, -np.inf], (count, 8))
-    noisy_loss, noisy_grads, noisy_d_inputs = run_batch(model, noisy, lengths)
+        noisy[padded] = np.resize([np.nan, np.inf, -np.inf], (count, width))
+    noisy_loss, noisy_grads, noisy_d_inputs = run_batch(model, noisy, lengths, targets)
     assert noisy_loss == loss
     for name, grad in grads.items():
         assert np.array_equal(noisy_grads[name], grad), name
     assert np.array_equal(noisy_d_inputs, d_inputs)
-    assert np.array_equal(d_inputs[padded], np.zeros((count, 8)))
+    assert np.array_equal(d_inputs[padded], np.zeros((count, width)))
 
 
 def test_batch_rejects_mismatched_targets_and_lengths():
