@@ -1,4 +1,4 @@
-"""Command line front end: vocab-build, train, evaluate, caption, attn-export, make-toy.
+"""Command line front end: train, evaluate, caption, attn-export, make-toy.
 
 Exit codes: 0 success, 2 configuration error, including a model or toy
 size too large to allocate, 3 data error, including a non-finite loss or
@@ -18,12 +18,9 @@ from .pipeline import (
     caption_file,
     evaluate,
     export_attention,
-    load_manifest,
     make_toy_dataset,
-    split_entries,
     train,
 )
-from .text import build_vocab
 
 
 def _default(func: str, name: str):
@@ -39,17 +36,17 @@ def _parse_segments(text: str):
     return int(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="aacap",
-                                     description="attention-based audio captioning")
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line in one line, as main reports every other
+    error; its subcommand parsers are of this class too."""
 
-    p = sub.add_parser("vocab-build", help="build a vocabulary file from captions")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--min-count", type=int, default=TrainConfig.vocab_min_count)
-    p.add_argument("--all-splits", action="store_true",
-                   help="count words over every split instead of dev only")
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="aacap", description="attention-based audio captioning")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a captioning model")
     p.add_argument("--manifest", required=True)
@@ -109,15 +106,7 @@ def _print_report(report: MetricReport):
 
 
 def _run(args) -> int:
-    if args.command == "vocab-build":
-        entries = load_manifest(args.manifest)
-        if not args.all_splits:
-            entries = split_entries(entries, "dev")
-        vocab = build_vocab((c for entry in entries for c in entry.captions),
-                            min_count=args.min_count)
-        vocab.save(args.out)
-        print(f"{len(vocab)} tokens -> {args.out}")
-    elif args.command == "train":
+    if args.command == "train":
         # built with or without --augment, so that a bad masking flag exits 2 either way
         augment = AugmentConfig(max_time_mask=args.max_time_mask,
                                 max_freq_mask=args.max_freq_mask,

@@ -2,8 +2,8 @@
 
 Both run one search loop: greedy decoding is beam search at width 1 without
 length normalisation. Sequences include the leading <START> token and are
-capped at max_tokens entries total, matching the training-time caption
-length. A hypothesis is finished once it emits <END> or hits the cap.
+capped at text.MAX_TOKENS entries total, the training-time caption length.
+A hypothesis is finished once it emits <END> or hits the cap.
 
 The live hypotheses are the rows of one (live, d_h) decoder state. A step
 is one model.decoder_step over their last tokens and one row-wise
@@ -34,6 +34,13 @@ from .numerics import log_softmax
 from .text import END, MAX_TOKENS, START
 
 DEFAULT_BEAM = 3
+# The widest beam a search accepts. Memory and time grow with the live
+# hypotheses: at the default dims, V = 4404 and T = 60, each holds about
+# 408 kB at the peak of a step (its logits and scores rows, log_softmax's
+# and selection's temporaries, and its attention trace; tracemalloc, every
+# hypothesis run to the cap), so a search at this width peaks near 410 MB
+# and takes about 6 s per item at one BLAS thread on a 2-vCPU Xeon.
+MAX_BEAM = 1000
 
 
 @dataclass
@@ -63,31 +70,29 @@ class Hypothesis:
         return self.log_prob / max(1, self.emitted)
 
 
-def greedy_decode_encoded(model: CaptionModel, enc: EncoderOutput,
-                          max_tokens: int = MAX_TOKENS) -> tuple[list[int], list[AttentionStep]]:
+def greedy_decode_encoded(model: CaptionModel,
+                          enc: EncoderOutput) -> tuple[list[int], list[AttentionStep]]:
     """Beam search of width 1 without length normalisation, so argmax decoding
     with ties to the lowest token id; returns (ids, trace)."""
-    hyp = _search(model, enc, 1, max_tokens, length_normalize=False)
+    hyp = _search(model, enc, 1, length_normalize=False)
     return hyp.tokens, hyp.attention
 
 
 def beam_search(model: CaptionModel, enc: EncoderOutput, beam: int = DEFAULT_BEAM,
-                max_tokens: int = MAX_TOKENS, length_normalize: bool = True) -> Hypothesis:
+                length_normalize: bool = True) -> Hypothesis:
     """Best completed hypothesis under beam search over one sequence's encoding.
 
     Finished hypotheses leave the live set and collect in a completed pool;
     the pool winner maximizes the (optionally length-normalized) score, with
     ties broken by shorter length, then lexicographic token order.
     """
-    return _search(model, enc, beam, max_tokens, length_normalize)
+    return _search(model, enc, beam, length_normalize)
 
 
-def _search(model: CaptionModel, enc: EncoderOutput, beam: int, max_tokens: int,
+def _search(model: CaptionModel, enc: EncoderOutput, beam: int,
             length_normalize: bool) -> Hypothesis:
-    if beam < 1:
-        raise ConfigError(f"beam width must be >= 1, got {beam}")
-    if max_tokens < 2:
-        raise ConfigError(f"max_tokens must be >= 2 (<START> plus one token), got {max_tokens}")
+    if not 1 <= beam <= MAX_BEAM:
+        raise ConfigError(f"beam width must be in 1..{MAX_BEAM}, got {beam}")
     h, c = (state[None] for state in model.initial_state())
     live = [Hypothesis([START], 0.0)]
     completed: list[Hypothesis] = []
@@ -100,7 +105,7 @@ def _search(model: CaptionModel, enc: EncoderOutput, beam: int, max_tokens: int,
             hyp = live[row]
             step = AttentionStep(att.weights[row], att.context[row])
             extended = Hypothesis(hyp.tokens + [token], scores[row, token], hyp, step)
-            if token == END or len(extended.tokens) >= max_tokens:
+            if token == END or len(extended.tokens) >= MAX_TOKENS:
                 completed.append(extended)
             else:
                 next_live.append(extended)

@@ -138,7 +138,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, CorruptionError, FormatError, ShapeError
-from .numerics import PROB_FLOOR, ParameterGroup, side_by_side, sigmoid, softmax
+from .numerics import PROB_FLOOR, ParameterGroup, check_allocatable, side_by_side, sigmoid, softmax
 from .text import PAD
 
 CHECKPOINT_MAGIC = b"AACM\x05"
@@ -166,6 +166,7 @@ class ModelConfig:
 
     def __post_init__(self):
         check_dims(**self.to_dict())
+        check_allocatable(self.parameter_count, "a model")
 
     @property
     def enc_out_dim(self) -> int:

@@ -1,4 +1,5 @@
-"""Parameter arrays, activations, Adam, and the two-thread helper.
+"""Parameter arrays, activations, Adam, the two-thread helper, and the BLAS
+thread count.
 
 Everything runs in float64 on plain numpy arrays: the models here are tiny,
 so determinism and checkable gradients matter more than speed. The model
@@ -6,10 +7,14 @@ floors probabilities at PROB_FLOOR before any log so a pathological output
 can never produce an infinite loss.
 """
 
+import ctypes
 import threading
+from contextlib import contextmanager
 from functools import cached_property
 
 import numpy as np
+
+from .errors import ConfigError
 
 PROB_FLOOR = 1e-12
 
@@ -18,6 +23,13 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # adam_step's block, in values: a block of each of its five operands fits in L2
 ADAM_BLOCK = 1 << 14
+# (get, set) thread-count symbols of OpenBLAS builds: numpy's bundled
+# scipy-openblas with 64-bit ints, a plain 64-bit-int build, a plain build
+OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
 
 class ParameterGroup:
@@ -47,6 +59,15 @@ class ParameterGroup:
     def zero_grad(self):
         if "gradient" in vars(self):
             self.gradient.fill(0.0)
+
+
+def check_allocatable(values: int, what: str):
+    """Raises ConfigError when `values` float64 values are more bytes than one
+    numpy array can address (np.intp), a size numpy itself rejects with a bare
+    ValueError or OverflowError. A smaller size beyond memory raises
+    MemoryError once it is allocated."""
+    if 8 * values > np.iinfo(np.intp).max:
+        raise ConfigError(f"{what} of {values} float64 values is too large to allocate")
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -140,3 +161,47 @@ def side_by_side(calls, name: str) -> list:
     if failure is not None:
         raise failure
     return [mine, theirs]
+
+
+def _openblas_thread_calls():
+    """(get, set) of the thread count of the OpenBLAS loaded in this process,
+    found through /proc/self/maps, or None where none is found."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for get_name, set_name in OPENBLAS_THREAD_CALLS:
+            get, put = getattr(handle, get_name, None), getattr(handle, set_name, None)
+            if get is not None and put is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                return get, put
+    return None
+
+
+@contextmanager
+def blas_threads(n: int):
+    """Runs the block with the loaded OpenBLAS at n threads, then puts back the
+    count the caller had, also when the block raises.
+
+    The library is looked up on each call, not at import. Where no OpenBLAS
+    is found (another BLAS, or no /proc), this does nothing, and the count
+    stays as the environment set it.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    before = get()
+    put(n)
+    try:
+        yield
+    finally:
+        put(before)

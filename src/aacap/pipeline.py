@@ -3,7 +3,9 @@
 A manifest is JSON lines, one record per audio item: id, path (either a
 precomputed ".aace" embedding file or a ".wav" for the spectrogram
 baseline), a list of captions (normally 5), and a split in {dev, val,
-eval}. Training is fully reproducible from (seed, config, manifest).
+eval}. Training is reproducible bit for bit from (seed, config, manifest)
+where numerics.blas_threads finds OpenBLAS, since its loop then runs at one
+BLAS thread; with another BLAS it also depends on that library's threading.
 """
 
 import json
@@ -22,7 +24,7 @@ from .errors import ConfigError, CorruptionError, DataError
 from .features import AugmentConfig, bucket_pad, spec_augment, wav_to_log_mel
 from .metrics import EvalInstance, MetricReport, bleu, evaluate_corpus
 from .model import CaptionModel, EncoderOutput, ModelConfig, check_dims
-from .numerics import adam_step
+from .numerics import adam_step, blas_threads, check_allocatable
 from .text import END, PAD, START, Vocabulary, build_vocab, decode, encode, normalize
 
 SPLITS = ("dev", "val", "eval")
@@ -266,7 +268,8 @@ def train(config: TrainConfig, manifest_path, out_dir) -> TrainResult:
     their gradients add up before the Adam step. The batch loss and gradients
     are the means over its samples. Writes <out_dir>/model.ckpt
     (best validation BLEU-4) and a machine parseable <out_dir>/train.log with
-    one epoch per line.
+    one epoch per line. The epochs run under numerics.blas_threads(1), which
+    puts the caller's BLAS thread count back when train returns or raises.
     """
     entries = load_manifest(manifest_path)
     dev = split_entries(entries, "dev")
@@ -303,7 +306,9 @@ def train(config: TrainConfig, manifest_path, out_dir) -> TrainResult:
     log_path = out_dir / "train.log"
     losses, val_scores, lrs = [], [], []
     best_val = -math.inf
-    with open(log_path, "w", encoding="utf-8") as log:
+    # one BLAS thread: a product's sums then come in one order whatever the
+    # core count, and the loop's own two threads run without BLAS helpers
+    with open(log_path, "w", encoding="utf-8") as log, blas_threads(1):
         for epoch in range(1, config.max_epochs + 1):
             lr = scheduler.lr
             order = rng.permutation(len(samples))
@@ -462,6 +467,7 @@ def make_toy_dataset(out_dir, seed: int = 0, n_items: int = 8,
             f"segments_per_item must fit 1..{n_events}, got {segments_per_item}")
     if dim < n_events:
         raise ConfigError(f"dim must be >= {n_events}, got {dim}")
+    check_allocatable(seg_hi * dim, "a toy embedding matrix")
     out_dir = Path(out_dir)
     embeddings = out_dir / "embeddings"
     # the outermost directory this call makes, removed again if the call fails

@@ -50,16 +50,6 @@ class Vocabulary:
             raise DataError(f"token id {idx} out of range for vocabulary of {len(self.words)}")
         return self.words[idx]
 
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(self.words) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            words = [line.rstrip("\n") for line in fh if line.strip()]
-        return cls(words)
-
 
 def build_vocab(captions: Iterable[str], min_count: int) -> Vocabulary:
     """Vocabulary of words seen at least min_count times across the corpus.

@@ -17,6 +17,7 @@ from test_decoding import brute_force_best, rigged_model
 from test_features import write_wav
 from test_metrics import brute_force_lcs
 
+from aacap import decoding
 from aacap.decoding import beam_search, greedy_decode_encoded
 from aacap.features import AugmentConfig, bucket_pad, spec_augment
 from aacap.metrics import EvalInstance, bleu, lcs_length, rouge_l
@@ -120,14 +121,15 @@ def test_criterion_2_attention_invariants():
 # 3. beam search equals exhaustive enumeration, beam=1 equals greedy, < 10 s
 # ---------------------------------------------------------------------------
 
-def test_criterion_3_beam_search_oracle():
+def test_criterion_3_beam_search_oracle(monkeypatch):
+    monkeypatch.setattr(decoding, "MAX_TOKENS", 5)  # <START> + the 4 enumerated tokens
     started = time.monotonic()
     model, matrix = rigged_model(seed=13)  # greedy provably suboptimal here
     best_tokens, best_score = brute_force_best(model, matrix, max_emitted=4)
     enc = model.encode(matrix)
-    hyp = beam_search(model, enc, beam=5, max_tokens=5, length_normalize=False)
-    greedy_ids, _ = greedy_decode_encoded(model, enc, max_tokens=5)
-    beam_one = beam_search(model, enc, beam=1, max_tokens=5, length_normalize=False)
+    hyp = beam_search(model, enc, beam=5, length_normalize=False)
+    greedy_ids, _ = greedy_decode_encoded(model, enc)
+    beam_one = beam_search(model, enc, beam=1, length_normalize=False)
     elapsed = time.monotonic() - started
     ok = (hyp.tokens == best_tokens
           and abs(hyp.log_prob - best_score) <= 1e-9

@@ -5,7 +5,9 @@ import pytest
 
 from refimpl import ref_decoder_logits, ref_encode, ref_log_prob_of_sequence
 
+from aacap import decoding
 from aacap.decoding import (
+    MAX_BEAM,
     Hypothesis,
     _search,
     beam_search,
@@ -72,9 +74,10 @@ def test_greedy_deterministic():
     assert first[0] == second[0]
 
 
-def test_greedy_matches_independent_argmax_trace():
+def test_greedy_matches_independent_argmax_trace(monkeypatch):
+    monkeypatch.setattr(decoding, "MAX_TOKENS", 5)
     model, m = rigged_model(seed=13)
-    ids, trace = greedy_decode_encoded(model, model.encode(m), max_tokens=5)
+    ids, trace = greedy_decode_encoded(model, model.encode(m))
 
     enc_values = ref_encode(model, m, 3)
     h = c = np.zeros(model.cfg.dec_hidden)
@@ -89,9 +92,10 @@ def test_greedy_matches_independent_argmax_trace():
     assert len(trace) == len(ids) - 1
 
 
-def test_greedy_respects_token_cap():
+def test_greedy_respects_token_cap(monkeypatch):
+    monkeypatch.setattr(decoding, "MAX_TOKENS", 3)
     model, m = rigged_model(seed=13)
-    ids, _ = greedy_decode_encoded(model, model.encode(m), max_tokens=3)
+    ids, _ = greedy_decode_encoded(model, model.encode(m))
     assert len(ids) <= 3
 
 
@@ -99,79 +103,87 @@ def test_greedy_respects_token_cap():
 # beam search
 # ---------------------------------------------------------------------------
 
-def test_beam_width_one_equals_greedy():
+def test_beam_width_one_equals_greedy(monkeypatch):
+    monkeypatch.setattr(decoding, "MAX_TOKENS", 5)
     for seed in (0, 3, 13, 24):
         model, m = rigged_model(seed)
-        greedy_ids, _ = greedy_decode_encoded(model, model.encode(m), max_tokens=5)
-        hyp = beam_search(model, model.encode(m), beam=1, max_tokens=5,
+        greedy_ids, _ = greedy_decode_encoded(model, model.encode(m))
+        hyp = beam_search(model, model.encode(m), beam=1,
                           length_normalize=False)
         assert hyp.tokens == greedy_ids, seed
 
 
-def test_beam_five_matches_exhaustive_enumeration():
+def test_beam_five_matches_exhaustive_enumeration(monkeypatch):
+    monkeypatch.setattr(decoding, "MAX_TOKENS", 5)
     # seed 13 is a case where greedy is suboptimal, so the search genuinely
     # has to keep the better prefix alive
     model, m = rigged_model(seed=13)
     best_tokens, best_score = brute_force_best(model, m)
-    greedy_ids, _ = greedy_decode_encoded(model, model.encode(m), max_tokens=5)
+    greedy_ids, _ = greedy_decode_encoded(model, model.encode(m))
     assert greedy_ids != best_tokens
-    hyp = beam_search(model, model.encode(m), beam=5, max_tokens=5,
+    hyp = beam_search(model, model.encode(m), beam=5,
                       length_normalize=False)
     assert hyp.tokens == best_tokens
     assert hyp.log_prob == pytest.approx(best_score, abs=1e-9)
 
 
-def test_beam_wider_than_search_space_is_exhaustive():
+def test_beam_wider_than_search_space_is_exhaustive(monkeypatch):
+    monkeypatch.setattr(decoding, "MAX_TOKENS", 5)
     for seed in (2, 13, 24):
         model, m = rigged_model(seed)
         best_tokens, best_score = brute_force_best(model, m)
-        hyp = beam_search(model, model.encode(m), beam=625, max_tokens=5,
+        hyp = beam_search(model, model.encode(m), beam=625,
                           length_normalize=False)
         assert hyp.tokens == best_tokens, seed
         assert hyp.log_prob == pytest.approx(best_score, abs=1e-9)
 
 
-def test_beam_score_matches_independent_recomputation():
+def test_beam_score_matches_independent_recomputation(monkeypatch):
+    monkeypatch.setattr(decoding, "MAX_TOKENS", 6)
     for seed in (0, 5, 13):
         model, m = rigged_model(seed)
-        hyp = beam_search(model, model.encode(m), beam=3, max_tokens=6)
+        hyp = beam_search(model, model.encode(m), beam=3)
         recomputed = ref_log_prob_of_sequence(model, m, hyp.tokens, 3)
         assert hyp.log_prob == pytest.approx(recomputed, abs=1e-9)
 
 
-def test_beam_prefix_scores_monotone_non_increasing():
+def test_beam_prefix_scores_monotone_non_increasing(monkeypatch):
+    monkeypatch.setattr(decoding, "MAX_TOKENS", 6)
     model, m = rigged_model(seed=24)
-    hyp = beam_search(model, model.encode(m), beam=4, max_tokens=6,
+    hyp = beam_search(model, model.encode(m), beam=4,
                       length_normalize=False)
     prefix_scores = [ref_log_prob_of_sequence(model, m, hyp.tokens[:k], 3)
                      for k in range(2, len(hyp.tokens) + 1)]
     assert all(b <= a + 1e-12 for a, b in zip(prefix_scores, prefix_scores[1:]))
 
 
-def test_beam_width_never_hurts_unnormalized_score():
+def test_beam_width_never_hurts_unnormalized_score(monkeypatch):
+    monkeypatch.setattr(decoding, "MAX_TOKENS", 5)
     for seed in (0, 7, 13, 24):
         model, m = rigged_model(seed)
-        scores = [beam_search(model, model.encode(m), beam=b, max_tokens=5,
+        scores = [beam_search(model, model.encode(m), beam=b,
                               length_normalize=False).log_prob
                   for b in (1, 2, 3, 5, 8)]
         assert all(b >= a - 1e-12 for a, b in zip(scores, scores[1:])), seed
 
 
-def test_beam_uniform_model_terminates_cleanly():
+def test_beam_uniform_model_terminates_cleanly(monkeypatch):
+    monkeypatch.setattr(decoding, "MAX_TOKENS", 5)
     model = CaptionModel(SMALL, seed=0)
     for group in model.parameters():
         group.value[...] = 0.0
     m = np.zeros((2, 4))
-    hyp = beam_search(model, model.encode(m), beam=3, max_tokens=5)
+    hyp = beam_search(model, model.encode(m), beam=3)
     assert hyp.tokens[0] == START
     assert hyp.tokens[-1] == END or len(hyp.tokens) == 5
-    again = beam_search(model, model.encode(m), beam=3, max_tokens=5)
+    again = beam_search(model, model.encode(m), beam=3)
     assert again.tokens == hyp.tokens
 
 
-def test_beam_length_normalization_divides_by_emitted_count():
+def test_beam_length_normalization_divides_by_emitted_count(monkeypatch):
+    monkeypatch.setattr(decoding, "MAX_TOKENS", 6)
     model, m = rigged_model(seed=5)
-    hyp = beam_search(model, model.encode(m), beam=3, max_tokens=6)
+    hyp = beam_search(model, model.encode(m), beam=3)
     assert hyp.score(True) == pytest.approx(hyp.log_prob / hyp.emitted)
     assert hyp.score(False) == hyp.log_prob
 
@@ -182,23 +194,23 @@ def test_beam_rejects_zero_width():
         beam_search(model, model.encode(m), beam=0)
 
 
+def test_beam_rejects_a_width_above_max_beam():
+    model, m = rigged_model(seed=0)
+    assert beam_search(model, model.encode(m), beam=MAX_BEAM).tokens[0] == START
+    with pytest.raises(ConfigError, match=f"1..{MAX_BEAM}"):
+        beam_search(model, model.encode(m), beam=MAX_BEAM + 1)
+
+
 def test_hypothesis_emitted_counts_tokens_after_start():
     hyp = Hypothesis([START, 4, END], -1.0)
     assert hyp.emitted == 2
 
 
-def test_search_rejects_token_cap_below_two():
-    model, m = rigged_model(seed=0)
-    with pytest.raises(ConfigError):
-        beam_search(model, model.encode(m), beam=3, max_tokens=1)
-    with pytest.raises(ConfigError):
-        greedy_decode_encoded(model, model.encode(m), max_tokens=1)
-
-
 @pytest.mark.parametrize("seed", [0, 3, 13, 24])
-def test_greedy_is_beam_one_over_the_argmax_trace(seed):
+def test_greedy_is_beam_one_over_the_argmax_trace(seed, monkeypatch):
+    monkeypatch.setattr(decoding, "MAX_TOKENS", 6)
     model, m = rigged_model(seed)
-    ids, trace = greedy_decode_encoded(model, model.encode(m), max_tokens=6)
+    ids, trace = greedy_decode_encoded(model, model.encode(m))
 
     enc_values = ref_encode(model, m, 3)
     h = c = np.zeros(model.cfg.dec_hidden)
@@ -221,9 +233,9 @@ def test_search_with_nan_logits_is_a_data_error(decode):
     model.decoder.b_out.value[:] = np.nan
     with pytest.raises(DataError, match="finite"):
         if decode == "beam":
-            beam_search(model, model.encode(m), beam=3, max_tokens=5)
+            beam_search(model, model.encode(m), beam=3)
         else:
-            greedy_decode_encoded(model, model.encode(m), max_tokens=5)
+            greedy_decode_encoded(model, model.encode(m))
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +362,11 @@ def search_cases():
 
 @pytest.mark.parametrize("length_normalize", [False, True])
 @pytest.mark.parametrize("beam", [1, 3, 5])
-def test_row_search_matches_per_hypothesis_search(beam, length_normalize):
+def test_row_search_matches_per_hypothesis_search(beam, length_normalize, monkeypatch):
+    monkeypatch.setattr(decoding, "MAX_TOKENS", 8)
     """decoding.py's tolerance: tokens equal, log-probabilities within 1e-12."""
     for case, (model, enc) in enumerate(search_cases()):
-        hyp = _search(model, enc, beam, 8, length_normalize)
+        hyp = _search(model, enc, beam, length_normalize)
         tokens, log_prob, attention = per_hypothesis_search(model, enc, beam, 8,
                                                             length_normalize)
         assert hyp.tokens == tokens, case
@@ -364,12 +377,13 @@ def test_row_search_matches_per_hypothesis_search(beam, length_normalize):
             assert np.allclose(got.weights, want.weights, rtol=0.0, atol=1e-12), case
 
 
-def test_greedy_row_is_bit_identical_to_stepping_one_hypothesis():
+def test_greedy_row_is_bit_identical_to_stepping_one_hypothesis(monkeypatch):
+    monkeypatch.setattr(decoding, "MAX_TOKENS", 8)
     for case, (model, enc) in enumerate(search_cases()):
-        ids, trace = greedy_decode_encoded(model, enc, max_tokens=8)
+        ids, trace = greedy_decode_encoded(model, enc)
         tokens, log_prob, attention = per_hypothesis_search(model, enc, 1, 8, False)
         assert ids == tokens, case
-        assert _search(model, enc, 1, 8, False).log_prob == log_prob, case
+        assert _search(model, enc, 1, False).log_prob == log_prob, case
         assert len(trace) == len(attention)
         for got, want in zip(trace, attention):
             assert got.weights.shape == want.weights.shape

@@ -2,6 +2,9 @@
 checkpoint, embedding file, WAV or manifest, `cli.main` returns 0 (the damage
 changed nothing it checks), 2 or 3, with no exception escaping."""
 
+import argparse
+import shutil
+import time
 import warnings
 from pathlib import Path
 
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 from test_features import write_wav
 
 from aacap import cli
+from aacap.decoding import MAX_BEAM
 from aacap.features import Waveform
 from aacap.model import CaptionModel, ModelConfig
 from aacap.pipeline import load_manifest, make_toy_dataset
@@ -148,18 +152,15 @@ def test_a_wav_with_no_samples_exits_3(files, tmp_path, rate, capsys):
 
 
 @pytest.mark.parametrize("min_count", ["0", "-5"])
-@pytest.mark.parametrize("command", ["vocab-build", "train"])
+@pytest.mark.parametrize("command", ["train"])
 def test_a_min_count_below_one_exits_2(files, tmp_path, command, min_count, capsys):
-    manifest = files["manifest-train"][0]
-    argv = (["vocab-build", "--manifest", manifest, "--out", str(tmp_path / "vocab.txt")]
-            if command == "vocab-build" else
-            ["train", "--manifest", manifest, "--out-dir", str(tmp_path / "run"), "--epochs",
-             "1", *TINY_DIMS])
+    argv = [command, "--manifest", files["manifest-train"][0], "--out-dir",
+            str(tmp_path / "run"), "--epochs", "1", *TINY_DIMS]
     assert cli.main([*argv, "--min-count", min_count]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert "min_count must be >= 1" in err
-    assert not (tmp_path / "vocab.txt").exists() and not (tmp_path / "run").exists()
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("command, code, message", [
@@ -229,3 +230,76 @@ def test_a_size_too_large_to_allocate_exits_2(files, tmp_path, command, capsys):
     assert out == ""
     assert err.startswith("configuration error: ") and "allocate" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "make-toy"])
+def test_a_size_numpy_cannot_represent_exits_2(files, tmp_path, command, capsys):
+    # a dim of 2**63 - 1 asks for more bytes than numpy can address in one
+    # array, which numpy reports as a ValueError, not a MemoryError
+    argv = (["train", "--manifest", files["manifest-train"][0], "--out-dir",
+             str(tmp_path / "run"), "--epochs", "1", "--enc-hidden", str(2**63 - 1)]
+            if command == "train" else
+            ["make-toy", "--out-dir", str(tmp_path / "toy"), "--dim", str(2**63 - 1)])
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("configuration error: ") and "too large to allocate" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+# Values every int or float option is walked through, then TOO_LARGE, one past
+# the largest int64. Where a large valid value is only more work, UPPER_EDGES
+# gives the values the walk tries in its place.
+OUT_OF_DOMAIN = ["0", "-1", "nan", "inf", "-inf"]
+TOO_LARGE = str(2**63)
+UPPER_EDGES = {"--epochs": ["20"], "--n-items": ["100"],
+               "--beam": [str(MAX_BEAM), str(MAX_BEAM + 1), TOO_LARGE]}
+VALID = {int: "2", float: "0.5", "--dim": "8"}  # --dim holds one row per toy event
+
+
+def _numeric_options():
+    """(command, option, type) of every int or float option of the parser."""
+    parser = cli.build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    for command, sub in commands.items():
+        for action in sub._actions:
+            if action.type in (int, float):
+                yield command, action.option_strings[-1], action.type
+
+
+def test_every_numeric_flag_exits_0_2_or_3_with_one_line_and_no_leftovers(files, tmp_path,
+                                                                        capsys):
+    out = tmp_path / "out"
+    base = {  # the tiniest run of each command; the walked flag comes last and wins
+        "train": ["train", "--manifest", files["manifest-train"][0], "--out-dir", str(out),
+                  "--epochs", "1", "--batch-size", "8", "--min-count", "1", *TINY_DIMS],
+        "evaluate": ["evaluate", "--checkpoint", files["checkpoint"][0], "--manifest",
+                     files["manifest-train"][0], "--split", "eval"],
+        "caption": ["caption", "--checkpoint", files["checkpoint"][0], "--input",
+                    files["aace"][0]],
+        "make-toy": ["make-toy", "--out-dir", str(out), "--n-items", "2"],
+    }
+    started = time.monotonic()
+    cases = 0
+    for command, option, kind in _numeric_options():
+        upper = UPPER_EDGES.get(option, [TOO_LARGE])
+        for value in [*OUT_OF_DOMAIN, *upper, VALID.get(option, VALID[kind])]:
+            case = f"{command} {option} {value}"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    code = cli.main([*base[command], option, value])
+                except SystemExit as exc:  # argparse rejected the value
+                    code = exc.code
+            _, err = capsys.readouterr()
+            assert code in (0, 2, 3), case
+            assert "Traceback" not in err, case
+            if code != 0:
+                assert err.count("\n") == 1 and not caught, (case, err, caught)
+                assert not out.exists(), case
+            shutil.rmtree(out, ignore_errors=True)
+            cases += 1
+    assert cases > 100
+    assert time.monotonic() - started < 20.0

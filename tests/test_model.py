@@ -1497,8 +1497,7 @@ def test_loaded_model_holds_no_training_buffers(tmp_path):
     CaptionModel(TINY, seed=12).save(path)
     loaded, _ = CaptionModel.load(path)
     loaded.zero_grads()
-    beam_search(loaded, loaded.encode(np.random.default_rng(1).normal(size=(3, 8))),
-                beam=2, max_tokens=4)
+    beam_search(loaded, loaded.encode(np.random.default_rng(1).normal(size=(3, 8))), beam=2)
     for group in loaded.parameters():
         assert not {"gradient", "adam_m", "adam_v"} & vars(group).keys()
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from refimpl import finite_diff_check
 
+from aacap import numerics
 from aacap.numerics import (
     ADAM_BETA1,
     ADAM_BLOCK,
@@ -12,6 +13,7 @@ from aacap.numerics import (
     ADAM_EPS,
     ParameterGroup,
     adam_step,
+    blas_threads,
     log_softmax,
     sigmoid,
     softmax,
@@ -223,3 +225,25 @@ def test_parameter_group_makes_training_buffers_on_first_use():
     assert np.array_equal(grad, np.zeros((2, 3)))
     assert "adam_m" not in vars(group)
     assert np.array_equal(group.adam_v, np.zeros((2, 3)))
+
+
+def test_blas_threads_sets_the_count_and_puts_it_back_also_on_an_exception():
+    calls = numerics._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("no OpenBLAS loaded")
+    get, _ = calls
+    before = get()
+    with blas_threads(1):
+        assert get() == 1
+    assert get() == before
+    with pytest.raises(KeyError):
+        with blas_threads(1):
+            raise KeyError("inside")
+    assert get() == before
+
+
+def test_blas_threads_without_openblas_does_nothing(monkeypatch):
+    monkeypatch.setattr(numerics, "_openblas_thread_calls", lambda: None)
+    with blas_threads(1):
+        ran = True
+    assert ran

@@ -1,6 +1,10 @@
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +12,8 @@ import pytest
 
 from test_features import wav_bytes, write_wav
 
-from aacap import cli, pipeline
+from aacap import cli, numerics, pipeline
+from aacap.embeddings import save_embedding_file
 from aacap.decoding import beam_search, greedy_decode_encoded
 from aacap.errors import ConfigError, DataError
 from aacap.features import AugmentConfig, Waveform
@@ -479,6 +484,65 @@ def test_train_on_wav_manifest_with_augment(tmp_path):
     assert all(math.isfinite(loss) for loss in result.losses)
 
 
+def _paper_dims_manifest(root: Path) -> Path:
+    """Eight dev items of T = 30-61 segments of 128 features and five
+    captions of 8-20 words each, and one val item."""
+    rng = np.random.default_rng(5)
+    words = [f"w{k}" for k in range(40)]
+    entries = []
+    for i in range(8):
+        save_embedding_file(root / f"e{i}.aace",
+                            rng.normal(size=(int(rng.integers(30, 62)), 128)))
+        captions = [" ".join(rng.choice(words, size=int(rng.integers(8, 21))))
+                    for _ in range(EXPECTED_CAPTIONS)]
+        entries.append(ManifestEntry(f"p{i}", f"e{i}.aace", captions, "dev"))
+    entries.append(replace(entries[0], id="pv", split="val"))
+    save_manifest(root / "manifest.jsonl", entries)
+    return root / "manifest.jsonl"
+
+
+def test_train_at_paper_dims_writes_the_same_bytes_in_two_fresh_processes(tmp_path):
+    # five Adam steps: the first step from zero moments is about -lr * sign(g),
+    # which a last-bit gradient difference does not move
+    manifest = _paper_dims_manifest(tmp_path)
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(pipeline.__file__).parents[1])
+    outputs = []
+    for run in ("a", "b"):
+        subprocess.run([sys.executable, "-m", "aacap.cli", "train", "--manifest",
+                        str(manifest), "--out-dir", str(tmp_path / run), "--epochs", "1",
+                        "--batch-size", "8", "--min-count", "1"],
+                       env=env, check=True, capture_output=True, timeout=120)
+        outputs.append([(tmp_path / run / name).read_bytes()
+                        for name in ("model.ckpt", "train.log")])
+    assert outputs[0] == outputs[1]
+
+
+def test_train_runs_at_one_blas_thread_and_puts_the_callers_count_back(tmp_path,
+                                                                       monkeypatch):
+    calls = numerics._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("no OpenBLAS loaded")
+    get, _ = calls
+    seen = []
+
+    def counted(group, lr):
+        seen.append(get())
+        return numerics.adam_step(group, lr)
+    monkeypatch.setattr(pipeline, "adam_step", counted)
+    manifest = make_toy_dataset(tmp_path / "toy", seed=0, n_items=4)
+    with numerics.blas_threads(2):
+        before = get()
+        train(TrainConfig(**{**TINY_TRAIN, "max_epochs": 1}), manifest, tmp_path / "run")
+        assert get() == before
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+            train(TrainConfig(**{**TINY_TRAIN, "initial_lr": 1e305}), manifest,
+                  tmp_path / "diverged")
+        assert get() == before
+    assert seen and set(seen) == {1}
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -489,11 +553,6 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert cli.main(["make-toy", "--out-dir", str(toy_dir), "--seed", "0",
                      "--n-items", "4"]) == 0
     manifest = capsys.readouterr().out.strip()
-
-    vocab_path = tmp_path / "vocab.txt"
-    assert cli.main(["vocab-build", "--manifest", manifest, "--out",
-                     str(vocab_path), "--min-count", "1"]) == 0
-    assert vocab_path.read_text().splitlines()[0] == "<PAD>"
 
     run_dir = tmp_path / "run"
     assert cli.main(["train", "--manifest", manifest, "--out-dir", str(run_dir),
@@ -542,8 +601,8 @@ def test_cli_config_error_exit_code(tmp_path):
 
 
 def test_cli_data_error_exit_code(tmp_path):
-    code = cli.main(["vocab-build", "--manifest", str(tmp_path / "absent.jsonl"),
-                     "--out", str(tmp_path / "vocab.txt")])
+    code = cli.main(["train", "--manifest", str(tmp_path / "absent.jsonl"),
+                     "--out-dir", str(tmp_path / "run")])
     assert code == 3
 
 
@@ -568,10 +627,9 @@ def test_cli_negative_seed_exits_2(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("command", ["vocab-build", "evaluate", "caption", "attn-export"])
+@pytest.mark.parametrize("command", ["evaluate", "caption", "attn-export"])
 def test_cli_seed_flag_removed_where_nothing_reads_it(command):
-    required = {"vocab-build": ["--manifest", "m", "--out", "o"],
-                "evaluate": ["--checkpoint", "c", "--manifest", "m"],
+    required = {"evaluate": ["--checkpoint", "c", "--manifest", "m"],
                 "caption": ["--checkpoint", "c", "--input", "i"],
                 "attn-export": ["--checkpoint", "c", "--input", "i", "--out", "o"]}
     with pytest.raises(SystemExit) as exc:
@@ -631,19 +689,19 @@ def test_cli_manifest_with_bad_captions_exits_3(tmp_path, capsys, captions):
     manifest = tmp_path / "manifest.jsonl"
     manifest.write_bytes(_manifest_line(tmp_path, ["fine"] * 5)
                          + _manifest_line(tmp_path, captions))
-    code = cli.main(["vocab-build", "--manifest", str(manifest), "--out",
-                     str(tmp_path / "vocab.txt"), "--min-count", "1"])
+    code = cli.main(["train", "--manifest", str(manifest), "--out-dir",
+                     str(tmp_path / "run"), "--min-count", "1"])
     assert code == 3
     assert f"{manifest}:2: captions must be a list of strings" in capsys.readouterr().err
-    assert not (tmp_path / "vocab.txt").exists()
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_manifest_not_utf8_exits_3(tmp_path, capsys):
     manifest = tmp_path / "manifest.jsonl"
     manifest.write_bytes(_manifest_line(tmp_path, ["fine"] * 5)
                          + _manifest_line(tmp_path, ["caf\u00e9"] * 5, encoding="latin-1"))
-    code = cli.main(["vocab-build", "--manifest", str(manifest), "--out",
-                     str(tmp_path / "vocab.txt")])
+    code = cli.main(["train", "--manifest", str(manifest), "--out-dir",
+                     str(tmp_path / "run")])
     assert code == 3
     assert f"{manifest}:2: not UTF-8" in capsys.readouterr().err
 
@@ -689,8 +747,6 @@ def test_cli_evaluate_rejects_an_uncaptioned_item_of_its_split_only(trained, tmp
     assert code == 3
     assert f"eval item {target.id!r} has no captions" in capsys.readouterr().err
     # a split that is not scored may hold items without references
-    assert cli.main(["vocab-build", "--manifest", str(held_out), "--min-count", "1",
-                     "--out", str(tmp_path / "vocab.txt")]) == 0
     assert cli.main(["evaluate", "--checkpoint", str(result.checkpoint_path),
                      "--manifest", str(held_out), "--split", "val", "--beam", "1"]) == 0
 

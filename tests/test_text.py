@@ -10,7 +10,6 @@ from aacap.text import (
     RESERVED,
     START,
     UNK,
-    Vocabulary,
     build_vocab,
     decode,
     encode,
@@ -111,17 +110,6 @@ def test_decode_rejects_out_of_range_id():
     vocab = build_vocab(["water"], min_count=1)
     with pytest.raises(DataError):
         decode([START, 999, END], vocab)
-
-
-def test_vocab_file_round_trip(tmp_path):
-    vocab = build_vocab(["dogs bark", "dogs run", "water"], min_count=1)
-    path = tmp_path / "vocab.txt"
-    vocab.save(path)
-    loaded = Vocabulary.load(path)
-    assert loaded.words == vocab.words
-    lines = path.read_text().splitlines()
-    assert lines[:4] == RESERVED
-    assert lines.index("dogs") == vocab.index["dogs"]
 
 
 words_strategy = st.lists(
