@@ -43,6 +43,16 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
+    def _parse_optional(self, arg_string):
+        # argparse takes only -N and -N.N for negative numbers, so -1e-3, -inf
+        # and -nan would be read as unknown options: they are values, and
+        # reach the option's own check
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="aacap", description="attention-based audio captioning")

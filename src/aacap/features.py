@@ -1,4 +1,4 @@
-"""Waveform to log-mel-spectrogram front end, SpecAugment, and bucket padding.
+"""Waveform to log-mel-spectrogram front end and SpecAugment.
 
 The front end has one analysis setting, the VGGish-style one of common
 audio event taggers, held in module constants rather than parameters:
@@ -25,7 +25,7 @@ import functools
 import math
 import wave
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -335,22 +335,3 @@ def spec_augment(values: np.ndarray, cfg: AugmentConfig,
             spans[axis] = (start, length)
     return values, AppliedMasks(*spans)
 
-
-def bucket_pad(batch: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-pad each (T_i, F) item along time to the batch max.
-
-    Returns (padded (B, T_max, F), valid lengths (B,)). Attention and the loss
-    must ignore frames at or beyond each item's valid length.
-    """
-    if len(batch) == 0:
-        raise DataError("bucket_pad of an empty batch")
-    dims = {item.shape[1] for item in batch}
-    if len(dims) != 1:
-        raise ShapeError(f"mixed feature dims in batch: {sorted(dims)}")
-    feature_dim = dims.pop()
-    lengths = np.array([item.shape[0] for item in batch], dtype=np.int64)
-    t_max = int(lengths.max())
-    padded = np.zeros((len(batch), t_max, feature_dim))
-    for i, item in enumerate(batch):
-        padded[i, :item.shape[0]] = item
-    return padded, lengths

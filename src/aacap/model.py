@@ -1,26 +1,26 @@
 """Bi-LSTM encoder and attention LSTM decoder with hand-written gradients.
 
 Shapes follow one convention throughout: feature rows are time steps. The
-encoder runs a padded batch: inputs (B, T, F_e) laid out by
-features.bucket_pad, one valid length per row, padding at the end of each
-row. Its output E is (B, T, d_e), with d_e twice the per-direction hidden
-size, and is zero on padded frames. CaptionModel.encode runs such a batch,
-or one (T, F_e) matrix as the batch of one row, through the same encoder
-without keeping anything for backward; beam search then steps the decoder
-over a row per live hypothesis against one sequence's E.
+encoder runs a batch given as a sequence of (T_i, F_e) matrices, one per
+row. Its output E is (B, T_max, d_e), with d_e twice the per-direction
+hidden size, row b padded with zeros past its T_b frames.
+CaptionModel.encode runs such a batch, or one (T, F_e) array as the batch of
+one matrix, through the same encoder without keeping anything for backward;
+beam search then steps the decoder over a row per live hypothesis against
+one sequence's E.
 
 Each LSTM cell holds one fused weight (input_dim + hidden_dim, 4 * hidden)
 and one bias (4 * hidden), gate column blocks in LstmCell.GATES order
 (forget, input, output, cell candidate). The encoder runs its rows packed,
 the layout of Appleyard et al. 2016 (arXiv:1604.01946) that cuDNN uses:
-Encoder.forward sorts the rows longest first and gathers their valid
-frames once, time-major, so step t holds only the n_t rows still valid at
-t and padded frames cost nothing. Layers and cells pass these (N, ·) row
-matrices: padding exists only at the encoder's edges, where E is
-scattered once, and dE gathered and d(inputs) scattered once. The bwd
+Encoder.forward sorts the rows longest first and gathers their frames
+once, time-major, from the matrices' concatenation, so step t holds only
+the n_t rows still long enough for t. Layers and cells pass these (N, ·)
+row matrices: padding exists only where E leaves the encoder, scattered
+once by _Packing.pad, and where dE comes back, gathered once. The bwd
 direction runs on x[mirror], each row reversed within its own length
-(_Packing.mirror, its own inverse), so its padding also comes last and
-the same n_t serves both directions. A step costs one
+(_Packing.mirror, its own inverse), so its missing frames also come last
+and the same n_t serves both directions. A step costs one
 (n_t, hidden) x (hidden, 4 * hidden) product plus elementwise gates.
 Each direction takes its input projection X W_x + b as one product over
 all its packed rows ahead of the loop; training then overwrites each step's
@@ -93,19 +93,19 @@ samples' batch-of-1 losses and gradients up to the order of floating-point
 sums. The tests hold them to rtol 1e-9, the loss also against the
 straight-line reference in tests/refimpl.py; for a gradient array the
 tolerance is taken against its largest entry, since entries that cancel to
-~1e-19 carry no relative digits. Values in padded frames change nothing,
-bit for bit. One matrix's E is bit-identical to the unpacked, unchunked
-recurrence. A batch's E equals each row's own encode within 1e-12 absolute
-(E is an LSTM's h, so it lies in (-1, 1)): a step of several rows is a
-matrix product where one row alone is a matrix-vector product, and the two
-round differently. For the same reason a teacher-forced batch stepped in
-row halves, above the gate, can differ from the same batch stepped as one
-matrix in the last bits of the loss and of every gradient; the tests hold
-it to the rtol 1e-9 above. The halves make the same calls whichever thread
-runs them, so running the upper half on the caller's thread changes no
-bit. A step over an EncoderOutput with context gates and over the same one
-without them give logits, h and c within rtol 1e-12 of each array's
-largest entry: the context share is summed in another order.
+~1e-19 carry no relative digits. One matrix's E is bit-identical to the
+unpacked, unchunked recurrence. A batch's E equals each row's own encode
+within 1e-12 absolute (E is an LSTM's h, so it lies in (-1, 1)): a step of
+several rows is a matrix product where one row alone is a matrix-vector
+product, and the two round differently. For the same reason a
+teacher-forced batch stepped in row halves, above the gate, can differ from
+the same batch stepped as one matrix in the last bits of the loss and of
+every gradient; the tests hold it to the rtol 1e-9 above. The halves make
+the same calls whichever thread runs them, so running the upper half on the
+caller's thread changes no bit. A step over an EncoderOutput with context
+gates and over the same one without them give logits, h and c within rtol
+1e-12 of each array's largest entry: the context share is summed in
+another order.
 
 Checkpoints are "AACM" plus version byte 5: the JSON config block's length
 and zlib.crc32 (u32 LE each), the block with the model dims, the parameter
@@ -419,17 +419,19 @@ class LstmCell:
 
 @dataclass
 class _Packing:
-    """Where the frames of a padded batch go in the packed layout, longest row first.
+    """Where the frames of a batch of matrices go in the packed layout, longest first.
 
-    Packed row j is batch row `rows[j]` at step `steps[j]`. Its `mirror[j]`
-    is the packed row of the same batch row at step length - 1 - steps[j],
-    its frame counted back from the row's last valid one; mirror is its own
-    inverse, so x[mirror] is x with each row reversed within its length.
+    Packed row j is frame `steps[j]` of matrix `rows[j]`, row `flat[j]` of
+    the matrices' concatenation. Its `mirror[j]` is the packed row of the
+    same matrix at frame length - 1 - steps[j], its frame counted back from
+    the matrix's last one; mirror is its own inverse, so x[mirror] is x with
+    each matrix reversed within its length.
     """
 
-    offsets: np.ndarray  # (T_valid + 1,) first packed row of each step, then N
+    offsets: np.ndarray  # (T_max + 1,) first packed row of each step, then N
     rows: np.ndarray  # (N,)
     steps: np.ndarray  # (N,)
+    flat: np.ndarray  # (N,)
     mirror: np.ndarray  # (N,)
 
     @classmethod
@@ -438,13 +440,21 @@ class _Packing:
         # the valid cells of the (step, place in order) grid, in row-major order
         steps, rank = np.nonzero(np.arange(lengths.max())[:, None] < lengths[order])
         offsets = np.concatenate([[0], np.cumsum(np.bincount(steps))])
-        return cls(offsets, order[rank], steps, offsets[lengths[order][rank] - 1 - steps] + rank)
+        rows = order[rank]
+        return cls(offsets, rows, steps, (np.cumsum(lengths) - lengths)[rows] + steps,
+                   offsets[lengths[rows] - 1 - steps] + rank)
 
-    def pad(self, packed: np.ndarray, frames: int) -> np.ndarray:
-        """(B, frames, ·): each packed row at its frame, zeros elsewhere."""
-        padded = np.zeros((self.offsets[1], frames) + packed.shape[1:])
+    def pad(self, packed: np.ndarray) -> np.ndarray:
+        """(B, T_max, ·): each packed row at its frame, zeros past each matrix's length."""
+        padded = np.zeros((self.offsets[1], len(self.offsets) - 1) + packed.shape[1:])
         padded[self.rows, self.steps] = packed
         return padded
+
+    def split(self, packed: np.ndarray) -> list[np.ndarray]:
+        """Each matrix's packed rows in frame order, as one (T_i, ·) array per matrix."""
+        flat = np.empty_like(packed)
+        flat[self.flat] = packed
+        return np.split(flat, np.cumsum(np.bincount(self.rows))[:-1])
 
 
 class BiLstmLayer:
@@ -501,8 +511,9 @@ class BiLstmLayer:
 
 class Encoder:
     """Two stacked Bi-LSTM layers; per-step outputs of the second layer feed
-    attention. It packs a batch once per call and runs both layers on the
-    packed rows, so padding begins and ends here."""
+    attention. It takes a batch as one matrix per row, packs it once per
+    call and runs both layers on the packed rows; the E it returns is the
+    batch's only padding."""
 
     def __init__(self, cfg: ModelConfig, rng: Optional[np.random.Generator]):
         self.cfg = cfg
@@ -512,38 +523,31 @@ class Encoder:
     def params(self) -> list[ParameterGroup]:
         return self.layer1.params() + self.layer2.params()
 
-    def forward(self, inputs: np.ndarray, lengths: Sequence[int], keep_cache: bool = True):
-        """inputs (B, T, F_e), row b valid for its first lengths[b] frames.
+    def forward(self, matrices: Sequence[np.ndarray], keep_cache: bool = True):
+        """matrices: one (T_i, F_e) array per batch row, T_i >= 1.
 
-        Returns (E (B, T, d_e), zero on padded frames, and the cache, or None
-        without keep_cache): the packing, the inputs, layer 1's cell caches,
-        layer 2's input rows and its cell caches. Padded frames are never
-        read, so their values never reach E, the loss or a gradient.
+        Returns (E (B, T_max, d_e), zero past each row's T_i frames, and the
+        cache, or None without keep_cache): the packing, the packed input
+        rows, layer 1's cell caches, layer 2's input rows and its cell caches.
         """
-        inputs = np.asarray(inputs, dtype=np.float64)
-        if inputs.ndim != 3 or inputs.shape[0] == 0 or inputs.shape[2] != self.cfg.embed_dim:
-            raise ShapeError(
-                f"encoder input shape {inputs.shape}, expected (B, T, {self.cfg.embed_dim})")
-        lengths = np.asarray(lengths, dtype=np.int64)
-        if lengths.shape != inputs.shape[:1]:
-            raise ShapeError(f"valid lengths of shape {lengths.shape} for "
-                             f"{inputs.shape[0]} encoder rows")
-        if lengths.min() < 1 or lengths.max() > inputs.shape[1]:
-            raise ValueError(f"valid_length {lengths.tolist()} outside 1..{inputs.shape[1]}")
-        pack = _Packing.of(lengths)
-        mid, cache1 = self.layer1.forward(inputs[pack.rows, pack.steps], pack, keep_cache)
+        shapes = [np.shape(m) for m in matrices]
+        if not shapes or any(len(shape) != 2 or shape[0] == 0
+                             or shape[1] != self.cfg.embed_dim for shape in shapes):
+            raise ShapeError(f"encoder input shapes {shapes}, expected one or more "
+                             f"(T, {self.cfg.embed_dim}) with T >= 1")
+        pack = _Packing.of(np.array([shape[0] for shape in shapes]))
+        x = np.concatenate(matrices, dtype=np.float64)[pack.flat]
+        mid, cache1 = self.layer1.forward(x, pack, keep_cache)
         out, cache2 = self.layer2.forward(mid, pack, keep_cache)
-        cache = [pack, inputs, cache1, mid, cache2] if keep_cache else None
-        return pack.pad(out, inputs.shape[1]), cache
+        return pack.pad(out), ([pack, x, cache1, mid, cache2] if keep_cache else None)
 
-    def backward(self, cache: list, d_out: np.ndarray) -> np.ndarray:
-        """Returns d(loss)/d(inputs), zero on padded frames; each layer's cache
-        is emptied once used."""
-        pack, inputs, cache1, mid, cache2 = cache
+    def backward(self, cache: list, d_out: np.ndarray) -> list[np.ndarray]:
+        """Returns d(loss)/d(matrix), one array of each matrix's shape; each
+        layer's cache is emptied once used."""
+        pack, x, cache1, mid, cache2 = cache
         cache.clear()
         d_mid = self.layer2.backward(cache2, mid, pack, d_out[pack.rows, pack.steps])
-        d_x = self.layer1.backward(cache1, inputs[pack.rows, pack.steps], pack, d_mid)
-        return pack.pad(d_x, d_out.shape[1])
+        return pack.split(self.layer1.backward(cache1, x, pack, d_mid))
 
 
 class Attention:
@@ -696,29 +700,22 @@ class CaptionModel:
         for group in self.parameters():
             group.zero_grad()
 
-    def encode(self, inputs: np.ndarray, valid_length=None) -> EncoderOutput:
-        """E of one (T, F_e) matrix, valid for its first valid_length frames
-        (all by default), or of a padded batch (B, T, F_e) with valid lengths
-        (B,). One matrix runs as the batch of one row. Nothing is kept for
-        backward, so a call holds at most, in the second layer, that layer's
-        packed input and output, the bwd direction's mirrored copy of the
-        input and one direction's input projection; then its E, its keys and
-        its context gates.
+    def encode(self, inputs) -> EncoderOutput:
+        """E of one (T, F_e) array, or of a batch given as a sequence of
+        (T_i, F_e) matrices; one array runs as the batch of one matrix.
+        Nothing is kept for backward, so a call holds at most, in the second
+        layer, that layer's packed input and output, the bwd direction's
+        mirrored copy of the input and one direction's input projection;
+        then its E, its keys and its context gates.
         """
-        inputs = np.asarray(inputs, dtype=np.float64)
-        if inputs.ndim not in (2, 3):
-            raise ShapeError(f"encode input shape {inputs.shape}, expected (T, "
-                             f"{self.cfg.embed_dim}) or (B, T, {self.cfg.embed_dim})")
-        one = inputs.ndim == 2
-        batch = inputs[None] if one else inputs
-        lengths = (np.full(len(batch), batch.shape[1]) if valid_length is None
-                   else np.atleast_1d(np.asarray(valid_length, dtype=np.int64)))
-        values, _ = self.encoder.forward(batch, lengths, keep_cache=False)
+        one = isinstance(inputs, np.ndarray) and inputs.ndim == 2
+        matrices = [inputs] if one else inputs
+        values, _ = self.encoder.forward(matrices, keep_cache=False)
         keys = self.decoder.attention.keys(values)
         context_gates = self.decoder.context_gates(values)
         if one:
-            return EncoderOutput(values[0], int(lengths[0]), keys[0], context_gates[0])
-        return EncoderOutput(values, lengths, keys, context_gates)
+            return EncoderOutput(values[0], len(inputs), keys[0], context_gates[0])
+        return EncoderOutput(values, np.array([len(m) for m in matrices]), keys, context_gates)
 
     def decoder_step(self, prev_token, h_prev: np.ndarray, c_prev: np.ndarray,
                      enc: EncoderOutput):
@@ -728,18 +725,17 @@ class CaptionModel:
     def initial_state(self) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(self.cfg.dec_hidden), np.zeros(self.cfg.dec_hidden)
 
-    def forward_teacher_forced(self, inputs: np.ndarray, lengths: Sequence[int],
+    def forward_teacher_forced(self, matrices: Sequence[np.ndarray],
                                targets: Sequence[Sequence[int]]) -> ForwardResult:
         """Teacher-forced loss of a batch, decoder fed gold tokens.
 
-        inputs (B, T, F_e) and lengths (B,) are laid out by
-        features.bucket_pad; sample b reads encoder row b and is scored on
-        targets[b] up to its first PAD. The loss is the sum over samples of
-        each one's mean cross-entropy.
+        Sample b reads the (T_b, F_e) matrices[b] and is scored on targets[b]
+        up to its first PAD. The loss is the sum over samples of each one's
+        mean cross-entropy.
         """
-        if len(targets) != len(inputs):
-            raise ValueError(f"{len(targets)} targets for {len(inputs)} encoder rows")
-        enc_values, enc_cache = self.encoder.forward(inputs, lengths)
+        if len(targets) != len(matrices):
+            raise ValueError(f"{len(targets)} targets for {len(matrices)} encoder inputs")
+        enc_values, enc_cache = self.encoder.forward(matrices)
         dec = self.decoder
         n_steps = np.array([_step_count(target) for target in targets], dtype=np.int64)
         batch, span = len(targets), int(n_steps.max(initial=0))
@@ -750,7 +746,8 @@ class CaptionModel:
         if tokens.size and (tokens.min() < 0 or tokens.max() >= self.cfg.vocab_size):
             raise ValueError(f"token ids outside vocabulary of {self.cfg.vocab_size}")
 
-        enc = EncoderOutput(enc_values, np.asarray(lengths), dec.attention.keys(enc_values))
+        enc = EncoderOutput(enc_values, np.array([len(m) for m in matrices]),
+                            dec.attention.keys(enc_values))
         tokens_in = tokens[:, :span].T
         h = np.zeros((span + 1, batch, self.cfg.dec_hidden))
         c = np.zeros_like(h)
@@ -776,8 +773,9 @@ class CaptionModel:
                                 samples, steps, tokens_out, probs)
         return ForwardResult(float(loss), _BatchCache(enc_cache, decoder))
 
-    def backward(self, cache: _BatchCache) -> np.ndarray:
-        """Accumulate gradients of the batch loss; returns d(loss)/d(inputs) (B, T, F_e)."""
+    def backward(self, cache: _BatchCache) -> list[np.ndarray]:
+        """Accumulate gradients of the batch loss; returns d(loss)/d(matrix),
+        one array of each input matrix's shape."""
         if not isinstance(cache, _BatchCache) or cache.decoder is None:
             raise ValueError("backward needs an unused cache from forward_teacher_forced")
         decoder, cache.decoder = cache.decoder, None

@@ -21,7 +21,7 @@ import numpy as np
 from .decoding import DEFAULT_BEAM, beam_search, greedy_decode_encoded
 from .embeddings import load_embedding_file, save_embedding_file
 from .errors import ConfigError, CorruptionError, DataError
-from .features import AugmentConfig, bucket_pad, spec_augment, wav_to_log_mel
+from .features import AugmentConfig, spec_augment, wav_to_log_mel
 from .metrics import EvalInstance, MetricReport, bleu, evaluate_corpus
 from .model import CaptionModel, EncoderOutput, ModelConfig, check_dims
 from .numerics import adam_step, blas_threads, check_allocatable
@@ -233,7 +233,7 @@ def encode_in_calls(model: CaptionModel,
     call of its own. matrices is read lazily, one call's worth ahead.
     """
     def encoded(group):
-        enc = model.encode(*bucket_pad(group))
+        enc = model.encode(group)
         return (enc.item(b) for b in range(len(group)))
 
     group: list[np.ndarray] = []
@@ -261,8 +261,8 @@ def validation_bleu4(model: CaptionModel, vocab: Vocabulary,
 def train(config: TrainConfig, manifest_path, out_dir) -> TrainResult:
     """Teacher-forced training with Adam and the plateau rule.
 
-    Each batch runs as padded forward and backward calls, one encoder row per
-    sample laid out by features.bucket_pad, with the decoder stepping every
+    Each batch runs as forward and backward calls over its samples' feature
+    matrices, one encoder row per sample, with the decoder stepping every
     sample of a call at once. A batch whose rows times padded frames exceed
     TRAIN_FRAME_BUDGET is split into calls of near-equal size within it;
     their gradients add up before the Adam step. The batch loss and gradients
@@ -327,9 +327,9 @@ def train(config: TrainConfig, manifest_path, out_dir) -> TrainResult:
                 model.zero_grads()
                 batch_loss = 0.0
                 for part in np.array_split(np.arange(len(batch)), calls):
-                    padded, lengths = bucket_pad([matrices[k] for k in part])
                     result = model.forward_teacher_forced(
-                        padded, lengths, [targets[i][j] for i, j in (batch[k] for k in part)])
+                        [matrices[k] for k in part],
+                        [targets[i][j] for i, j in (batch[k] for k in part)])
                     if not math.isfinite(result.loss):
                         raise FloatingPointError(
                             f"non-finite loss in epoch {epoch} batch {batch_no} "

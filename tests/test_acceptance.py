@@ -16,10 +16,11 @@ from refimpl import finite_diff_check, ref_log_prob_of_sequence
 from test_decoding import brute_force_best, rigged_model
 from test_features import write_wav
 from test_metrics import brute_force_lcs
+from test_model import padded_encode
 
 from aacap import decoding
 from aacap.decoding import beam_search, greedy_decode_encoded
-from aacap.features import AugmentConfig, bucket_pad, spec_augment
+from aacap.features import AugmentConfig, spec_augment
 from aacap.metrics import EvalInstance, bleu, lcs_length, rouge_l
 from aacap.model import CaptionModel, ModelConfig
 from aacap.pipeline import (
@@ -63,15 +64,14 @@ def test_criterion_1_gradient_correctness():
     for seed in (0, 1, 2):
         model = CaptionModel(tiny, seed=seed)
         rng = np.random.default_rng(1000 + seed)
-        # one padded batch of the three items, one encoder row each
-        inputs, _ = bucket_pad([rng.normal(size=(t, 8)) for _, t, _ in probe_items])
-        lengths = [valid for _, _, valid in probe_items]
+        # one batch of the three items, one encoder row each
+        inputs = [rng.normal(size=(t, 8))[:valid] for _, t, valid in probe_items]
         targets = [target for target, _, _ in probe_items]
         model.zero_grads()
-        model.backward(model.forward_teacher_forced(inputs, lengths, targets).cache)
+        model.backward(model.forward_teacher_forced(inputs, targets).cache)
 
         def loss_fn():
-            return model.forward_teacher_forced(inputs, lengths, targets).loss
+            return model.forward_teacher_forced(inputs, targets).loss
 
         for group in model.parameters():
             worst = max(worst, finite_diff_check(loss_fn, group, epsilon=1e-4))
@@ -95,7 +95,7 @@ def test_criterion_2_attention_invariants():
             model = CaptionModel(tiny, seed=int(rng.integers(0, 10_000)))
         t_total = int(rng.integers(1, 8))
         valid = int(rng.integers(1, t_total + 1))
-        enc = model.encode(rng.normal(size=(t_total, 8)) * 2.0, valid_length=valid)
+        enc = padded_encode(model, rng.normal(size=(t_total, 8)) * 2.0, valid)
         h = rng.normal(size=8)
         c = rng.normal(size=8)
         token = int(rng.integers(0, 6))

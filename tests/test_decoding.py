@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from refimpl import ref_decoder_logits, ref_encode, ref_log_prob_of_sequence
+from test_model import padded_encode
 
 from aacap import decoding
 from aacap.decoding import (
@@ -357,7 +358,7 @@ def search_cases():
         model = CaptionModel(MID, seed=seed)
         model.decoder.b_out.value[:] = rng.normal(scale=2.0, size=MID.vocab_size)
         model.decoder.w_out.value *= 4.0
-        yield model, model.encode(rng.normal(size=(7, 6)) * 2.0, valid_length=5)
+        yield model, padded_encode(model, rng.normal(size=(7, 6)) * 2.0, 5)
 
 
 @pytest.mark.parametrize("length_normalize", [False, True])

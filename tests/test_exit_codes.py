@@ -250,12 +250,17 @@ def test_a_size_numpy_cannot_represent_exits_2(files, tmp_path, command, capsys)
 
 # Values every int or float option is walked through, then TOO_LARGE, one past
 # the largest int64. Where a large valid value is only more work, UPPER_EDGES
-# gives the values the walk tries in its place.
-OUT_OF_DOMAIN = ["0", "-1", "nan", "inf", "-inf"]
+# gives the values the walk tries in its place. argparse alone reads -1 as a
+# number; the other negatives are values only because cli._Parser takes
+# whatever float() parses as one.
+OUT_OF_DOMAIN = ["0", "-1", "nan", "inf", "-inf", "-nan", "-1e-3", "-1e3"]
 TOO_LARGE = str(2**63)
 UPPER_EDGES = {"--epochs": ["20"], "--n-items": ["100"],
                "--beam": [str(MAX_BEAM), str(MAX_BEAM + 1), TOO_LARGE]}
 VALID = {int: "2", float: "0.5", "--dim": "8"}  # --dim holds one row per toy event
+# the field each float option's own check names in its configuration error
+CHECKED_AS = {"--lr": "initial_lr", "--lr-factor": "lr_factor",
+              "--augment-prob": "apply_probability"}
 
 
 def _numeric_options():
@@ -296,6 +301,12 @@ def test_every_numeric_flag_exits_0_2_or_3_with_one_line_and_no_leftovers(files,
             _, err = capsys.readouterr()
             assert code in (0, 2, 3), case
             assert "Traceback" not in err, case
+            if value.startswith("-"):  # a negative reaches its option, not the option parser
+                if kind is float:
+                    assert err.startswith("configuration error: "), (case, err)
+                    assert CHECKED_AS[option] in err, (case, err)
+                elif value != "-1":
+                    assert f"argument {option}: invalid int value: '{value}'" in err, (case, err)
             if code != 0:
                 assert err.count("\n") == 1 and not caught, (case, err, caught)
                 assert not out.exists(), case

@@ -22,7 +22,6 @@ from aacap.features import (
     TARGET_SAMPLE_RATE,
     AugmentConfig,
     Waveform,
-    bucket_pad,
     log_mel,
     mel_filterbank,
     read_wav,
@@ -399,45 +398,6 @@ def test_spec_augment_equals_the_two_block_version_on_edge_grids():
 def test_spec_augment_rejects_bad_probability():
     with pytest.raises(ConfigError):
         AugmentConfig(apply_probability=1.5)
-
-
-def test_bucket_pad_identical_lengths_unchanged():
-    items = [np.ones((4, 3)), 2 * np.ones((4, 3))]
-    padded, lengths = bucket_pad(items)
-    assert padded.shape == (2, 4, 3)
-    assert np.array_equal(lengths, [4, 4])
-    assert np.array_equal(padded[0], items[0])
-    assert np.array_equal(padded[1], items[1])
-
-
-def test_bucket_pad_pads_shorter_items_with_zeros():
-    items = [np.ones((3, 2)), np.ones((5, 2))]
-    padded, lengths = bucket_pad(items)
-    assert padded.shape == (2, 5, 2)
-    assert np.array_equal(lengths, [3, 5])
-    assert np.array_equal(padded[0, 3:], np.zeros((2, 2)))
-    assert np.array_equal(padded[0, :3], items[0])
-
-
-def test_bucket_pad_empty_batch():
-    with pytest.raises(DataError):
-        bucket_pad([])
-
-
-def test_bucket_pad_mixed_feature_dims():
-    with pytest.raises(ShapeError):
-        bucket_pad([np.ones((3, 2)), np.ones((3, 4))])
-
-
-@given(st.lists(st.tuples(st.integers(1, 9), st.integers(0, 2 ** 31 - 1)),
-                min_size=1, max_size=6))
-@settings(max_examples=60)
-def test_bucket_pad_preserves_prefix_values(specs):
-    items = [np.random.default_rng(seed).normal(size=(t, 3)) for t, seed in specs]
-    padded, lengths = bucket_pad(items)
-    for i, item in enumerate(items):
-        assert np.array_equal(padded[i, :lengths[i]], item)
-        assert np.array_equal(padded[i, lengths[i]:], np.zeros_like(padded[i, lengths[i]:]))
 
 
 def test_wav_round_trip_and_resampling(tmp_path):

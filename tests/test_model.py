@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aacap.errors import CorruptionError, FormatError, ShapeError
-from aacap.features import bucket_pad
 from aacap.model import AttentionStep, CaptionModel, EncoderOutput, ModelConfig
 from aacap.numerics import softmax
 from aacap.text import END, PAD, START
@@ -20,6 +19,19 @@ TINY = ModelConfig(embed_dim=8, vocab_size=6, enc_hidden=4, attn_dim=4,
 
 
 from refimpl import finite_diff_check, ref_attention, ref_encode, ref_teacher_forced_loss
+
+
+def padded_encode(model, m, valid):
+    """The EncoderOutput of m's first `valid` frames, padded to len(m) frames:
+    row 0 of a batch encode beside m itself, as attention and beam search see
+    a row shorter than its batch."""
+    enc = model.encode([m[:valid], m])
+    return EncoderOutput(enc.values[0], valid, enc.keys[0], enc.context_gates[0])
+
+
+def arrays_equal(got, want):
+    """Two lists of arrays, such as backward's d(input)s, equal bit for bit."""
+    return len(got) == len(want) and all(map(np.array_equal, got, want))
 
 # ---------------------------------------------------------------------------
 # LSTM cell
@@ -111,28 +123,37 @@ def test_encoder_matches_reference():
 def test_encoder_matches_reference_with_padded_frames(valid):
     model = CaptionModel(TINY, seed=1)
     m = np.random.default_rng(5).normal(size=(4, 8))
-    enc = model.encode(m, valid_length=valid)
-    assert np.allclose(enc.values, ref_encode(model, m, valid), atol=1e-12)
+    enc = model.encode([m[:valid], m])
+    assert np.allclose(enc.values[0], ref_encode(model, m, valid), atol=1e-12)
 
 
 def test_encoder_padded_rows_zero():
     model = CaptionModel(TINY, seed=1)
     m = np.random.default_rng(6).normal(size=(5, 8))
-    enc = model.encode(m, valid_length=3)
-    assert np.array_equal(enc.values[3:], np.zeros((2, 8)))
-    assert not np.allclose(enc.values[:3], 0.0)
-
-
-def test_encoder_valid_length_beyond_t_rejected():
-    model = CaptionModel(TINY, seed=1)
-    with pytest.raises(ValueError):
-        model.encode(np.zeros((3, 8)), valid_length=4)
+    enc = model.encode([m[:3], m])
+    assert np.array_equal(enc.values[0, 3:], np.zeros((2, 8)))
+    assert not np.allclose(enc.values[0, :3], 0.0)
 
 
 def test_encoder_input_dim_mismatch():
     model = CaptionModel(TINY, seed=1)
     with pytest.raises(ShapeError):
         model.encode(np.zeros((3, 9)))
+
+
+@pytest.mark.parametrize("inputs", [
+    pytest.param([], id="empty"),
+    pytest.param([np.zeros((3, 8)), np.zeros((3, 4))], id="mixed-width"),
+    pytest.param([np.zeros((3, 8)), np.zeros(8)], id="not-2-d"),
+    pytest.param([np.zeros((3, 8)), np.zeros((0, 8))], id="no-rows"),
+    pytest.param(np.zeros((0, 8)), id="one-array-of-no-rows"),
+])
+def test_encoder_rejects_a_bad_batch_with_a_shape_error(inputs):
+    model = CaptionModel(TINY, seed=1)
+    with pytest.raises(ShapeError, match="encoder input shapes"):
+        model.encode(inputs)
+    with pytest.raises(ShapeError, match="encoder input shapes"):
+        model.forward_teacher_forced(inputs, [[START, 4, END]] * len(inputs))
 
 
 def _mirror_encoder(model):
@@ -196,8 +217,9 @@ def test_one_matrix_encode_is_bit_identical_to_the_unpacked_encoder(cfg):
     for frames, valid in [(1, 1), (2, 2), (8, 8), (9, 9), (17, 17), (20, 12), (61, 61),
                           (64, 33)]:
         m = rng.normal(size=(frames, cfg.embed_dim))
-        enc = model.encode(m, valid)
-        assert np.array_equal(enc.values, _unpacked_encode(model, m, valid)), (frames, valid)
+        enc = model.encode(m[:valid])
+        want = _unpacked_encode(model, m, valid)[:valid]
+        assert np.array_equal(enc.values, want), (frames, valid)
         assert np.array_equal(enc.keys, enc.values @ model.decoder.attention.w_enc.value)
 
 
@@ -208,9 +230,7 @@ def test_batch_encode_matches_per_item_encodes_within_policy(cfg):
     rng = np.random.default_rng(1)
     lengths = [9, 1, 23, 17, 8, 23, 2]
     matrices = [rng.normal(size=(n, cfg.embed_dim)) for n in lengths]
-    padded, valid = bucket_pad(matrices)
-    padded[0, 9:] = np.nan  # padded frames are never read
-    enc = model.encode(padded, valid)
+    enc = model.encode(matrices)
     assert enc.values.shape == (len(lengths), 23, cfg.enc_out_dim)
     assert np.array_equal(enc.valid_length, lengths)
     for b, matrix in enumerate(matrices):
@@ -233,7 +253,7 @@ def test_batch_encode_keeps_no_backward_cache(monkeypatch):
         return out, cache
     monkeypatch.setattr(BiLstmLayer, "forward", spy)
     model = CaptionModel(TINY, seed=1)
-    model.encode(np.zeros((2, 5, 8)), [5, 3])
+    model.encode([np.zeros((5, 8)), np.zeros((3, 8))])
     model.encode(np.zeros((4, 8)))
     assert seen == [None] * 4
 
@@ -254,6 +274,23 @@ def test_packing_mirror_reverses_each_row_within_its_length(lengths):
     assert np.array_equal(pack.steps[pack.mirror], lengths[pack.rows] - 1 - pack.steps)
 
 
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=6))
+def test_a_list_of_matrices_gets_its_own_shapes_back_and_zeros_past_each_length(lengths):
+    model = CaptionModel(TINY, seed=2)
+    rng = np.random.default_rng(len(lengths))
+    matrices = [rng.normal(size=(n, TINY.embed_dim)) for n in lengths]
+    targets = [[START] + rng.integers(4, TINY.vocab_size, size=n % 4).tolist() + [END]
+               for n in lengths]
+    d_inputs = model.backward(model.forward_teacher_forced(matrices, targets).cache)
+    assert [d.shape for d in d_inputs] == [m.shape for m in matrices]
+    enc = model.encode(matrices)
+    assert enc.values.shape == (len(lengths), max(lengths), TINY.enc_out_dim)
+    for b, n in enumerate(lengths):
+        assert np.array_equal(enc.values[b, n:], np.zeros_like(enc.values[b, n:]))
+        assert enc.values[b, :n].any()
+
+
 def test_the_encoder_packs_its_batch_once_per_call(monkeypatch):
     from aacap.model import _Packing
 
@@ -264,10 +301,11 @@ def test_the_encoder_packs_its_batch_once_per_call(monkeypatch):
         return of(lengths)
     monkeypatch.setattr(_Packing, "of", classmethod(counting))
     model = CaptionModel(TINY, seed=1)
-    inputs = np.random.default_rng(2).normal(size=(3, 5, 8))
-    model.encoder.forward(inputs, [5, 2, 4])
+    rng = np.random.default_rng(2)
+    matrices = [rng.normal(size=(n, 8)) for n in (5, 2, 4)]
+    model.encoder.forward(matrices)
     assert calls == [3]
-    model.encode(inputs, [5, 2, 4])
+    model.encode(matrices)
     assert calls == [3, 3]
 
 
@@ -285,7 +323,7 @@ def test_attention_singleton_weight_is_one():
 def test_attention_zero_score_weights_uniform():
     model = CaptionModel(TINY, seed=4)
     model.decoder.attention.w_score.value[...] = 0.0
-    enc = model.encode(np.random.default_rng(2).normal(size=(5, 8)), valid_length=3)
+    enc = padded_encode(model, np.random.default_rng(2).normal(size=(5, 8)), 3)
     step = model.decoder.attention.forward(enc.values, 3, np.zeros(8), enc.keys)
     assert step.weights[:3] == pytest.approx([1 / 3] * 3)
     assert np.array_equal(step.weights[3:], [0.0, 0.0])
@@ -317,7 +355,7 @@ def test_attention_hand_oracle_two_by_two():
 def test_attention_matches_reference_with_padding():
     model = CaptionModel(TINY, seed=9)
     rng = np.random.default_rng(3)
-    enc = model.encode(rng.normal(size=(6, 8)), valid_length=4)
+    enc = padded_encode(model, rng.normal(size=(6, 8)), 4)
     h_prev = rng.normal(size=8)
     step = model.decoder.attention.forward(enc.values, 4, h_prev, enc.keys)
     ref_w, ref_ctx = ref_attention(model.decoder.attention, enc.values, 4, h_prev)
@@ -328,7 +366,7 @@ def test_attention_matches_reference_with_padding():
 def test_attention_argmax_shift_invariant():
     model = CaptionModel(TINY, seed=10)
     rng = np.random.default_rng(6)
-    enc = model.encode(rng.normal(size=(5, 8)), valid_length=4)
+    enc = padded_encode(model, rng.normal(size=(5, 8)), 4)
     h_prev = rng.normal(size=8)
     step = model.decoder.attention.forward(enc.values, 4, h_prev, enc.keys)
     alpha = np.maximum(enc.keys + h_prev @ model.decoder.attention.w_hidden.value, 0.0)
@@ -345,7 +383,7 @@ def test_attention_invariants_random_steps():
         model = CaptionModel(TINY, seed=trial)
         t_total = int(rng.integers(1, 7))
         valid = int(rng.integers(1, t_total + 1))
-        enc = model.encode(rng.normal(size=(t_total, 8)), valid_length=valid)
+        enc = padded_encode(model, rng.normal(size=(t_total, 8)), valid)
         step = model.decoder.attention.forward(enc.values, valid, rng.normal(size=8),
                                                enc.keys)
         assert np.all(step.weights >= 0)
@@ -377,10 +415,11 @@ def test_attention_padded_weights_equal_explicit_zeroing(seed):
     rng = np.random.default_rng(seed)
     frames = 7
     valid = int(rng.integers(1, frames))
-    enc = model.encode(rng.normal(size=(frames, 8)) * 3.0, valid_length=valid)
+    enc = padded_encode(model, rng.normal(size=(frames, 8)) * 3.0, valid)
     lengths = rng.integers(1, frames + 1, size=3)
     lengths[0] = 1
-    batch_values, _ = model.encoder.forward(rng.normal(size=(3, frames, 8)), lengths)
+    batch_values, _ = model.encoder.forward(
+        [m[:n] for m, n in zip(rng.normal(size=(3, frames, 8)), lengths)])
     cases = [(enc.values, valid, rng.normal(size=TINY.dec_hidden), enc.keys),
              (enc.values, valid, rng.normal(size=(4, TINY.dec_hidden)) * 5.0, enc.keys),
              (batch_values, lengths, rng.normal(size=(3, TINY.dec_hidden)),
@@ -391,7 +430,7 @@ def test_attention_padded_weights_equal_explicit_zeroing(seed):
             att, values, lengths_or_valid, h_prev, keys)
         assert np.array_equal(step.weights, want_weights)
         assert np.array_equal(step.context, want_context)
-        padded = np.arange(frames) >= np.asarray(lengths_or_valid)[..., None]
+        padded = np.arange(values.shape[-2]) >= np.asarray(lengths_or_valid)[..., None]
         padded = np.broadcast_to(padded, step.weights.shape)
         assert not np.signbit(step.weights[padded]).any()  # +0.0, as the zeroing wrote
 
@@ -432,7 +471,7 @@ def test_decoder_step_over_rows_equals_per_row_calls(seed):
     model = CaptionModel(TINY, seed=seed)
     rng = np.random.default_rng(seed)
     valid = 2 + seed
-    enc = model.encode(rng.normal(size=(6, 8)) * 2.0, valid_length=valid)
+    enc = padded_encode(model, rng.normal(size=(6, 8)) * 2.0, valid)
     tokens = rng.integers(0, TINY.vocab_size, size=4)
     h_prev, c_prev = rng.normal(size=(2, 4, TINY.dec_hidden))
     logits, h, c, att = model.decoder_step(tokens, h_prev, c_prev, enc)
@@ -459,8 +498,8 @@ def test_decoder_step_equals_teacher_forced_advance_and_projection(cfg):
     model = CaptionModel(cfg, seed=3)
     dec, rng = model.decoder, np.random.default_rng(30)
     w_ctx = dec.cell.w.value[cfg.word_dim:cfg.word_dim + cfg.enc_out_dim]
-    one = model.encode(rng.normal(size=(7, 8)) * 2.0, valid_length=4)
-    batch = model.encode(*bucket_pad([rng.normal(size=(t, 8)) for t in (5, 7, 2)]))
+    one = padded_encode(model, rng.normal(size=(7, 8)) * 2.0, 4)
+    batch = model.encode([rng.normal(size=(t, 8)) for t in (5, 7, 2)])
     for enc in (one, batch):
         assert np.array_equal(enc.context_gates, enc.values @ w_ctx)
     cases = [(one, 3, rng.normal(size=cfg.dec_hidden)),
@@ -479,9 +518,14 @@ def test_decoder_step_equals_teacher_forced_advance_and_projection(cfg):
 
 
 def forward_one(model, m, target, valid=None):
-    """The teacher-forced forward of one sample: a batch of one encoder row."""
-    return model.forward_teacher_forced(m[None], [m.shape[0] if valid is None else valid],
-                                        [target])
+    """The teacher-forced forward of one sample: a batch of one encoder row.
+    With valid, the sample reads m's first valid frames beside a second
+    sample, m itself with no target step, so that its E and its attention
+    are padded to len(m) frames; the second sample adds no loss and no
+    gradient."""
+    if valid is None:
+        return model.forward_teacher_forced([m], [target])
+    return model.forward_teacher_forced([m[:valid], m], [target, [START]])
 
 
 def test_teacher_forced_counts_steps_for_start_end():
@@ -515,8 +559,9 @@ def test_teacher_forced_empty_target_zero_loss():
 # backward: finite-difference checks
 # ---------------------------------------------------------------------------
 
-# Three sequences of different lengths, one with padded frames; summing their
-# losses gives every parameter a live gradient path. Central differences at
+# Three sequences of different lengths, the second cut from a matrix of 4
+# frames to 3; summing their losses gives every parameter a live gradient
+# path. Central differences at
 # epsilon=1e-5 bottom out at the float-noise floor for near-zero entries, so
 # the checks run at 1e-4 where the same gradients agree to 5+ digits.
 GRADCHECK_ITEMS = [
@@ -527,24 +572,21 @@ GRADCHECK_ITEMS = [
 
 
 def gradcheck_fixture(seed):
-    """A model and one padded batch of GRADCHECK_ITEMS:
-    (model, inputs, lengths, targets)."""
+    """A model and one batch of GRADCHECK_ITEMS: (model, matrices, targets)."""
     model = CaptionModel(TINY, seed=seed)
     rng = np.random.default_rng(1000 + seed)
-    matrices = [rng.normal(size=(t, 8)) for _, t, _ in GRADCHECK_ITEMS]
-    inputs, _ = bucket_pad(matrices)
-    lengths = [valid for _, _, valid in GRADCHECK_ITEMS]
+    matrices = [rng.normal(size=(t, 8))[:valid] for _, t, valid in GRADCHECK_ITEMS]
     targets = [target for target, _, _ in GRADCHECK_ITEMS]
-    return model, inputs, lengths, targets
+    return model, matrices, targets
 
 
 def test_backward_passes_gradient_check():
-    model, inputs, lengths, targets = gradcheck_fixture(seed=0)
+    model, inputs, targets = gradcheck_fixture(seed=0)
     model.zero_grads()
-    model.backward(model.forward_teacher_forced(inputs, lengths, targets).cache)
+    model.backward(model.forward_teacher_forced(inputs, targets).cache)
 
     def loss_fn():
-        return model.forward_teacher_forced(inputs, lengths, targets).loss
+        return model.forward_teacher_forced(inputs, targets).loss
 
     for group in model.parameters():
         assert finite_diff_check(loss_fn, group, epsilon=1e-4) < 1e-4, group.name
@@ -552,7 +594,7 @@ def test_backward_passes_gradient_check():
 
 def test_backward_matches_reference_loss_differences_with_padding():
     # the analytic gradients of the fused cells against central differences
-    # of the independent straight-line loss, on a sequence with padded frames
+    # of the independent straight-line loss, on a sequence padded in its batch
     model = CaptionModel(TINY, seed=4)
     rng = np.random.default_rng(44)
     m = rng.normal(size=(5, 8))
@@ -582,24 +624,13 @@ def test_backward_matches_reference_loss_differences_with_padding():
         assert d_matrix[t, f] == pytest.approx((up - down) / (2 * eps), rel=1e-5, abs=1e-9)
 
 
-def test_backward_padded_frames_get_zero_input_gradient():
-    model = CaptionModel(TINY, seed=1)
-    m = np.random.default_rng(21).normal(size=(4, 8))
-    target = [START, 4, 5, END] + [PAD] * 16
-    model.zero_grads()
-    result = forward_one(model, m, target, valid=2)
-    d_matrix = model.backward(result.cache)[0]
-    assert np.array_equal(d_matrix[2:], np.zeros((2, 8)))
-    assert not np.allclose(d_matrix[:2], 0.0)
-
-
 def test_backward_input_gradient_matches_finite_differences():
     model = CaptionModel(TINY, seed=2)
     m = np.random.default_rng(102).normal(size=(3, 8))
     target = [START, 4, 5, END] + [PAD] * 16
     valid = 3
     model.zero_grads()
-    result = forward_one(model, m, target, valid)
+    result = forward_one(model, m, target)
     d_matrix = model.backward(result.cache)[0]
     eps = 1e-5
     rng = np.random.default_rng(0)
@@ -607,9 +638,9 @@ def test_backward_input_gradient_matches_finite_differences():
         t, f = rng.integers(0, valid), rng.integers(0, 8)
         saved = m[t, f]
         m[t, f] = saved + eps
-        up = forward_one(model, m, target, valid).loss
+        up = forward_one(model, m, target).loss
         m[t, f] = saved - eps
-        down = forward_one(model, m, target, valid).loss
+        down = forward_one(model, m, target).loss
         m[t, f] = saved
         numeric = (up - down) / (2 * eps)
         assert d_matrix[t, f] == pytest.approx(numeric, abs=1e-7)
@@ -644,9 +675,9 @@ def test_backward_uses_a_cache_once():
 # ---------------------------------------------------------------------------
 
 # Five samples of three items with distinct lengths 3, 4 and 2 (the first
-# item has two padded frames of its own): two captions of item 0 are two
-# rows with the same input, and item 2 carries a target with no step at all.
-BATCH_ITEM_SHAPES = [(5, 3), (4, 4), (2, 2)]  # (frames, valid length) per item
+# cut from a matrix of 5 frames): two captions of item 0 are two rows with
+# the same input, and item 2 carries a target with no step at all.
+BATCH_ITEM_SHAPES = [(5, 3), (4, 4), (2, 2)]  # (frames drawn, frames kept) per item
 BATCH_SAMPLES = [
     (0, [START, 4, 5, 4, END] + [PAD] * 15),
     (1, [START, 5, 5, 4, 5, END] + [PAD] * 14),
@@ -657,23 +688,20 @@ BATCH_SAMPLES = [
 
 
 def batch_fixture(seed):
-    """(model, per-item matrices, per-item valid lengths, padded inputs and
-    lengths of BATCH_SAMPLES, one row per sample)."""
+    """(model, per-item matrices, the inputs of BATCH_SAMPLES, one matrix
+    per sample)."""
     model = CaptionModel(TINY, seed=seed)
     rng = np.random.default_rng(500 + seed)
-    matrices = [rng.normal(size=(frames, 8)) for frames, _ in BATCH_ITEM_SHAPES]
-    valids = [valid for _, valid in BATCH_ITEM_SHAPES]
-    inputs, _ = bucket_pad([matrices[item] for item, _ in BATCH_SAMPLES])
-    lengths = [valids[item] for item, _ in BATCH_SAMPLES]
-    return model, matrices, valids, inputs, lengths
+    matrices = [rng.normal(size=(frames, 8))[:kept] for frames, kept in BATCH_ITEM_SHAPES]
+    return model, matrices, [matrices[item] for item, _ in BATCH_SAMPLES]
 
 
-def run_batch(model, inputs, lengths, targets=None):
-    """Loss, every parameter's gradient and d(inputs) of one batch, by
+def run_batch(model, inputs, targets=None):
+    """Loss, every parameter's gradient and d(input)s of one batch, by
     default the targets of BATCH_SAMPLES."""
     model.zero_grads()
     targets = [t for _, t in BATCH_SAMPLES] if targets is None else targets
-    result = model.forward_teacher_forced(inputs, lengths, targets)
+    result = model.forward_teacher_forced(inputs, targets)
     d_inputs = model.backward(result.cache)
     return result.loss, {g.name: g.gradient.copy() for g in model.parameters()}, d_inputs
 
@@ -688,34 +716,35 @@ def assert_within_policy(actual, expected, name="", rtol=1e-9):
 
 def test_batch_loss_and_gradients_equal_per_sample_sums():
     for seed in (0, 1, 2):
-        model, matrices, valids, inputs, lengths = batch_fixture(seed)
-        loss, grads, d_inputs = run_batch(model, inputs, lengths)
+        model, matrices, inputs = batch_fixture(seed)
+        loss, grads, d_inputs = run_batch(model, inputs)
         summed = {name: np.zeros_like(g) for name, g in grads.items()}
-        d_each = np.zeros_like(inputs)
+        d_each = []
         loss_sum = 0.0
-        for b, (item, target) in enumerate(BATCH_SAMPLES):
+        for item, target in BATCH_SAMPLES:
             model.zero_grads()
-            one = forward_one(model, matrices[item], target, valids[item])
+            one = forward_one(model, matrices[item], target)
             loss_sum += one.loss
-            d_each[b, :len(matrices[item])] = model.backward(one.cache)[0]
+            d_each.append(model.backward(one.cache)[0])
             for group in model.parameters():
                 summed[group.name] += group.gradient
-        ref = sum(ref_teacher_forced_loss(model, matrices[item], target, valids[item])
+        ref = sum(ref_teacher_forced_loss(model, matrices[item], target, len(matrices[item]))
                   for item, target in BATCH_SAMPLES)
         assert loss == pytest.approx(ref, rel=1e-9, abs=0.0)
         assert loss == pytest.approx(loss_sum, rel=1e-9, abs=0.0)
         for name, grad in grads.items():
             assert np.any(grad != 0.0), name
             assert_within_policy(grad, summed[name], name)
-        assert_within_policy(d_inputs, d_each)
+        assert [d.shape for d in d_inputs] == [m.shape for m in inputs]
+        assert_within_policy(np.concatenate(d_inputs), np.concatenate(d_each))
 
 
 def test_batch_gradients_match_reference_central_differences():
-    model, matrices, valids, inputs, lengths = batch_fixture(seed=3)
-    _, grads, d_inputs = run_batch(model, inputs, lengths)
+    model, matrices, inputs = batch_fixture(seed=3)
+    _, grads, d_inputs = run_batch(model, inputs)
 
     def ref_loss():
-        return sum(ref_teacher_forced_loss(model, matrices[item], target, valids[item])
+        return sum(ref_teacher_forced_loss(model, matrices[item], target, len(matrices[item]))
                    for item, target in BATCH_SAMPLES)
 
     rng = np.random.default_rng(7)
@@ -742,7 +771,7 @@ def test_batch_gradients_match_reference_central_differences():
         m[t, f] = saved - eps
         down = ref_loss()
         m[t, f] = saved
-        assert sum(d_inputs[b, t, f] for b in rows_of[item]) == pytest.approx(
+        assert sum(d_inputs[b][t, f] for b in rows_of[item]) == pytest.approx(
             (up - down) / (2 * eps), rel=1e-5, abs=1e-9)
 
 
@@ -754,9 +783,8 @@ def test_packed_batch_across_projection_chunks_matches_references():
     matrices = [rng.normal(size=(n, 8)) for n in lengths]
     targets = [[START] + rng.integers(4, 6, size=k).tolist() + [END] + [PAD] * (17 - k)
                for k in (3, 1, 4, 2, 0)]
-    inputs, _ = bucket_pad(matrices)
     model.zero_grads()
-    result = model.forward_teacher_forced(inputs, lengths, targets)
+    result = model.forward_teacher_forced(matrices, targets)
     d_inputs = model.backward(result.cache)
     grads = {g.name: g.gradient.copy() for g in model.parameters()}
     ref = sum(ref_teacher_forced_loss(model, m, t, len(m)) for m, t in zip(matrices, targets))
@@ -765,7 +793,7 @@ def test_packed_batch_across_projection_chunks_matches_references():
     for b, (m, target) in enumerate(zip(matrices, targets)):
         model.zero_grads()
         one = forward_one(model, m, target)
-        assert_within_policy(model.backward(one.cache)[0], d_inputs[b, :len(m)])
+        assert_within_policy(model.backward(one.cache)[0], d_inputs[b])
         for group in model.parameters():
             summed[group.name] += group.gradient
     for name, grad in grads.items():
@@ -786,45 +814,15 @@ def test_packed_batch_across_projection_chunks_matches_references():
                                                    rel=1e-5, abs=1e-9), group.name
 
 
-@pytest.mark.parametrize("dims, fill", [
-    pytest.param("tiny", "noise", id="noise"),
-    pytest.param("tiny", "non-finite", id="non-finite"),
-    # 8 rows: both encoder layers and the decoder step on two threads
-    pytest.param("paper", "noise", id="paper-noise"),
-    pytest.param("paper", "non-finite", id="paper-non-finite"),
-])
-def test_batch_padded_frame_values_change_nothing(dims, fill):
-    if dims == "tiny":
-        model, _, _, inputs, lengths = batch_fixture(seed=4)
-        targets = [t for _, t in BATCH_SAMPLES]
-    else:
-        model = CaptionModel(PAPER, seed=5)
-        inputs, lengths, targets = _paper_batch()
-    loss, grads, d_inputs = run_batch(model, inputs, lengths, targets)
-    noisy = inputs.copy()
-    padded = np.arange(inputs.shape[1])[None, :] >= np.array(lengths)[:, None]
-    count, width = int(padded.sum()), inputs.shape[2]
-    if fill == "noise":
-        noisy[padded] = np.random.default_rng(9).normal(scale=1e3, size=(count, width))
-    else:
-        noisy[padded] = np.resize([np.nan, np.inf, -np.inf], (count, width))
-    noisy_loss, noisy_grads, noisy_d_inputs = run_batch(model, noisy, lengths, targets)
-    assert noisy_loss == loss
-    for name, grad in grads.items():
-        assert np.array_equal(noisy_grads[name], grad), name
-    assert np.array_equal(noisy_d_inputs, d_inputs)
-    assert np.array_equal(d_inputs[padded], np.zeros((count, width)))
-
-
 def test_batch_rejects_mismatched_targets_and_lengths():
-    model, _, _, inputs, lengths = batch_fixture(seed=0)
+    model, _, inputs = batch_fixture(seed=0)
     targets = [t for _, t in BATCH_SAMPLES]
     with pytest.raises(ValueError):
-        model.forward_teacher_forced(inputs, lengths, targets[:2])
+        model.forward_teacher_forced(inputs, targets[:2])
     with pytest.raises(ValueError):
-        model.forward_teacher_forced(inputs[:1], lengths[:1], [[START, 9, END]])
+        model.forward_teacher_forced(inputs[:1], [[START, 9, END]])
     with pytest.raises(ShapeError):
-        model.forward_teacher_forced(inputs, lengths[:2], targets)
+        model.forward_teacher_forced(inputs[:-1] + [np.zeros((0, 8))], targets)
 
 
 # ---------------------------------------------------------------------------
@@ -836,11 +834,10 @@ def _paper_batch():
     """A paper-dims batch of 8 rows: above the two-thread gate at h = 256 for
     an encoder layer's 8 rows and for each 4-row half of the decoder."""
     rng = np.random.default_rng(11)
-    lengths = [21, 9, 17, 21, 2, 14, 5, 19]
-    inputs, _ = bucket_pad([rng.normal(size=(n, PAPER.embed_dim)) for n in lengths])
+    inputs = [rng.normal(size=(n, PAPER.embed_dim)) for n in [21, 9, 17, 21, 2, 14, 5, 19]]
     targets = [[START] + rng.integers(4, PAPER.vocab_size, size=k).tolist() + [END]
                + [PAD] * (8 - k) for k in (5, 2, 8, 1, 3, 6, 4, 7)]
-    return inputs, lengths, targets
+    return inputs, targets
 
 
 def _layer_run(monkeypatch, inline):
@@ -864,8 +861,8 @@ def _layer_run(monkeypatch, inline):
     monkeypatch.setattr(model_module.BiLstmLayer, "forward", keep_output)
     monkeypatch.setattr(model_module, "side_by_side", counting)
     model = CaptionModel(PAPER, seed=5)
-    inputs, lengths, targets = _paper_batch()
-    result = model.forward_teacher_forced(inputs, lengths, targets)
+    inputs, targets = _paper_batch()
+    result = model.forward_teacher_forced(inputs, targets)
     d_inputs = model.backward(result.cache)
     grads = {g.name: g.gradient.copy() for g in model.parameters()}
     monkeypatch.undo()
@@ -901,7 +898,7 @@ def test_two_thread_layers_give_the_same_bits_as_one_thread(monkeypatch, switch_
     assert grads.keys() == one_grads.keys()
     for name, grad in grads.items():
         assert np.array_equal(grad, one_grads[name]), name
-    assert np.array_equal(d_inputs, one_d_inputs)
+    assert arrays_equal(d_inputs, one_d_inputs)
     assert len(outputs) == len(one_outputs) == 2
     for out, one_out in zip(outputs, one_outputs):
         assert np.array_equal(out, one_out)
@@ -929,12 +926,11 @@ def test_a_teacher_forced_batch_steps_whole_below_the_gate_and_by_halves_above(
     monkeypatch.setattr(Decoder, "advance", counted(advance))
     monkeypatch.setattr(Attention, "backward", counted(backward))
     rng = np.random.default_rng(12)
-    lengths = rng.integers(2, 10, size=batch).tolist()
-    inputs, _ = bucket_pad([rng.normal(size=(n, cfg.embed_dim)) for n in lengths])
+    inputs = [rng.normal(size=(n, cfg.embed_dim)) for n in rng.integers(2, 10, size=batch)]
     targets = [[START] + rng.integers(4, cfg.vocab_size, size=k).tolist() + [END]
                for k in rng.integers(1, 6, size=batch).tolist()]
     model = CaptionModel(cfg, seed=5)
-    result = model.forward_teacher_forced(inputs, lengths, targets)
+    result = model.forward_teacher_forced(inputs, targets)
     span = len(result.cache.decoder.tokens_in)
     model.backward(result.cache)
     assert calls.count("advance") == calls.count("backward") == per_step * span
@@ -965,11 +961,11 @@ def test_an_exception_in_the_helper_direction_reaches_the_caller(monkeypatch, ow
         run, want, target = (lambda: stft_power(w)), stft_power(w), np.fft
     else:
         model = CaptionModel(PAPER, seed=5)
-        inputs, lengths, targets = _paper_batch()
+        inputs, targets = _paper_batch()
         target = functools.reduce(getattr, owner.split("."), model)
 
         def run():
-            model.backward(model.forward_teacher_forced(inputs, lengths, targets).cache)
+            model.backward(model.forward_teacher_forced(inputs, targets).cache)
     call, failure, ran_on = getattr(target, method), RuntimeError("helper failed"), []
 
     def fail_on_the_helper(*args, **kwargs):
@@ -988,12 +984,12 @@ def test_an_exception_in_the_helper_direction_reaches_the_caller(monkeypatch, ow
         assert np.array_equal(run(), want)
         return
     model.zero_grads()
-    result = model.forward_teacher_forced(inputs, lengths, targets)
+    result = model.forward_teacher_forced(inputs, targets)
     d_inputs = model.backward(result.cache)
     again = CaptionModel(PAPER, seed=5)
-    assert result.loss == again.forward_teacher_forced(inputs, lengths, targets).loss
-    assert np.array_equal(d_inputs, again.backward(
-        again.forward_teacher_forced(inputs, lengths, targets).cache))
+    assert result.loss == again.forward_teacher_forced(inputs, targets).loss
+    assert arrays_equal(d_inputs, again.backward(
+        again.forward_teacher_forced(inputs, targets).cache))
 
 
 @pytest.mark.parametrize("method", ["forward_sequence", "backward_sequence"])
@@ -1003,10 +999,10 @@ def test_an_exception_in_the_fwd_direction_returns_after_the_bwd_thread_ends(mon
     import time
 
     model = CaptionModel(PAPER, seed=5)
-    inputs, lengths, targets = _paper_batch()
+    inputs, targets = _paper_batch()
     cache = None
     if method == "backward_sequence":
-        cache = model.forward_teacher_forced(inputs, lengths, targets).cache
+        cache = model.forward_teacher_forced(inputs, targets).cache
     layer = model.encoder.layer2
     failure, started, finished = RuntimeError("fwd cell failed"), threading.Event(), []
     bwd_call = getattr(layer.bwd, method)
@@ -1025,7 +1021,7 @@ def test_an_exception_in_the_fwd_direction_returns_after_the_bwd_thread_ends(mon
     monkeypatch.setattr(layer.bwd, method, slow_bwd)
     with pytest.raises(RuntimeError) as caught:
         if cache is None:
-            model.forward_teacher_forced(inputs, lengths, targets)
+            model.forward_teacher_forced(inputs, targets)
         else:
             model.backward(cache)
     assert caught.value is failure
@@ -1037,13 +1033,13 @@ def test_a_forked_child_trains_on_a_helper_of_its_own():
     import os
     import time
 
-    inputs, lengths, targets = _paper_batch()
+    inputs, targets = _paper_batch()
     model = CaptionModel(PAPER, seed=5)
-    want = model.forward_teacher_forced(inputs, lengths, targets)  # starts the helper
+    want = model.forward_teacher_forced(inputs, targets)  # starts the helper
     pid = os.fork()
     if pid == 0:  # the child has no helper thread until it starts one
         try:
-            got = model.forward_teacher_forced(inputs, lengths, targets)
+            got = model.forward_teacher_forced(inputs, targets)
             model.backward(got.cache)
             os._exit(0 if got.loss == want.loss else 1)
         finally:
@@ -1095,14 +1091,14 @@ report()
 rng = np.random.default_rng(0)
 for batch, hidden in [(4, 32), (8, 16), (4, 8)]:
     model = CaptionModel(ModelConfig(embed_dim=16, vocab_size=9, enc_hidden=hidden))
-    result = model.forward_teacher_forced(rng.normal(size=(batch, 12, 16)), [12] * batch,
+    result = model.forward_teacher_forced(list(rng.normal(size=(batch, 12, 16))),
                                           [[1, 5, 6, 2]] * batch)
     model.backward(result.cache)
 paper = CaptionModel(ModelConfig(embed_dim=128, vocab_size=40))
-paper.encode(rng.normal(size=(16, 20, 128)), [20] * 16)
+paper.encode(list(rng.normal(size=(16, 20, 128))))
 report()
 for batch in (4, 8):
-    result = paper.forward_teacher_forced(rng.normal(size=(batch, 6, 128)), [6] * batch,
+    result = paper.forward_teacher_forced(list(rng.normal(size=(batch, 6, 128))),
                                           [[1, 5, 6, 2]] * batch)
     report()
     paper.backward(result.cache)
@@ -1117,9 +1113,10 @@ for batch in (4, 8):
 
 def test_decoder_advance_over_rows_equals_per_row_calls():
     for seed in (0, 1, 2):
-        model, matrices, valids, inputs, lengths = batch_fixture(seed)
+        model, matrices, inputs = batch_fixture(seed)
         dec = model.decoder
-        values, _ = model.encoder.forward(inputs, lengths)
+        lengths = [len(m) for m in inputs]
+        values, _ = model.encoder.forward(inputs)
         enc = EncoderOutput(values, np.asarray(lengths), dec.attention.keys(values))
         rng = np.random.default_rng(seed)
         batch = len(lengths)
@@ -1138,11 +1135,11 @@ def test_decoder_advance_over_rows_equals_per_row_calls():
 
 
 def test_teacher_forced_attention_weights_equal_advance_row_by_row():
-    model, matrices, valids, inputs, lengths = batch_fixture(seed=4)
-    result = model.forward_teacher_forced(inputs, lengths, [t for _, t in BATCH_SAMPLES])
+    model, matrices, inputs = batch_fixture(seed=4)
+    result = model.forward_teacher_forced(inputs, [t for _, t in BATCH_SAMPLES])
     cache = result.cache.decoder
     for b, (item, _) in enumerate(BATCH_SAMPLES):
-        enc = model.encode(matrices[item], valids[item])
+        enc = model.encode(matrices[item])
         h, c = model.initial_state()
         for s in range(cache.n_steps[b]):
             h, c, _, att = model.decoder.advance(int(cache.tokens_in[s, b]), h, c, enc)
@@ -1504,7 +1501,8 @@ def test_loaded_model_holds_no_training_buffers(tmp_path):
 
 def test_encode_carries_attention_keys():
     model = CaptionModel(TINY, seed=3)
-    enc = model.encode(np.random.default_rng(4).normal(size=(5, 8)), valid_length=4)
+    m = np.random.default_rng(4).normal(size=(5, 8))
+    enc = model.encode([m[:4], m])
     assert np.array_equal(enc.keys, enc.values @ model.decoder.attention.w_enc.value)
 
 
@@ -1526,7 +1524,7 @@ def test_attention_with_hoisted_keys_is_bit_identical_to_unhoisted_formula():
         att = model.decoder.attention
         t_total = int(rng.integers(1, 8))
         valid = int(rng.integers(1, t_total + 1))
-        enc = model.encode(rng.normal(size=(t_total, 8)), valid_length=valid)
+        enc = padded_encode(model, rng.normal(size=(t_total, 8)), valid)
         h_prev = rng.normal(size=8)
         step = att.forward(enc.values, valid, h_prev, enc.keys)
         pre = att._pre(enc.keys, h_prev)

@@ -204,10 +204,12 @@ def test_padded_forward_matches_unpadded():
     model = CaptionModel(cfg, seed=0)
     rng = np.random.default_rng(0)
     matrix = rng.normal(size=(3, 6))
-    padded = np.vstack([matrix, np.zeros((2, 6))])
+    longer = rng.normal(size=(5, 6))
     target = [START, 4, 5, END] + [PAD] * 16
-    plain = model.forward_teacher_forced(matrix[None], [3], [target])
-    masked = model.forward_teacher_forced(padded[None], [3], [target])
+    plain = model.forward_teacher_forced([matrix], [target])
+    # in a batch with a 5-frame row, matrix's E and attention are padded to 5
+    # frames; the longer row has no target step and adds no loss
+    masked = model.forward_teacher_forced([matrix, longer], [target, [START]])
     assert masked.loss == pytest.approx(plain.loss, abs=1e-12)
 
 
@@ -266,7 +268,7 @@ def test_train_aborts_on_non_finite_loss(tmp_path, monkeypatch):
 
     manifest = make_toy_dataset(tmp_path / "toy", seed=0, n_items=2)
 
-    def poisoned(self, inputs, lengths, targets):
+    def poisoned(self, matrices, targets):
         return ForwardResult(float("nan"), None)
 
     monkeypatch.setattr(CaptionModel, "forward_teacher_forced", poisoned)
@@ -276,13 +278,13 @@ def test_train_aborts_on_non_finite_loss(tmp_path, monkeypatch):
 
 
 def _spy_on_batches(monkeypatch) -> list:
-    """Records (inputs shape, lengths) of every teacher-forced call."""
+    """Records the frame counts of the matrices of every teacher-forced call."""
     calls = []
     original = CaptionModel.forward_teacher_forced
 
-    def spy(self, inputs, lengths, targets):
-        calls.append((inputs.shape, list(lengths)))
-        return original(self, inputs, lengths, targets)
+    def spy(self, matrices, targets):
+        calls.append([len(m) for m in matrices])
+        return original(self, matrices, targets)
 
     monkeypatch.setattr(CaptionModel, "forward_teacher_forced", spy)
     return calls
@@ -296,8 +298,8 @@ def test_train_runs_a_batch_as_one_call_with_one_row_per_sample(tmp_path, monkey
     frames = sorted(load_features(e.path).shape[0]
                     for e in split_entries(load_manifest(manifest), "dev"))
     assert len(calls) == 2  # one call per batch: two epochs of one batch
-    for shape, lengths in calls:
-        assert shape[0] == 10 and shape[1] == max(frames)
+    for lengths in calls:
+        assert len(lengths) == 10 and max(lengths) == max(frames)
         assert sorted(lengths) == sorted(frames * 5)
 
 
@@ -311,8 +313,8 @@ def test_train_splits_a_batch_over_the_frame_budget(tmp_path, monkeypatch):
     calls = _spy_on_batches(monkeypatch)
     split = train(config, manifest, tmp_path / "split")
     # two epochs of one batch of 10, each as calls of 3, 3, 2 and 2 rows
-    assert [shape[0] for shape, _ in calls] == [3, 3, 2, 2] * 2
-    assert all(shape[0] * shape[1] <= 3 * longest for shape, _ in calls)
+    assert [len(lengths) for lengths in calls] == [3, 3, 2, 2] * 2
+    assert all(len(lengths) * max(lengths) <= 3 * longest for lengths in calls)
     assert split.losses == pytest.approx(whole.losses, rel=1e-9, abs=0.0)
     assert split.val_bleu4 == whole.val_bleu4
     for a, b in zip(split.model.parameters(), whole.model.parameters()):
@@ -375,17 +377,18 @@ def test_evaluate_in_budgeted_encode_calls_equals_per_item_decoding(tmp_path, mo
         got.append(hyp.tokens)
         return hyp
 
-    def count(self, inputs, *args):
-        calls.append(inputs.shape)
-        return encode(self, inputs, *args)
+    def count(self, inputs):
+        # the frame counts of a batch call, a list of matrices; None for one matrix
+        calls.append([len(m) for m in inputs] if isinstance(inputs, list) else None)
+        return encode(self, inputs)
     monkeypatch.setattr(pipeline, "ENCODE_FRAME_BUDGET", budget)
     monkeypatch.setattr(pipeline, "beam_search", capture)
     monkeypatch.setattr(CaptionModel, "encode", count)
     evaluate(tmp_path / "model.ckpt", manifest, split="dev", beam=3)
     assert got == want
-    assert [len(shape) for shape in calls] == [3] * len(calls)
-    assert sum(shape[0] for shape in calls) == len(entries)
-    assert all(rows == 1 or rows * frames <= budget for rows, frames, _ in calls)
+    assert None not in calls
+    assert sum(len(lengths) for lengths in calls) == len(entries)
+    assert all(len(lengths) == 1 or len(lengths) * max(lengths) <= budget for lengths in calls)
     if n_calls is None:
         assert 1 < len(calls) < len(entries)
     else:
