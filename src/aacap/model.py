@@ -50,6 +50,14 @@ the caller's thread. CaptionModel.encode (evaluation,
 validation, caption, attention export) stays on one thread: at its few
 live rows per step the gain was not reliable, and a second thread's
 malloc arena costs memory in a process that otherwise never needs one.
+Its products, and a search's, get the second core from BLAS instead:
+pipeline runs evaluation, caption and attention export with OpenBLAS at
+numerics.DECODE_BLAS_THREADS (2, or 1 on one CPU), since a beam step's
+few rows read all of W_out and one thread is bound by one core's memory
+bandwidth. OpenBLAS splits these products by output rows or columns, not
+along a sum, so encodings, tokens, log-probabilities and attention are
+bit-identical at 1 and 2 threads (a test checks this at paper dims). Training, validation included,
+runs at one BLAS thread.
 
 A decoder step is Decoder.advance: an attention read of the encoder output
 from h_prev, then one decoder cell step on the word embedding plus the

@@ -8,6 +8,7 @@ can never produce an infinite loss.
 """
 
 import ctypes
+import os
 import threading
 from contextlib import contextmanager
 from functools import cached_property
@@ -30,6 +31,13 @@ OPENBLAS_THREAD_CALLS = (
     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
+# BLAS threads of an inference decode (encode and search). A beam step's few
+# rows read all of W_out, so one thread is bound by one core's memory
+# bandwidth; two match side_by_side's two threads. On one CPU it is 1, since
+# OpenBLAS helper threads spin and would starve the caller's core. OpenBLAS
+# splits a product by output rows or columns, not along a sum, so decode
+# outputs are bit-identical at 1 and 2 threads.
+DECODE_BLAS_THREADS = min(2, len(os.sched_getaffinity(0)))
 
 
 class ParameterGroup:
@@ -72,11 +80,18 @@ def check_allocatable(values: int, what: str):
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function: 1 / (1 + e^-x) for x >= 0 and
-    e^x / (1 + e^x) below, with e = e^-|x| shared by both, so exp never
-    overflows."""
+    e^x / (1 + e^x) below, so exp never overflows. The numerator is
+    e^min(x, 0), which is 1 or e^x, and the denominator 1 + e^-|x|, built
+    in one scratch buffer."""
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    scratch = np.abs(x, out=np.empty_like(x))
+    np.negative(scratch, out=scratch)
+    np.exp(scratch, out=scratch)
+    scratch += 1.0
+    out = np.minimum(x, 0.0, out=np.empty_like(x))
+    np.exp(out, out=out)
+    out /= scratch
+    return out
 
 
 def softmax(x: np.ndarray) -> np.ndarray:

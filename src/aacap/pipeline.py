@@ -6,6 +6,11 @@ baseline), a list of captions (normally 5), and a split in {dev, val,
 eval}. Training is reproducible bit for bit from (seed, config, manifest)
 where numerics.blas_threads finds OpenBLAS, since its loop then runs at one
 BLAS thread; with another BLAS it also depends on that library's threading.
+evaluate, caption_file and export_attention run their encode and search at
+numerics.DECODE_BLAS_THREADS (2, or 1 on one CPU): a beam step's few rows
+read all of the output projection, and a second thread shares that read.
+Their outputs are bit-identical at 1 and 2 threads. Each of the four puts
+the caller's BLAS thread count back when it returns or raises.
 """
 
 import json
@@ -24,12 +29,17 @@ from .errors import ConfigError, CorruptionError, DataError
 from .features import AugmentConfig, spec_augment, wav_to_log_mel
 from .metrics import EvalInstance, MetricReport, bleu, evaluate_corpus
 from .model import CaptionModel, EncoderOutput, ModelConfig, check_dims
-from .numerics import adam_step, blas_threads, check_allocatable
+from .numerics import DECODE_BLAS_THREADS, adam_step, blas_threads, check_allocatable
 from .text import END, PAD, START, Vocabulary, build_vocab, decode, encode, normalize
 
 SPLITS = ("dev", "val", "eval")
 EXPECTED_CAPTIONS = 5
 PLATEAU_MIN_IMPROVEMENT = 1e-6  # a validation gain at or below this is no gain
+# The largest initial learning rate. Adam moves each weight by about lr per
+# step, and at 1.0 one step is already about 10x the Glorot scale at the
+# default dims; beyond that a run diverges while PROB_FLOOR keeps its loss
+# finite, so nothing else would stop it.
+MAX_LR = 1.0
 
 TOY_EVENTS = ["beep", "chime", "drum", "hiss", "knock", "ring", "thud", "whir"]
 
@@ -66,8 +76,8 @@ class TrainConfig:
     word_dim: int = ModelConfig.word_dim
 
     def __post_init__(self):
-        if not (math.isfinite(self.initial_lr) and self.initial_lr > 0.0):
-            raise ConfigError(f"initial_lr must be finite and > 0, got {self.initial_lr}")
+        if not 0.0 < self.initial_lr <= MAX_LR:
+            raise ConfigError(f"initial_lr must be in (0, {MAX_LR}], got {self.initial_lr}")
         if not 0.0 < self.lr_factor < 1.0:
             raise ConfigError(f"lr_factor must be in (0, 1), got {self.lr_factor}")
         if self.plateau_patience < 1:
@@ -387,7 +397,8 @@ def evaluate(checkpoint_path, manifest_path, split: str = "eval",
     """Beam-search decode every item of a split and score against all captions.
 
     The items are encoded a batch of consecutive items at a time
-    (encode_in_calls) and decoded one by one, in manifest order."""
+    (encode_in_calls) and decoded one by one, in manifest order, at
+    DECODE_BLAS_THREADS BLAS threads."""
     model, vocab = load_checkpoint(checkpoint_path)
     entries = split_entries(load_manifest(manifest_path), split)
     if not entries:
@@ -396,34 +407,38 @@ def evaluate(checkpoint_path, manifest_path, split: str = "eval",
     matrices = (load_input_file(entry.path, model.cfg.embed_dim) for entry in entries)
     candidates = []
     references = []
-    for entry, enc in zip(entries, encode_in_calls(model, matrices)):
-        hyp = beam_search(model, enc, beam=beam, length_normalize=length_normalize)
-        candidates.append(decode(hyp.tokens, vocab).split())
-        references.append([normalize(c) for c in entry.captions])
+    with blas_threads(DECODE_BLAS_THREADS):
+        for entry, enc in zip(entries, encode_in_calls(model, matrices)):
+            hyp = beam_search(model, enc, beam=beam, length_normalize=length_normalize)
+            candidates.append(decode(hyp.tokens, vocab).split())
+            references.append([normalize(c) for c in entry.captions])
     return evaluate_corpus(candidates, references)
 
 
 def caption_file(checkpoint_path, input_path, beam: int = DEFAULT_BEAM,
                  length_normalize: bool = True) -> str:
-    """Caption one embedding file or wav by beam search; greedy decoding is
-    beam=1 with length_normalize=False."""
+    """Caption one embedding file or wav by beam search, at DECODE_BLAS_THREADS
+    BLAS threads; greedy decoding is beam=1 with length_normalize=False."""
     model, vocab = load_checkpoint(checkpoint_path)
-    enc = model.encode(load_input_file(input_path, model.cfg.embed_dim))
-    return decode(beam_search(model, enc, beam=beam,
-                              length_normalize=length_normalize).tokens, vocab)
+    matrix = load_input_file(input_path, model.cfg.embed_dim)
+    with blas_threads(DECODE_BLAS_THREADS):
+        hyp = beam_search(model, model.encode(matrix), beam=beam,
+                          length_normalize=length_normalize)
+    return decode(hyp.tokens, vocab)
 
 
 def export_attention(checkpoint_path, input_path, out_path,
                      item_id: Optional[str] = None) -> dict:
-    """Greedy decode and write the per-token attention weights as JSON.
+    """Greedy decode, at DECODE_BLAS_THREADS BLAS threads, and write the
+    per-token attention weights as JSON.
 
     The trace keeps one weight row per caption token (the <END> step is
     dropped so row k belongs to word k of the caption).
     """
     model, vocab = load_checkpoint(checkpoint_path)
     matrix = load_input_file(input_path, model.cfg.embed_dim)
-    enc = model.encode(matrix)
-    ids, trace = greedy_decode_encoded(model, enc)
+    with blas_threads(DECODE_BLAS_THREADS):
+        ids, trace = greedy_decode_encoded(model, model.encode(matrix))
     tokens = decode(ids, vocab).split()
     weights = [step.weights.tolist() for step, token in zip(trace, ids[1:])
                if token not in (PAD, START, END)]

@@ -19,7 +19,7 @@ from aacap import cli
 from aacap.decoding import MAX_BEAM
 from aacap.features import Waveform
 from aacap.model import CaptionModel, ModelConfig
-from aacap.pipeline import load_manifest, make_toy_dataset
+from aacap.pipeline import MAX_LR, load_manifest, make_toy_dataset
 
 VOCAB = ["<PAD>", "<START>", "<END>", "<UNK>", "a", "b"]
 TINY_DIMS = ["--enc-hidden", "2", "--attn-dim", "2", "--dec-hidden", "2", "--word-dim", "2"]
@@ -249,14 +249,16 @@ def test_a_size_numpy_cannot_represent_exits_2(files, tmp_path, command, capsys)
 
 
 # Values every int or float option is walked through, then TOO_LARGE, one past
-# the largest int64. Where a large valid value is only more work, UPPER_EDGES
+# the largest int64. Where a large valid value is only more work, or an option
+# has an upper bound of its own (--beam's MAX_BEAM, --lr's MAX_LR), UPPER_EDGES
 # gives the values the walk tries in its place. argparse alone reads -1 as a
 # number; the other negatives are values only because cli._Parser takes
 # whatever float() parses as one.
 OUT_OF_DOMAIN = ["0", "-1", "nan", "inf", "-inf", "-nan", "-1e-3", "-1e3"]
 TOO_LARGE = str(2**63)
 UPPER_EDGES = {"--epochs": ["20"], "--n-items": ["100"],
-               "--beam": [str(MAX_BEAM), str(MAX_BEAM + 1), TOO_LARGE]}
+               "--beam": [str(MAX_BEAM), str(MAX_BEAM + 1), TOO_LARGE],
+               "--lr": [str(MAX_LR), "1.5", TOO_LARGE]}
 VALID = {int: "2", float: "0.5", "--dim": "8"}  # --dim holds one row per toy event
 # the field each float option's own check names in its configuration error
 CHECKED_AS = {"--lr": "initial_lr", "--lr-factor": "lr_factor",

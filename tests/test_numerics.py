@@ -95,6 +95,26 @@ def test_sigmoid_is_bit_identical_to_the_masked_formula():
         assert np.array_equal(got, masked_sigmoid(x), equal_nan=True)
 
 
+def where_sigmoid(x):
+    """The select formula: e = e^-|x| shared by both branches, numerator
+    picked by np.where."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def test_sigmoid_has_the_bits_of_the_select_formula():
+    tiny = np.finfo(np.float64).tiny
+    special = np.array([0.0, -0.0, tiny, -tiny, tiny / 2, -tiny / 2, 5e-324, -5e-324,
+                        1e-300, -1e-300, 745.0, -745.0, np.inf, -np.inf])
+    rng = np.random.default_rng(1)
+    blocks = [special, *(rng.normal(scale=scale, size=(20, 768))
+                         for scale in (1e-8, 1e-4, 1e-1, 1.0, 10.0, 1e2, 1e3))]
+    for x in blocks:
+        assert np.array_equal(sigmoid(x).view(np.uint64), where_sigmoid(x).view(np.uint64))
+    nans = np.array([np.nan, -np.nan, np.nan])
+    assert np.all(np.isnan(sigmoid(nans)))
+
+
 def test_adam_zero_gradient_keeps_value():
     group = ParameterGroup("w", np.array([1.0, -2.0]))
     before = group.value.copy()

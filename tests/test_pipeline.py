@@ -12,7 +12,7 @@ import pytest
 
 from test_features import wav_bytes, write_wav
 
-from aacap import cli, numerics, pipeline
+from aacap import cli, decoding, numerics, pipeline
 from aacap.embeddings import save_embedding_file
 from aacap.decoding import beam_search, greedy_decode_encoded
 from aacap.errors import ConfigError, DataError
@@ -328,9 +328,11 @@ def test_train_config_validation():
         TrainConfig(plateau_patience=0)
     with pytest.raises(ConfigError):
         TrainConfig(batch_size=0)
-    for lr in (-1.0, 0.0, math.nan, math.inf):
+    for lr in (-1.0, 0.0, math.nan, math.inf, math.nextafter(pipeline.MAX_LR, math.inf),
+               1.5, 2.0**63):
         with pytest.raises(ConfigError, match="initial_lr"):
             TrainConfig(initial_lr=lr)
+    assert TrainConfig(initial_lr=pipeline.MAX_LR).initial_lr == pipeline.MAX_LR
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +536,7 @@ def test_train_runs_at_one_blas_thread_and_puts_the_callers_count_back(tmp_path,
         seen.append(get())
         return numerics.adam_step(group, lr)
     monkeypatch.setattr(pipeline, "adam_step", counted)
+    monkeypatch.setattr(pipeline, "MAX_LR", math.inf)  # let a divergent rate through
     manifest = make_toy_dataset(tmp_path / "toy", seed=0, n_items=4)
     with numerics.blas_threads(2):
         before = get()
@@ -544,6 +547,112 @@ def test_train_runs_at_one_blas_thread_and_puts_the_callers_count_back(tmp_path,
                   tmp_path / "diverged")
         assert get() == before
     assert seen and set(seen) == {1}
+
+
+@pytest.mark.filterwarnings("ignore:CIDEr idf is degenerate")
+def test_decodes_run_at_decode_blas_threads_and_put_the_callers_count_back(tmp_path,
+                                                                           monkeypatch):
+    calls = numerics._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("no OpenBLAS loaded")
+    get, _ = calls
+    seen, failing = [], []
+    search = decoding._search
+
+    def counted(*args, **kwargs):
+        seen.append(get())
+        if failing:
+            raise DataError("search failed")
+        return search(*args, **kwargs)
+    monkeypatch.setattr(decoding, "_search", counted)
+    checkpoint, input_path = _cli_checkpoint(tmp_path)
+    manifest = tmp_path / "toy" / "manifest.jsonl"
+    wide_manifest = make_toy_dataset(tmp_path / "wide", seed=0, n_items=2, dim=12)
+    wide_input = load_manifest(wide_manifest)[0].path
+    runs = {  # each entry point, on a manifest and an input file of one dim
+        "evaluate": lambda manifest, _: evaluate(checkpoint, manifest),
+        "caption": lambda _, path: caption_file(checkpoint, path),
+        "attn-export": lambda _, path: export_attention(checkpoint, path,
+                                                        tmp_path / "attn.json"),
+    }
+    caller = 3 - numerics.DECODE_BLAS_THREADS  # a count the decodes do not run at
+    with numerics.blas_threads(caller):
+        assert get() == caller
+        for name, run in runs.items():
+            seen.clear()
+            run(manifest, input_path)
+            assert seen and set(seen) == {numerics.DECODE_BLAS_THREADS}, name
+            assert get() == caller, name
+            with pytest.raises(DataError, match="feature dim 12"):
+                run(wide_manifest, wide_input)
+            assert get() == caller, name
+            failing.append(True)
+            with pytest.raises(DataError, match="search failed"):
+                run(manifest, input_path)
+            failing.clear()
+            assert get() == caller, name
+
+
+def test_decode_blas_threads_is_one_on_one_cpu(tmp_path):
+    if numerics._openblas_thread_calls() is None:
+        pytest.skip("no OpenBLAS loaded")
+    checkpoint, input_path = _cli_checkpoint(tmp_path)
+    script = """
+import json, os, sys
+os.sched_getaffinity = lambda pid: {0}
+from aacap import decoding, numerics, pipeline
+get, _ = numerics._openblas_thread_calls()
+seen = []
+search = decoding._search
+def counted(*args, **kwargs):
+    seen.append(get())
+    return search(*args, **kwargs)
+decoding._search = counted
+checkpoint, manifest, path, out = sys.argv[1:]
+with numerics.blas_threads(2):
+    pipeline.evaluate(checkpoint, manifest)
+    pipeline.caption_file(checkpoint, path)
+    pipeline.export_attention(checkpoint, path, out)
+    after = get()
+print(json.dumps([numerics.DECODE_BLAS_THREADS, sorted(set(seen)), len(seen), after]))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-W", "ignore", "-c", script, str(checkpoint),
+                           str(tmp_path / "toy" / "manifest.jsonl"), str(input_path),
+                           str(tmp_path / "attn.json")],
+                          env=env, check=True, capture_output=True, text=True, timeout=120)
+    assert json.loads(done.stdout) == [1, [1], 3, 2]
+
+
+def test_a_decode_is_bit_identical_at_one_and_two_blas_threads():
+    calls = numerics._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("no OpenBLAS found, so the BLAS thread count cannot be set")
+    get, _ = calls
+    # paper hidden dims; V = 1000 makes each step's (rows, d_h) x (d_h, V)
+    # product large enough for OpenBLAS to split it across threads
+    model = CaptionModel(ModelConfig(embed_dim=128, vocab_size=1000), seed=0)
+    rng = np.random.default_rng(3)
+    matrices = [rng.normal(size=(int(rng.integers(30, 62)), 128)) for _ in range(12)]
+    runs = []
+    for threads in (1, 2):
+        with numerics.blas_threads(threads):
+            if get() != threads:
+                pytest.skip(f"this OpenBLAS runs at most {get()} thread(s)")
+            encodings = list(pipeline.encode_in_calls(model, matrices))
+            hyps = [beam_search(model, enc, beam=3) for enc in encodings]
+        runs.append((encodings, hyps))
+    (encodings_1, hyps_1), (encodings_2, hyps_2) = runs
+    for one, two in zip(encodings_1, encodings_2, strict=True):
+        for name in ("values", "keys", "context_gates"):
+            assert np.array_equal(getattr(one, name), getattr(two, name)), name
+    for one, two in zip(hyps_1, hyps_2, strict=True):
+        assert one.tokens == two.tokens
+        assert one.log_prob == two.log_prob
+        assert len(one.attention) == len(two.attention) == one.emitted
+        for step_1, step_2 in zip(one.attention, two.attention):
+            assert np.array_equal(step_1.weights, step_2.weights)
+            assert np.array_equal(step_1.context, step_2.context)
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +718,7 @@ def test_cli_data_error_exit_code(tmp_path):
     assert code == 3
 
 
-@pytest.mark.parametrize("lr", ["-1", "nan"])
+@pytest.mark.parametrize("lr", ["-1", "nan", "1.5", str(2**63)])
 def test_cli_train_bad_learning_rate_exits_2(tmp_path, capsys, lr):
     manifest = make_toy_dataset(tmp_path / "toy", seed=0, n_items=4)
     code = cli.main(["train", "--manifest", str(manifest), "--out-dir",
@@ -754,8 +863,9 @@ def test_cli_evaluate_rejects_an_uncaptioned_item_of_its_split_only(trained, tmp
                      "--manifest", str(held_out), "--split", "val", "--beam", "1"]) == 0
 
 
-def test_cli_train_non_finite_loss_exits_3(tmp_path, capsys):
+def test_cli_train_non_finite_loss_exits_3(tmp_path, capsys, monkeypatch):
     manifest = make_toy_dataset(tmp_path / "toy", seed=0, n_items=4)
+    monkeypatch.setattr(pipeline, "MAX_LR", math.inf)  # let a divergent rate through
     with np.errstate(all="ignore"):
         code = cli.main(["train", "--manifest", str(manifest), "--out-dir",
                          str(tmp_path / "run"), "--lr", "1e305", "--batch-size", "4",
