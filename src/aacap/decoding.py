@@ -14,7 +14,8 @@ order a full sort of every candidate gives, and the kept rows' states are
 gathered. Both take an EncoderOutput, so the encoding is done by the caller,
 one item or a batch of items at a time; the attention keys E W_enc and the
 context gates E W_ctx come with it, so a step reads neither W_enc nor the
-decoder cell's context rows W_ctx.
+decoder cell's context rows W_ctx, and forms no attention context. A
+hypothesis keeps the attention weight row that chose each of its tokens.
 
 A stacked (live, d_h) product rounds differently from one per hypothesis,
 so log-probabilities match a per-hypothesis search within 1e-12. Greedy
@@ -29,17 +30,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .model import AttentionStep, CaptionModel, EncoderOutput
+from .model import CaptionModel, EncoderOutput
 from .numerics import log_softmax
 from .text import END, MAX_TOKENS, START
 
 DEFAULT_BEAM = 3
 # The widest beam a search accepts. Memory and time grow with the live
 # hypotheses: at the default dims, V = 4404 and T = 60, each holds about
-# 408 kB at the peak of a step (its logits and scores rows, log_softmax's
-# and selection's temporaries, and its attention trace; tracemalloc, every
-# hypothesis run to the cap), so a search at this width peaks near 410 MB
-# and takes about 6 s per item at one BLAS thread on a 2-vCPU Xeon.
+# 333 kB at the peak of a step (its logits and scores rows, log_softmax's
+# and selection's temporaries, and its attention weight rows; tracemalloc,
+# every hypothesis run to the cap), so a search at this width peaks near
+# 333 MB and takes about 6 s per item at one BLAS thread on a 2-vCPU Xeon.
 MAX_BEAM = 1000
 
 
@@ -48,12 +49,12 @@ class Hypothesis:
     tokens: list[int]  # starts with START; ends with END when finished that way
     log_prob: float  # sum of per-step log softmax probabilities
     parent: "Hypothesis | None" = None  # the hypothesis this one extends by a token
-    step: AttentionStep | None = None  # the attention read that chose tokens[-1]
+    step: np.ndarray | None = None  # (T,) the attention weights that chose tokens[-1]
 
     @property
-    def attention(self) -> list[AttentionStep]:
-        """One AttentionStep per emitted token, oldest first, read back
-        through the parents, so an extension copies no trace."""
+    def attention(self) -> list[np.ndarray]:
+        """One (T,) attention weight row per emitted token, oldest first, read
+        back through the parents, so an extension copies no trace."""
         steps, hyp = [], self
         while hyp.step is not None:
             steps.append(hyp.step)
@@ -71,9 +72,10 @@ class Hypothesis:
 
 
 def greedy_decode_encoded(model: CaptionModel,
-                          enc: EncoderOutput) -> tuple[list[int], list[AttentionStep]]:
+                          enc: EncoderOutput) -> tuple[list[int], list[np.ndarray]]:
     """Beam search of width 1 without length normalisation, so argmax decoding
-    with ties to the lowest token id; returns (ids, trace)."""
+    with ties to the lowest token id; returns (ids, trace), the trace one
+    attention weight row per emitted token."""
     hyp = _search(model, enc, 1, length_normalize=False)
     return hyp.tokens, hyp.attention
 
@@ -97,14 +99,13 @@ def _search(model: CaptionModel, enc: EncoderOutput, beam: int,
     live = [Hypothesis([START], 0.0)]
     completed: list[Hypothesis] = []
     while live:
-        logits, h, c, att = model.decoder_step(
+        logits, h, c, weights = model.decoder_step(
             np.array([hyp.tokens[-1] for hyp in live]), h, c, enc)
         scores = np.array([[hyp.log_prob] for hyp in live]) + log_softmax(logits)
         next_live, rows = [], []
         for row, token in top_candidates(scores, [hyp.tokens for hyp in live], beam):
             hyp = live[row]
-            step = AttentionStep(att.weights[row], att.context[row])
-            extended = Hypothesis(hyp.tokens + [token], scores[row, token], hyp, step)
+            extended = Hypothesis(hyp.tokens + [token], scores[row, token], hyp, weights[row])
             if token == END or len(extended.tokens) >= MAX_TOKENS:
                 completed.append(extended)
             else:

@@ -43,7 +43,9 @@ def plan_segments(duration: float, window: float = DEFAULT_SEGMENT_SECONDS) -> S
             f"audio of {duration:.3f}s is shorter than one {window:.3f}s segment; "
             "pad the audio to at least the segment length")
     hop = window / 2.0
-    last = int(np.floor((duration - window) / hop + _TOL))
+    # the check above lets the window overrun the audio by _TOL seconds, which
+    # is more than _TOL hops for a hop under 1 s: such audio still gets a segment
+    last = max(0, int(np.floor((duration - window) / hop + _TOL)))
     return SegmentPlan(window, [k * hop for k in range(last + 1)])
 
 

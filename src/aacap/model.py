@@ -35,9 +35,11 @@ numerics.side_by_side starts and joins within the call (features.stft_power
 uses the same helper), in the spirit of Appleyard et al.'s overlap of
 independent recurrent work; numpy releases the GIL inside its products and
 ufuncs. Each direction runs the same operations as on one
-thread and writes its own output columns, and the caller adds both
-directions' input gradients into d(inputs) after the join, fwd first:
-outputs are bit-identical to running one direction after the other.
+thread and writes its own output columns; in layer 2's backward the caller
+adds both directions' input gradients into d(mid) after the join, fwd
+first. Outputs are bit-identical to running one direction after the other.
+Nothing reads a gradient with respect to the encoder's input, so layer 1's
+backward takes only its weight gradients.
 Teacher forcing's decoder loops, forward and reverse, are independent per
 sample in the same way, so a batch can step as two row halves, [0, B/2) and
 [B/2, B), the second on the same helper. Each half writes its own rows of
@@ -59,10 +61,11 @@ along a sum, so encodings, tokens, log-probabilities and attention are
 bit-identical at 1 and 2 threads (a test checks this at paper dims). Training, validation included,
 runs at one BLAS thread.
 
-A decoder step is Decoder.advance: an attention read of the encoder output
-from h_prev, then one decoder cell step on the word embedding plus the
-context's share of the cell pre-activation. Decoder.step, behind beam
-search and greedy decoding, is advance plus the output projection. The
+A decoder step is Decoder.advance: the attention weights over the encoder
+output from h_prev, then one decoder cell step on the word embedding plus
+the context's share of the cell pre-activation. Decoder.step, behind beam
+search and greedy decoding, is advance plus the output projection; it
+returns the weights but no context, which only teacher forcing reads. The
 same call steps one token or a row of beam hypotheses over one E, and a
 padded batch of B samples in teacher forcing, one encoder row and target
 each, as one (B, d_h) matrix. The logits do not feed the recurrence, so
@@ -78,10 +81,11 @@ rows for the context: a step's context share is (alpha E) W_ctx =
 alpha (E W_ctx). encode takes them once beside the keys, and a step over an
 EncoderOutput that carries them (every search) reads the share as a
 (rows, T) x (T, 4 d_h) product instead of reading W_ctx, about a quarter
-of a step's weight traffic at a few rows. Teacher forcing carries none and
-takes the share as context x W_ctx: a training batch has about three times
-as many frames as target steps, so hoisting E W_ctx would cost about three
-times the per-step products it saves.
+of a step's weight traffic at a few rows, and never forms the context.
+Teacher forcing carries none: it forms the context alpha E, which its
+backward reads, and takes the share as context x W_ctx. A training batch
+has about three times as many frames as target steps, so hoisting E W_ctx
+would cost about three times the per-step products it saves.
 
 Backpropagation is reverse-time over decoder steps (through the attention
 read and the decoder cell), then reverse-time through both encoder layers.
@@ -210,12 +214,6 @@ class EncoderOutput:  # one sequence, or a batch with a leading B axis on every 
         valid = int(self.valid_length[b])
         return EncoderOutput(self.values[b, :valid], valid, self.keys[b, :valid],
                              self.context_gates[b, :valid])
-
-
-@dataclass
-class AttentionStep:
-    weights: np.ndarray  # (..., T) probabilities, exactly 0 on padded frames
-    context: np.ndarray  # (..., d_e) attention-weighted encoder read
 
 
 @dataclass
@@ -390,9 +388,10 @@ class LstmCell:
                 c[rows] = c_prev
         return [offsets, proj, c] if keep_cache else None
 
-    def backward_sequence(self, cache, x: np.ndarray, dh: np.ndarray) -> np.ndarray:
+    def backward_sequence(self, cache, x: np.ndarray, dh: np.ndarray, input_grad: bool):
         """Backprop of forward_sequence over the same input rows x, from
-        d(loss)/d(h) rows dh (N, hidden); returns d(loss)/d(x) (N, input_dim).
+        d(loss)/d(h) rows dh (N, hidden); returns d(loss)/d(x) (N, input_dim)
+        if input_grad, else None.
 
         Accumulates the parameter gradients with one product each after the
         reverse-time loop. Each cached array is freed once it is no longer
@@ -422,7 +421,7 @@ class LstmCell:
         self.w.gradient[self.input_dim:] += h_prev.T @ d_pre
         del h_prev
         self.b.gradient += d_pre.sum(axis=0)
-        return d_pre @ w_x.T
+        return d_pre @ w_x.T if input_grad else None
 
 
 @dataclass
@@ -458,12 +457,6 @@ class _Packing:
         padded[self.rows, self.steps] = packed
         return padded
 
-    def split(self, packed: np.ndarray) -> list[np.ndarray]:
-        """Each matrix's packed rows in frame order, as one (T_i, ·) array per matrix."""
-        flat = np.empty_like(packed)
-        flat[self.flat] = packed
-        return np.split(flat, np.cumsum(np.bincount(self.rows))[:-1])
-
 
 class BiLstmLayer:
     """Forward and backward LSTM passes over the packed rows of a _Packing,
@@ -471,9 +464,9 @@ class BiLstmLayer:
 
     The fwd direction runs on the rows as they are, the bwd one on x[mirror]:
     each row reversed within its own length, so its padding also comes last
-    and the same offsets serve both. Its h and its input gradient come back
-    through the same index. backward takes the forward's x and pack again,
-    so a layer keeps no copy of its input.
+    and the same offsets serve both. Its h, and its input gradient when the
+    caller asks for one, come back through the same index. backward takes
+    the forward's x and pack again, so a layer keeps no copy of its input.
     """
 
     def __init__(self, name: str, input_dim: int, hidden_dim: int,
@@ -505,15 +498,19 @@ class BiLstmLayer:
         out[:, hidden:] = out[mirror, hidden:]
         return out, (caches if keep_cache else None)
 
-    def backward(self, cache, x: np.ndarray, pack: _Packing, dout: np.ndarray) -> np.ndarray:
-        """d(loss)/d(x) (N, in) from dout (N, 2 hidden), x and pack those of the
-        forward. Each direction's cached arrays are freed by its own backward."""
+    def backward(self, cache, x: np.ndarray, pack: _Packing, dout: np.ndarray,
+                 input_grad: bool):
+        """The weight gradients from dout (N, 2 hidden), x and pack those of
+        the forward; returns d(loss)/d(x) (N, in) if input_grad, else None.
+        Each direction's cached arrays are freed by its own backward."""
         hidden, mirror = self.hidden_dim, pack.mirror
         dx, d_bwd = self._run(pack, [
-            partial(self.fwd.backward_sequence, cache[0], x, dout[:, :hidden]),
-            partial(self.bwd.backward_sequence, cache[1], x[mirror], dout[mirror, hidden:]),
+            partial(self.fwd.backward_sequence, cache[0], x, dout[:, :hidden], input_grad),
+            partial(self.bwd.backward_sequence, cache[1], x[mirror], dout[mirror, hidden:],
+                    input_grad),
         ], threaded=True)
-        dx += d_bwd[mirror]
+        if input_grad:
+            dx += d_bwd[mirror]
         return dx
 
 
@@ -549,13 +546,15 @@ class Encoder:
         out, cache2 = self.layer2.forward(mid, pack, keep_cache)
         return pack.pad(out), ([pack, x, cache1, mid, cache2] if keep_cache else None)
 
-    def backward(self, cache: list, d_out: np.ndarray) -> list[np.ndarray]:
-        """Returns d(loss)/d(matrix), one array of each matrix's shape; each
-        layer's cache is emptied once used."""
+    def backward(self, cache: list, d_out: np.ndarray):
+        """Accumulates both layers' weight gradients from dE; each layer's
+        cache is emptied once used. Only layer 2 hands a gradient down: none
+        is taken with respect to the input matrices."""
         pack, x, cache1, mid, cache2 = cache
         cache.clear()
-        d_mid = self.layer2.backward(cache2, mid, pack, d_out[pack.rows, pack.steps])
-        return pack.split(self.layer1.backward(cache1, x, pack, d_mid))
+        d_mid = self.layer2.backward(cache2, mid, pack, d_out[pack.rows, pack.steps],
+                                     input_grad=True)
+        self.layer1.backward(cache1, x, pack, d_mid, input_grad=False)
 
 
 class Attention:
@@ -577,12 +576,12 @@ class Attention:
     def _pre(self, keys: np.ndarray, h_prev: np.ndarray) -> np.ndarray:
         return keys + (h_prev @ self.w_hidden.value)[..., None, :]
 
-    def forward(self, enc_values: np.ndarray, valid, h_prev: np.ndarray,
-                keys: np.ndarray):
-        """One attention read from h_prev, for one sequence or a batch:
-        enc_values (..., T, d_e), valid lengths (...), h_prev (..., d_h), and
-        keys = self.keys(enc_values), as EncoderOutput carries it; one sequence's
-        (T, ·) arrays broadcast over rows of h_prev (R, d_h)."""
+    def forward(self, valid, h_prev: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """The weights (..., T) of one attention read from h_prev, for one
+        sequence or a batch: valid lengths (...), h_prev (..., d_h), and keys =
+        self.keys(E), as EncoderOutput carries it; one sequence's (T, d_a)
+        keys broadcast over rows of h_prev (R, d_h). The weights are
+        probabilities, exactly 0 on padded frames."""
         pre = self._pre(keys, h_prev)  # (..., T, d_a)
         alpha = np.maximum(pre, 0.0)
         logits = (alpha @ self.w_score.value)[..., 0]
@@ -590,9 +589,7 @@ class Attention:
         # A valid frame holds the row max, so softmax gives each padded frame
         # exp(-inf) = +0.0 exactly: no weight and no share of the context.
         logits[..., padded] = -np.inf
-        weights = softmax(logits)
-        context = (weights[..., None, :] @ enc_values)[..., 0, :]
-        return AttentionStep(weights=weights, context=context)
+        return softmax(logits)
 
     def backward(self, enc_values: np.ndarray, keys: np.ndarray, h_prev: np.ndarray,
                  weights: np.ndarray, d_context: np.ndarray, d_pre_sum: np.ndarray,
@@ -657,22 +654,24 @@ class Decoder:
                 + self.attention.params())
 
     def advance(self, tokens, h_prev: np.ndarray, c_prev: np.ndarray, enc: EncoderOutput):
-        """The attention read from h_prev, then the cell step on the embedding
-        plus the context's share of the pre-activation: weights x
-        enc.context_gates when enc carries them, which never reads W_ctx, else
-        context x W_ctx. For one token id with 1-D states or (B,) ids with
-        (B, d_h) states, and enc of one sequence or a batch of B; returns
-        (h, c, gates, AttentionStep)."""
-        att_step = self.attention.forward(enc.values, enc.valid_length, h_prev, enc.keys)
-        weights, context_gates = att_step.weights, enc.context_gates
+        """The attention weights from h_prev, then the cell step on the
+        embedding plus the context's share of the pre-activation: weights x
+        enc.context_gates when enc carries them, which forms no context and
+        never reads W_ctx, else context x W_ctx. For one token id with 1-D
+        states or (B,) ids with (B, d_h) states, and enc of one sequence or a
+        batch of B; returns (h, c, gates, weights, context), the context
+        (..., d_e) None when enc carries context gates."""
+        weights = self.attention.forward(enc.valid_length, h_prev, enc.keys)
+        context, context_gates = None, enc.context_gates
         if context_gates is None:
-            share = self.context_gates(att_step.context)
+            context = (weights[..., None, :] @ enc.values)[..., 0, :]
+            share = self.context_gates(context)
         elif context_gates.ndim == 2:  # one sequence: every row in one product
             share = weights @ context_gates
         else:
             share = (weights[..., None, :] @ context_gates)[..., 0, :]
         h, c, gates = self.cell.step(self.embedding.value[tokens], h_prev, c_prev, share)
-        return h, c, gates, att_step
+        return h, c, gates, weights, context
 
     def context_gates(self, enc_values: np.ndarray) -> np.ndarray:
         """E W_ctx (..., T, 4 d_h), W_ctx the cell's weight rows for the context:
@@ -683,11 +682,11 @@ class Decoder:
 
     def step(self, token, h_prev: np.ndarray, c_prev: np.ndarray, enc: EncoderOutput):
         """One inference step of one id or a row of ids, advance and then the
-        output projection: (logits, h, c, AttentionStep)."""
+        output projection: (logits, h, c, attention weights)."""
         if np.any((np.asarray(token) < 0) | (np.asarray(token) >= self.cfg.vocab_size)):
             raise ValueError(f"token id {token} outside vocabulary of {self.cfg.vocab_size}")
-        h, c, _, att_step = self.advance(token, h_prev, c_prev, enc)
-        return h @ self.w_out.value + self.b_out.value, h, c, att_step
+        h, c, _, weights, _ = self.advance(token, h_prev, c_prev, enc)
+        return h @ self.w_out.value + self.b_out.value, h, c, weights
 
 
 class CaptionModel:
@@ -727,7 +726,7 @@ class CaptionModel:
 
     def decoder_step(self, prev_token, h_prev: np.ndarray, c_prev: np.ndarray,
                      enc: EncoderOutput):
-        """One inference step of one id or a row of ids: (logits, h, c, AttentionStep)."""
+        """One inference step of one id or a row of ids: (logits, h, c, attention weights)."""
         return self.decoder.step(prev_token, h_prev, c_prev, enc)
 
     def initial_state(self) -> tuple[np.ndarray, np.ndarray]:
@@ -766,9 +765,8 @@ class CaptionModel:
         def run(rows: slice):
             part = EncoderOutput(enc.values[rows], enc.valid_length[rows], enc.keys[rows])
             for s in range(span):
-                h[s + 1, rows], c[s + 1, rows], gates[s, rows], att_step = dec.advance(
-                    tokens_in[s, rows], h[s, rows], c[s, rows], part)
-                weights[s, rows], contexts[s, rows] = att_step.weights, att_step.context
+                (h[s + 1, rows], c[s + 1, rows], gates[s, rows], weights[s, rows],
+                 contexts[s, rows]) = dec.advance(tokens_in[s, rows], h[s, rows], c[s, rows], part)
         _by_halves(batch, self.cfg.dec_hidden, run)
 
         samples, steps = np.nonzero(np.arange(span) < n_steps[:, None])
@@ -781,15 +779,14 @@ class CaptionModel:
                                 samples, steps, tokens_out, probs)
         return ForwardResult(float(loss), _BatchCache(enc_cache, decoder))
 
-    def backward(self, cache: _BatchCache) -> list[np.ndarray]:
-        """Accumulate gradients of the batch loss; returns d(loss)/d(matrix),
-        one array of each input matrix's shape."""
+    def backward(self, cache: _BatchCache):
+        """Accumulate the parameter gradients of the batch loss."""
         if not isinstance(cache, _BatchCache) or cache.decoder is None:
             raise ValueError("backward needs an unused cache from forward_teacher_forced")
         decoder, cache.decoder = cache.decoder, None
         d_enc = self._backward_decoder(decoder)
         del decoder  # its arrays are freed before the encoder's backward runs
-        return self.encoder.backward(cache.encoder, d_enc)
+        self.encoder.backward(cache.encoder, d_enc)
 
     def _backward_decoder(self, cache: _DecoderCache) -> np.ndarray:
         """The decoder's and attention's backward; returns dE (B, T, d_e).

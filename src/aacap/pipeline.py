@@ -100,9 +100,7 @@ class TrainResult:
     log_path: Path
     losses: list[float]
     val_bleu4: list[float]
-    lrs: list[float]
     vocab: Vocabulary
-    model: CaptionModel
 
 
 class PlateauScheduler:
@@ -314,7 +312,7 @@ def train(config: TrainConfig, manifest_path, out_dir) -> TrainResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint_path = out_dir / "model.ckpt"
     log_path = out_dir / "train.log"
-    losses, val_scores, lrs = [], [], []
+    losses, val_scores = [], []
     best_val = -math.inf
     # one BLAS thread: a product's sums then come in one order whatever the
     # core count, and the loop's own two threads run without BLAS helpers
@@ -357,12 +355,11 @@ def train(config: TrainConfig, manifest_path, out_dir) -> TrainResult:
                       f"val_bleu4={val_score:.6f} lr={lr:.6e}\n")
             losses.append(mean_loss)
             val_scores.append(val_score)
-            lrs.append(lr)
             if val_score >= best_val:  # ties keep the most recent model
                 best_val = val_score
                 model.save(checkpoint_path, extra_config={"vocab": vocab.words})
             scheduler.observe(val_score)
-    return TrainResult(checkpoint_path, log_path, losses, val_scores, lrs, vocab, model)
+    return TrainResult(checkpoint_path, log_path, losses, val_scores, vocab)
 
 
 def parse_train_log(path) -> list[dict[str, float]]:
@@ -440,7 +437,7 @@ def export_attention(checkpoint_path, input_path, out_path,
     with blas_threads(DECODE_BLAS_THREADS):
         ids, trace = greedy_decode_encoded(model, model.encode(matrix))
     tokens = decode(ids, vocab).split()
-    weights = [step.weights.tolist() for step, token in zip(trace, ids[1:])
+    weights = [row.tolist() for row, token in zip(trace, ids[1:])
                if token not in (PAD, START, END)]
     record = {"id": item_id or Path(str(input_path)).stem, "tokens": tokens,
               "frames": int(matrix.shape[0]), "weights": weights}

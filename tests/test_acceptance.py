@@ -8,6 +8,7 @@ criteria time themselves against their stated budgets.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from aacap.pipeline import (
     export_attention,
     load_manifest,
     make_toy_dataset,
+    parse_train_log,
     save_manifest,
     split_entries,
     train,
@@ -99,8 +101,10 @@ def test_criterion_2_attention_invariants():
         h = rng.normal(size=8)
         c = rng.normal(size=8)
         token = int(rng.integers(0, 6))
-        _, _, _, att = model.decoder_step(token, h, c, enc)
-        weights = att.weights
+        _, _, _, weights = model.decoder_step(token, h, c, enc)
+        # a search step forms no context: teacher forcing's branch, over an
+        # encoding without context gates, does
+        *_, context = model.decoder.advance(token, h, c, replace(enc, context_gates=None))
         if np.any(weights < 0):
             failures.append(f"step {step}: negative weight")
         if abs(weights.sum() - 1.0) > 1e-9:
@@ -109,7 +113,7 @@ def test_criterion_2_attention_invariants():
             failures.append(f"step {step}: padded frame got weight")
         lo = enc.values[:valid].min(axis=0) - 1e-12
         hi = enc.values[:valid].max(axis=0) + 1e-12
-        if np.any(att.context < lo) or np.any(att.context > hi):
+        if np.any(context < lo) or np.any(context > hi):
             failures.append(f"step {step}: context outside hull")
         if failures:
             break
@@ -206,9 +210,9 @@ def test_criterion_6_lr_schedule(tmp_path):
                          enc_hidden=8, attn_dim=8, dec_hidden=8, word_dim=8)
     result = train(config, scripted, tmp_path / "run")
     expected = [1e-4, 1e-4, 1e-4, 1e-4, 5e-5, 5e-5]
-    ok = result.val_bleu4 == [0.0] * 6 and result.lrs == expected
-    report(6, "plateau lr schedule", ok,
-           f"lr sequence {['%.1e' % lr for lr in result.lrs]}")
+    lrs = [row["lr"] for row in parse_train_log(result.log_path)]
+    ok = result.val_bleu4 == [0.0] * 6 and lrs == expected
+    report(6, "plateau lr schedule", ok, f"lr sequence {['%.1e' % lr for lr in lrs]}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Every top-level function and class and every public method of the package
 is used by the package, a demo or the benchmark harness, or is named in KEPT
 with the reason it stays; and every parameter with a default is passed by
-one of them, or is named in KEPT_DEFAULTS with the reason it stays. Tests do
-not count as users: code that only tests call is dead, and so is a default
-that only tests override.
+one of them, or is named in KEPT_DEFAULTS with the reason it stays. A
+dataclass field with a default counts as such a parameter of the class's
+generated __init__. Tests do not count as users: code that only tests call
+is dead, and so is a default that only tests override.
 
 A use is any name or attribute with the definition's name, anywhere in those
 files, so a method counts as used when any object's attribute of that name
@@ -86,14 +87,42 @@ def test_every_kept_name_is_defined_and_otherwise_unused():
     assert not set(KEPT) & used, "a kept name has a user now; drop it from KEPT"
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(_called(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _field_defaults(node: ast.ClassDef):
+    """(name, position) of each __init__ field of a dataclass that has a
+    default, position counting the fields before it that __init__ takes."""
+    position = 0
+    for item in node.body:
+        if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+            continue
+        value, has_default = item.value, item.value is not None
+        if isinstance(value, ast.Call) and _called(value.func) == "field":
+            keywords = {k.arg: k.value for k in value.keywords}
+            init = keywords.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            has_default = bool({"default", "default_factory"} & set(keywords))
+        if has_default:
+            yield item.target.id, position
+        position += 1
+
+
 def _defaulted_parameters():
     """(qualified parameter, call key, name, position) of each parameter with
-    a default of a top-level function, or of a public method or __init__ of
-    a class, of the package. The call key is the function's name, or the
-    class's for __init__; position counts the positional parameters after
-    self or cls, and is None for a keyword-only one."""
+    a default of a top-level function, of a public method or __init__ of a
+    class, or of a dataclass's generated __init__ (its fields), of the
+    package. The call key is the function's name, or the class's for
+    __init__; position counts the positional parameters after self or cls,
+    and is None for a keyword-only one."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                for name, position in _field_defaults(node):
+                    yield f"{path.stem}.{node.name}({name})", node.name, name, position
             if isinstance(node, ast.FunctionDef):
                 functions = [(node.name, node, node.name, False)]
             elif isinstance(node, ast.ClassDef):

@@ -224,8 +224,8 @@ def test_greedy_is_beam_one_over_the_argmax_trace(seed, monkeypatch):
             break
     assert ids == expect
     assert len(trace) == len(expect_weights)
-    for step, weights in zip(trace, expect_weights):
-        assert np.allclose(step.weights, weights, atol=1e-12)
+    for row, weights in zip(trace, expect_weights):
+        assert np.allclose(row, weights, atol=1e-12)
 
 
 @pytest.mark.parametrize("decode", ["beam", "greedy"])
@@ -322,7 +322,7 @@ MID = ModelConfig(embed_dim=6, vocab_size=40, enc_hidden=8, attn_dim=12,
 def per_hypothesis_search(model, enc, beam, max_tokens, length_normalize):
     """Straight-line beam search: one 1-D decoder_step and one log_softmax per
     live hypothesis, each carrying its own state, and the next beam by a full
-    sort. Returns (tokens, log_prob, attention steps) of the winner."""
+    sort. Returns (tokens, log_prob, attention weight rows) of the winner."""
     h0, c0 = model.initial_state()
     live = [([START], 0.0, h0, c0, [])]
     completed = []
@@ -333,8 +333,8 @@ def per_hypothesis_search(model, enc, beam, max_tokens, length_normalize):
         next_live = []
         for row, token in tuple_sort_selection(scores, [hyp[0] for hyp in live], beam):
             tokens, _, _, _, attention = live[row]
-            _, h, c, att = steps[row]
-            extended = (tokens + [token], scores[row, token], h, c, attention + [att])
+            _, h, c, weights = steps[row]
+            extended = (tokens + [token], scores[row, token], h, c, attention + [weights])
             if token == END or len(extended[0]) >= max_tokens:
                 completed.append(extended)
             else:
@@ -374,8 +374,8 @@ def test_row_search_matches_per_hypothesis_search(beam, length_normalize, monkey
         assert abs(hyp.log_prob - log_prob) <= 1e-12, case
         assert len(hyp.attention) == len(attention)
         for got, want in zip(hyp.attention, attention):
-            assert got.weights.shape == want.weights.shape
-            assert np.allclose(got.weights, want.weights, rtol=0.0, atol=1e-12), case
+            assert got.shape == want.shape
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12), case
 
 
 def test_greedy_row_is_bit_identical_to_stepping_one_hypothesis(monkeypatch):
@@ -387,6 +387,5 @@ def test_greedy_row_is_bit_identical_to_stepping_one_hypothesis(monkeypatch):
         assert _search(model, enc, 1, False).log_prob == log_prob, case
         assert len(trace) == len(attention)
         for got, want in zip(trace, attention):
-            assert got.weights.shape == want.weights.shape
-            assert np.array_equal(got.weights, want.weights), case
-            assert np.array_equal(got.context, want.context), case
+            assert got.shape == want.shape
+            assert np.array_equal(got, want), case

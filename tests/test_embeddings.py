@@ -30,6 +30,22 @@ def test_plan_segments_one_and_a_half_windows():
     assert plan.starts == pytest.approx([0.0, 0.48])
 
 
+@pytest.mark.parametrize("window", [0.96, 0.1, 2.0, 1e-3])
+@pytest.mark.parametrize("short_by", [1e-10, 5e-10, 1e-9])
+def test_plan_segments_gives_a_segment_to_every_duration_it_accepts(window, short_by):
+    # the shortness check accepts audio up to 1e-9 s shorter than the window
+    plan = plan_segments(window - short_by, window)
+    assert plan.starts == [0.0]
+
+
+def test_audio_a_hair_shorter_than_the_window_gets_one_embedding_row(tmp_path):
+    plan = plan_segments(0.96 - 5e-10)
+    rows = mock_extract(Spectrogram(np.ones((96, 4))), plan, dim=3, seed=0)
+    assert rows.shape == (1, 3)
+    save_embedding_file(tmp_path / "one.aace", rows)
+    assert load_embedding_file(tmp_path / "one.aace").shape == (1, 3)
+
+
 def test_plan_segments_too_short_audio():
     with pytest.raises(DataError) as exc:
         plan_segments(0.5, 0.96)
